@@ -5,33 +5,31 @@ maximize the downlink sum-rate of a multi-user MISO system. The optimizer
 runs conjugate gradient ascent on the blockwise unitary manifold against a
 fractional-programming surrogate of the sum-rate, with symmetry enforced by
 a penalty during iteration and an exact projection at the end.
+
+Each formula has one implementation, on stacks of blocks: ``gradient``
+(channel factors and the closed-form gradient), ``manifold`` (tangent
+projection, batched QR retraction, random feasible points) and
+``optimizer._Workspace`` (signal matrix, auxiliaries, sum-rate, objective).
+The public API is the config and channel types, the beamformer
+initializers, ``cga_optimize`` with its trace types, the feasibility check,
+and the Monte Carlo harness in ``bench``.
 """
 
 __version__ = "0.1.0"
 
 from .bench import (ExperimentSpec, ResultRow, ResultTable, empirical_cdf,
-                    emit_outputs, load_experiment_spec, run_convergence_traces,
-                    run_experiment)
+                    emit_outputs, load_experiment_spec, run_experiment)
 from .channel import (ChannelSet, generate_channels,
                       generate_channels_from_gains, pathloss)
 from .config import (Geometry, LinkGeometry, SystemConfig, config_from_dict,
                      config_to_dict, load_config)
-from .fp import (FpState, penalized_objective, penalty, surrogate_rate,
-                 surrogate_sum, update_fp_state, update_tau, update_y)
-from .gradient import (BlockGradient, euclidean_gradient,
-                       euclidean_gradient_diagonal_beam,
-                       finite_difference_gradient,
-                       finite_difference_objective_gradient)
-from .manifold import (RetractionError, TangentVector, inner, norm,
-                       random_feasible, retract, tangent_project)
+from .manifold import random_feasible
 from .optimizer import (CgaSettings, FeasibilityReport, IterationRecord,
-                        OptimizerTrace, TraceFinal, armijo_search,
-                        cga_optimize, project_symmetric_unitary,
-                        validate_feasibility, write_trace_csv)
-from .system import (Architecture, Beamformer, EquivalentChannel,
-                     ScatteringMatrix, equivalent_channel, group_slice,
+                        OptimizerTrace, TraceFinal, cga_optimize,
+                        project_symmetric_unitary, validate_feasibility,
+                        write_trace_csv)
+from .system import (Architecture, Beamformer, ScatteringMatrix,
                      infer_architecture, init_beamformer_mmse,
-                     init_beamformer_uniform, parse_architecture_tag, sinr,
-                     sinr_vector, sum_rate)
+                     init_beamformer_uniform, parse_architecture_tag)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,7 +28,8 @@ import numpy as np
 import yaml
 
 from .channel import ChannelSet, generate_channels
-from .config import Geometry, SystemConfig, config_from_dict, config_to_dict
+from .config import (Geometry, SystemConfig, config_from_dict, config_to_dict,
+                     integer_field)
 from .optimizer import OptimizerTrace, cga_optimize, write_trace_csv
 from .system import init_beamformer_uniform, parse_architecture_tag
 
@@ -100,7 +101,7 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
         sweep = {"variable": "n_elements", "values": [config.n_elements]}
     values = sweep["values"]
     if sweep["variable"] == "n_elements":
-        values = [int(v) for v in values]
+        values = [integer_field("n_elements", v) for v in values]
     else:
         values = [float(v) for v in values]
     return ExperimentSpec(
@@ -109,8 +110,8 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
         architectures=tuple(raw["architectures"]),
         sweep_variable=sweep["variable"],
         sweep_values=tuple(values),
-        n_trials=int(raw["n_trials"]),
-        seed_base=int(raw.get("seed_base", 0)),
+        n_trials=integer_field("n_trials", raw["n_trials"]),
+        seed_base=integer_field("seed_base", raw.get("seed_base", 0)),
         output_dir=raw.get("output_dir"))
 
 
@@ -128,8 +129,12 @@ def channel_digest(channels: ChannelSet) -> str:
     return digest.hexdigest()
 
 
-def _run_cell(args) -> tuple[list[ResultRow], list[dict]]:
-    """All architectures of one (sweep value, trial) cell on shared channels."""
+def _run_cell(args) -> tuple[list[ResultRow], list[dict], list[OptimizerTrace]]:
+    """All architectures of one (sweep value, trial) cell on shared channels.
+
+    Returns the result rows, the skipped architectures, and one trace per
+    solve labelled with its architecture and trial.
+    """
     spec, value, trial = args
     seed = spec.seed_base + trial
     base = _neutral_config(spec.config, spec.sweep_variable, value)
@@ -138,6 +143,7 @@ def _run_cell(args) -> tuple[list[ResultRow], list[dict]]:
     beam = init_beamformer_uniform(base)
     rows: list[ResultRow] = []
     skipped: list[dict] = []
+    traces: list[OptimizerTrace] = []
     for tag in spec.architectures:
         try:
             _, group_size = parse_architecture_tag(tag, base.n_elements)
@@ -149,6 +155,9 @@ def _run_cell(args) -> tuple[list[ResultRow], list[dict]]:
         started = time.perf_counter()
         _, trace = cga_optimize(channels, beam, cell_config, seed)
         elapsed = time.perf_counter() - started
+        trace.architecture = tag
+        trace.trial = trial
+        traces.append(trace)
         rows.append(ResultRow(
             architecture=tag,
             sweep_value=value,
@@ -159,6 +168,12 @@ def _run_cell(args) -> tuple[list[ResultRow], list[dict]]:
             wall_time_s=elapsed,
             converged=trace.final.converged,
             channel_digest=digest))
+    return rows, skipped, traces
+
+
+def _cell_rows(args) -> tuple[list[ResultRow], list[dict]]:
+    """``_run_cell`` without the traces, so workers do not send them back."""
+    rows, skipped, _ = _run_cell(args)
     return rows, skipped
 
 
@@ -172,17 +187,15 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     jobs = [(spec, value, trial)
             for value in spec.sweep_values
             for trial in range(spec.n_trials)]
-    table = ResultTable()
     if workers <= 1:
-        outcomes = map(_run_cell, jobs)
-        for rows, skipped in outcomes:
-            table.rows.extend(rows)
-            table.skipped.extend(skipped)
+        outcomes = list(map(_cell_rows, jobs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rows, skipped in pool.map(_run_cell, jobs):
-                table.rows.extend(rows)
-                table.skipped.extend(skipped)
+            outcomes = list(pool.map(_cell_rows, jobs))
+    table = ResultTable()
+    for rows, skipped in outcomes:
+        table.rows.extend(rows)
+        table.skipped.extend(skipped)
     return table
 
 
@@ -244,10 +257,10 @@ def emit_outputs(table: ResultTable, traces: list[OptimizerTrace],
         written.append(cdf_path)
 
     for trace in traces:
-        if trace.architecture is None or trace.trial is None:
+        if trace.architecture is None or trace.seed is None:
             raise ValueError("traces passed to emit_outputs need "
-                             "architecture and trial labels")
-        trace_path = out / f"trace_{trace.architecture}_{trace.trial}.csv"
+                             "architecture and seed labels")
+        trace_path = out / f"trace_{trace.architecture}_{trace.seed}.csv"
         write_trace_csv(trace, trace_path)
         written.append(trace_path)
 
@@ -290,37 +303,3 @@ def manifest_with_spec(spec: ExperimentSpec) -> dict:
 def _package_version() -> str:
     from . import __version__
     return __version__
-
-
-def run_convergence_traces(config: SystemConfig, geometry: Geometry,
-                           architectures: list[str], seeds: list[int],
-                           ) -> tuple[ResultTable, list[OptimizerTrace]]:
-    """One labeled trace per (architecture, seed) on shared channels."""
-    table = ResultTable()
-    traces: list[OptimizerTrace] = []
-    for trial, seed in enumerate(seeds):
-        base = _neutral_config(config, "n_elements", config.n_elements)
-        channels = generate_channels(base, geometry, seed)
-        digest = channel_digest(channels)
-        beam = init_beamformer_uniform(base)
-        for tag in architectures:
-            try:
-                _, group_size = parse_architecture_tag(tag, base.n_elements)
-            except ValueError as exc:
-                table.skipped.append({"architecture": tag,
-                                      "sweep_value": base.n_elements,
-                                      "trial": trial, "reason": str(exc)})
-                continue
-            cell_config = replace(base, n_groups=base.n_elements // group_size)
-            started = time.perf_counter()
-            _, trace = cga_optimize(channels, beam, cell_config, seed)
-            elapsed = time.perf_counter() - started
-            trace.architecture = tag
-            trace.trial = seed
-            traces.append(trace)
-            table.rows.append(ResultRow(
-                architecture=tag, sweep_value=base.n_elements, trial=trial,
-                seed=seed, sum_rate_bits=trace.final.projected_rate,
-                iters=trace.final.iters_used, wall_time_s=elapsed,
-                converged=trace.final.converged, channel_digest=digest))
-    return table, traces

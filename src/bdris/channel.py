@@ -45,6 +45,8 @@ class ChannelSet:
         if self.h_rx.shape[1] != self.h_tx.shape[0]:
             raise ValueError(
                 f"shape mismatch: h_rx is {self.h_rx.shape}, h_tx is {self.h_tx.shape}")
+        if not (np.isfinite(self.h_tx).all() and np.isfinite(self.h_rx).all()):
+            raise ValueError("channel entries must be finite")
 
     @property
     def n_elements(self) -> int:

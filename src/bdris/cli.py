@@ -19,15 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import (emit_outputs, load_experiment_spec, run_convergence_traces,
-                    run_experiment)
+from .bench import (ExperimentSpec, ResultTable, _run_cell, emit_outputs,
+                    load_experiment_spec, run_experiment)
 from .channel import generate_channels
 from .config import load_config
 from .manifold import random_feasible
 from .optimizer import cga_optimize, validate_feasibility, write_trace_csv
-from .system import (ScatteringMatrix, block_mask, equivalent_channel,
-                     infer_architecture, init_beamformer_mmse,
-                     init_beamformer_uniform, parse_architecture_tag)
+from .system import (ScatteringMatrix, block_mask, infer_architecture,
+                     init_beamformer_mmse, init_beamformer_uniform,
+                     parse_architecture_tag)
 
 DEFAULT_ARCHITECTURES = ["sc", "gc2", "gc4", "fc"]
 
@@ -56,6 +56,8 @@ def read_matrix_file(path: str | Path) -> tuple[np.ndarray, int]:
     if len(header) != 2:
         raise ValueError("matrix file header must be 'R G'")
     r, g = int(header[0]), int(header[1])
+    if r < 1 or g < 1:
+        raise ValueError(f"header R={r} G={g}: both must be positive")
     if r % g != 0:
         raise ValueError(f"header R={r} not divisible by G={g}")
     if len(text) != r + 1:
@@ -88,7 +90,10 @@ def cmd_optimize(args) -> int:
     channels = generate_channels(config, geometry, args.seed)
     if args.beam == "mmse":
         theta0 = random_feasible(config, args.seed)
-        beam = init_beamformer_mmse(equivalent_channel(theta0, channels), config)
+        # Keep Theta @ H_tx first: the product order sets the rounding of E
+        # and with it the whole MMSE run.
+        e = channels.h_rx @ (theta0.theta @ channels.h_tx)
+        beam = init_beamformer_mmse(e, config)
     else:
         beam = init_beamformer_uniform(config)
     theta_opt, trace = cga_optimize(channels, beam, config, args.seed)
@@ -125,6 +130,14 @@ def cmd_bench(args) -> int:
     for skip in table.skipped:
         print(f"skipped {skip['architecture']} at {skip['sweep_value']} "
               f"(trial {skip['trial']}): {skip['reason']}", file=sys.stderr)
+    for tag in spec.architectures:
+        for value in spec.sweep_values:
+            rates = [row.sum_rate_bits for row in table.rows
+                     if row.architecture == tag and row.sweep_value == value]
+            if rates:
+                print(f"{tag:4s} {spec.sweep_variable}={value}: "
+                      f"mean {np.mean(rates):7.3f}  "
+                      f"median {np.median(rates):7.3f}  n={len(rates)}")
     print(f"{len(table.rows)} rows written to {out} "
           f"({len(written)} files)")
     return 0
@@ -133,10 +146,18 @@ def cmd_bench(args) -> int:
 def cmd_convergence(args) -> int:
     config, geometry = load_config(args.config)
     seeds = _seed_range(args.seeds)
-    table, traces = run_convergence_traces(config, geometry,
-                                           args.arch or DEFAULT_ARCHITECTURES,
-                                           seeds)
-    emit_outputs(table, traces, args.out)
+    spec = ExperimentSpec(
+        config=config, geometry=geometry,
+        architectures=tuple(args.arch or DEFAULT_ARCHITECTURES),
+        sweep_variable="n_elements", sweep_values=(config.n_elements,),
+        n_trials=len(seeds), seed_base=seeds[0])
+    table, traces = ResultTable(), []
+    for trial in range(spec.n_trials):
+        rows, skipped, cell_traces = _run_cell((spec, config.n_elements, trial))
+        table.rows.extend(rows)
+        table.skipped.extend(skipped)
+        traces.extend(cell_traces)
+    emit_outputs(table, traces, args.out, spec=spec)
     for skip in table.skipped:
         print(f"skipped {skip['architecture']}: {skip['reason']}",
               file=sys.stderr)

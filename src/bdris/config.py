@@ -115,6 +115,14 @@ def _link_from_dict(raw: dict, where: str) -> LinkGeometry:
     return LinkGeometry(**{k: float(v) for k, v in raw.items()})
 
 
+def integer_field(key: str, value) -> int:
+    """``value`` as an int; a non-integral number raises instead of truncating."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(number)
+
+
 def config_from_dict(raw: dict) -> tuple[SystemConfig, Geometry]:
     """Build (SystemConfig, Geometry) from a parsed key-value tree."""
     raw = dict(raw)
@@ -124,7 +132,10 @@ def config_from_dict(raw: dict) -> tuple[SystemConfig, Geometry]:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}
     for key, value in raw.items():
-        kwargs[key] = int(value) if key in _INT_FIELDS else float(value)
+        if key not in _INT_FIELDS:
+            kwargs[key] = float(value)
+            continue
+        kwargs[key] = integer_field(key, value)
     config = SystemConfig(**kwargs)
     if geo_raw is None:
         geometry = Geometry()

@@ -13,7 +13,8 @@ quadratic in an auxiliary y_k:
 
 tight at y_k = c_kk / (sum_i |c_ki|^2 + n0). Note both denominators run over
 all i, including i = k. For any tau >= 0 and any y the surrogate never
-exceeds the true rate, and at the closed-form (tau, y) it equals it.
+exceeds the true rate, and at the closed-form (tau, y) it equals it; the
+closed-form values come from ``optimizer._Workspace.stats``.
 
 The optimizer maximizes the surrogate sum minus a penalty nu * ||Theta -
 Theta^T||_F^2 that drives the blocks toward symmetry.
@@ -21,60 +22,9 @@ Theta^T||_F^2 that drives the blocks toward symmetry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ChannelSet
-from .config import SystemConfig
-from .system import (Beamformer, EquivalentChannel, ScatteringMatrix,
-                     equivalent_channel, signal_matrix, sinr_vector)
-
 LN2 = float(np.log(2.0))
-
-
-@dataclass(frozen=True)
-class FpState:
-    """Per-user auxiliary variables.
-
-    tau: (K,) real multipliers, nonnegative (their fixed point is the SINR).
-    y: (K,) complex ratio auxiliaries.
-    """
-
-    tau: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        if self.tau.shape != self.y.shape:
-            raise ValueError("tau and y must have the same length")
-        if np.any(self.tau < 0):
-            raise ValueError("tau entries must be nonnegative")
-
-
-def update_tau(eq_chan: EquivalentChannel, beam: Beamformer,
-               noise_power: float) -> np.ndarray:
-    """Closed-form optimal multipliers: tau_k = SINR_k."""
-    return sinr_vector(eq_chan, beam, noise_power)
-
-
-def update_y(eq_chan: EquivalentChannel, beam: Beamformer,
-             noise_power: float) -> np.ndarray:
-    """Closed-form optimal ratio auxiliaries.
-
-    y_k = c_kk / (sum_i |c_ki|^2 + noise), denominator over all i.
-    """
-    if noise_power <= 0:
-        raise ValueError("noise_power must be positive")
-    c = signal_matrix(eq_chan, beam)
-    denom = (np.abs(c) ** 2).sum(axis=1) + noise_power
-    return np.diagonal(c) / denom
-
-
-def update_fp_state(eq_chan: EquivalentChannel, beam: Beamformer,
-                    noise_power: float) -> FpState:
-    """Both auxiliaries at their closed-form optima for the current channel."""
-    return FpState(tau=update_tau(eq_chan, beam, noise_power),
-                   y=update_y(eq_chan, beam, noise_power))
 
 
 def _surrogate_terms(c: np.ndarray, tau: np.ndarray, y: np.ndarray,
@@ -83,41 +33,3 @@ def _surrogate_terms(c: np.ndarray, tau: np.ndarray, y: np.ndarray,
     denom = (np.abs(c) ** 2).sum(axis=1) + noise_power
     quad = 2.0 * np.real(np.conj(y) * np.diagonal(c)) - np.abs(y) ** 2 * denom
     return np.log2(1.0 + tau) - tau / LN2 + (1.0 + tau) / LN2 * quad
-
-
-def surrogate_rate(k: int, fp: FpState, eq_chan: EquivalentChannel,
-                   beam: Beamformer, noise_power: float) -> float:
-    """Surrogate rate of user k (0-based) at the given auxiliaries."""
-    c = signal_matrix(eq_chan, beam)
-    return float(_surrogate_terms(c, fp.tau, fp.y, noise_power)[k])
-
-
-def surrogate_sum(fp: FpState, eq_chan: EquivalentChannel, beam: Beamformer,
-                  noise_power: float) -> float:
-    """Sum of the per-user surrogate rates."""
-    c = signal_matrix(eq_chan, beam)
-    return float(_surrogate_terms(c, fp.tau, fp.y, noise_power).sum())
-
-
-def penalty(theta: ScatteringMatrix) -> float:
-    """Asymmetry measure ||Theta - Theta^T||_F^2, computed blockwise.
-
-    Off-block entries are structurally zero and contribute nothing; for
-    group size 1 every block is a scalar and the penalty is identically 0.
-    """
-    stack = theta.block_stack()
-    diff = stack - stack.transpose(0, 2, 1)
-    return float(np.sum(np.abs(diff) ** 2))
-
-
-def penalized_objective(theta: ScatteringMatrix, fp: FpState,
-                        channels: ChannelSet, beam: Beamformer,
-                        config: SystemConfig) -> float:
-    """Surrogate sum-rate minus nu * asymmetry penalty, from scratch.
-
-    Recomputes the equivalent channel for the given theta; the auxiliaries in
-    ``fp`` are held fixed.
-    """
-    eq = equivalent_channel(theta, channels)
-    value = surrogate_sum(fp, eq, beam, config.noise_power)
-    return value - config.nu * penalty(theta)

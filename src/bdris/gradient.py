@@ -17,30 +17,15 @@ tau-terms of the surrogate do not depend on Theta and drop out. The scalar
 c_ki deliberately uses the full composite channel (all groups), not the
 group-local slice: differentiating |e_k v_i|^2 with e_k summed over groups
 leaves the full scalar multiplying the group-local factor, which the
-finite-difference oracle confirms.
+finite-difference checks in the tests confirm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .channel import ChannelSet
-from .config import SystemConfig
-from .fp import LN2, FpState, penalized_objective
-from .system import Beamformer, ScatteringMatrix, equivalent_channel, signal_matrix
-
-
-@dataclass(frozen=True)
-class BlockGradient:
-    """Per-block ascent gradients, one (R_G, R_G) matrix per group."""
-
-    grads: list[np.ndarray]
-
-    def stack(self) -> np.ndarray:
-        return np.stack(self.grads)
+from .fp import LN2
 
 
 def channel_stacks(channels: ChannelSet, beam_v: np.ndarray,
@@ -67,94 +52,7 @@ def gradient_stack(theta_stack: np.ndarray, a: np.ndarray, b: np.ndarray,
     b_conj_t = b.conj().transpose(0, 2, 1)              # (G, K, R_G)
     t1 = y[None, :, None] * b_conj_t
     t2 = (np.abs(y) ** 2)[None, :, None] * (c @ b_conj_t)
-    inner = weights[None, :, None] * (t1 - t2)
-    grad = 2.0 * (a.conj().transpose(0, 2, 1) @ inner)
+    weighted = weights[None, :, None] * (t1 - t2)
+    grad = 2.0 * (a.conj().transpose(0, 2, 1) @ weighted)
     grad -= 4.0 * nu * (theta_stack - theta_stack.transpose(0, 2, 1))
     return grad
-
-
-def euclidean_gradient(theta: ScatteringMatrix, fp: FpState,
-                       channels: ChannelSet, beam: Beamformer,
-                       config: SystemConfig) -> BlockGradient:
-    """Gradient of the penalized surrogate objective for every block."""
-    a, b = channel_stacks(channels, beam.v, theta.group_size)
-    c = signal_matrix(equivalent_channel(theta, channels), beam)
-    grad = gradient_stack(theta.block_stack(), a, b, c, fp.tau, fp.y, config.nu)
-    return BlockGradient(grads=list(grad))
-
-
-def euclidean_gradient_diagonal_beam(theta: ScatteringMatrix, fp: FpState,
-                                     channels: ChannelSet,
-                                     power_alloc: np.ndarray,
-                                     config: SystemConfig) -> BlockGradient:
-    """Fast path for a diagonal beamformer V = diag(sqrt(p_1..p_K)).
-
-    Requires a fully loaded system (K = N). Equals ``euclidean_gradient``
-    with the equivalent diagonal beamformer embedded; the beamformer matrix
-    is never materialized, the BS-side slices are column-scaled in place.
-    """
-    if config.n_users != config.n_tx:
-        raise ValueError("diagonal beamforming requires n_users == n_tx")
-    power_alloc = np.asarray(power_alloc, dtype=float)
-    if power_alloc.shape != (config.n_users,):
-        raise ValueError(f"power_alloc must have shape ({config.n_users},)")
-    if np.any(power_alloc < 0):
-        raise ValueError("power_alloc entries must be nonnegative")
-    amps = np.sqrt(power_alloc)
-    rg = theta.group_size
-    n_groups = theta.n_groups
-    k = config.n_users
-    a = np.ascontiguousarray(
-        channels.h_rx.reshape(k, n_groups, rg).transpose(1, 0, 2))
-    b = channels.h_tx.reshape(n_groups, rg, k) * amps[None, None, :]
-    theta_stack = theta.block_stack()
-    c = np.einsum("gkr,grs,gsj->kj", a, theta_stack, b)
-    grad = gradient_stack(theta_stack, a, b, c, fp.tau, fp.y, config.nu)
-    return BlockGradient(grads=list(grad))
-
-
-def finite_difference_objective_gradient(
-        objective: Callable[[ScatteringMatrix], float],
-        theta: ScatteringMatrix, step: float) -> BlockGradient:
-    """Central-difference gradient of an arbitrary scalar objective.
-
-    Perturbs every real and imaginary coordinate of every block and assembles
-    the result with the same ascent convention as the closed-form gradient:
-    entry (p, q) of block g is d f/d Re + 1j * d f/d Im.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    rg = theta.group_size
-    base = theta.theta.copy()
-
-    def eval_with(g: int, p: int, q: int, delta: complex) -> float:
-        mat = base.copy()
-        mat[g * rg + p, g * rg + q] += delta
-        perturbed = ScatteringMatrix(theta=mat, architecture=theta.architecture,
-                                     group_size=theta.group_size)
-        return objective(perturbed)
-
-    grads = []
-    for g in range(theta.n_groups):
-        grad = np.empty((rg, rg), dtype=complex)
-        for p in range(rg):
-            for q in range(rg):
-                d_re = (eval_with(g, p, q, step) -
-                        eval_with(g, p, q, -step)) / (2.0 * step)
-                d_im = (eval_with(g, p, q, 1j * step) -
-                        eval_with(g, p, q, -1j * step)) / (2.0 * step)
-                grad[p, q] = d_re + 1j * d_im
-        grads.append(grad)
-    return BlockGradient(grads=grads)
-
-
-def finite_difference_gradient(theta: ScatteringMatrix, fp: FpState,
-                               channels: ChannelSet, beam: Beamformer,
-                               config: SystemConfig,
-                               step: float) -> BlockGradient:
-    """Central differences of the penalized surrogate objective."""
-
-    def objective(candidate: ScatteringMatrix) -> float:
-        return penalized_objective(candidate, fp, channels, beam, config)
-
-    return finite_difference_objective_gradient(objective, theta, step)

@@ -1,44 +1,26 @@
 """Blockwise unitary-manifold primitives.
 
 Each block of the scattering matrix lives on the unitary group (the square
-complex Stiefel manifold). The primitives here act per block: orthogonal
-projection onto the tangent space, a QR-based retraction, the real trace
-inner product, and a random feasible (symmetric unitary) starting point.
+complex Stiefel manifold). The primitives here act on (G, R_G, R_G) block
+stacks: orthogonal projection onto the tangent space, a batched QR-based
+retraction, and a random feasible (symmetric unitary) starting point. The
+real trace inner product is ``optimizer._re_vdot``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import SystemConfig
-from .gradient import BlockGradient
 from .system import Architecture, ScatteringMatrix
-
-UNITARY_BASE_TOL = 1e-8
-
-
-class RetractionError(RuntimeError):
-    """Raised when Theta + alpha * Xi is numerically rank deficient."""
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Per-block tangent directions at a base point.
-
-    At a unitary base block T, a tangent block X satisfies
-    T^H X + X^H T = 0.
-    """
-
-    blocks: list[np.ndarray]
-
-    def stack(self) -> np.ndarray:
-        return np.stack(self.blocks)
 
 
 def project_stack(grad_stack: np.ndarray, theta_stack: np.ndarray) -> np.ndarray:
-    """Batched tangent projection: X - T (T^H X + X^H T) / 2."""
+    """Batched tangent projection: X - T (T^H X + X^H T) / 2.
+
+    At a unitary base block T the result X' is tangent, T^H X' + X'^H T = 0,
+    and the map is idempotent.
+    """
     lift = theta_stack.conj().transpose(0, 2, 1) @ grad_stack
     sym = 0.5 * (lift + lift.conj().transpose(0, 2, 1))
     return grad_stack - theta_stack @ sym
@@ -52,44 +34,17 @@ def unitarity_residuals(theta_stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(gram) ** 2, axis=(1, 2)))
 
 
-def tangent_project(grad: BlockGradient | TangentVector,
-                    theta: ScatteringMatrix) -> TangentVector:
-    """Project ambient per-block gradients onto the tangent space at theta.
-
-    The base point must be blockwise unitary (the projection formula assumes
-    it); the output satisfies the skew-Hermitian lift condition and the map
-    is idempotent.
-    """
-    theta_stack = theta.block_stack()
-    residual = unitarity_residuals(theta_stack).max()
-    if residual > UNITARY_BASE_TOL:
-        raise ValueError(
-            f"base point is not blockwise unitary (residual {residual:.3e})")
-    blocks = grad.grads if isinstance(grad, BlockGradient) else grad.blocks
-    projected = project_stack(np.stack(blocks), theta_stack)
-    return TangentVector(blocks=list(projected))
-
-
-def retract_stack(theta_stack: np.ndarray, direction_stack: np.ndarray,
-                  alpha: float) -> np.ndarray:
-    """Batched Q-factor retraction with the positive-real-diagonal convention."""
-    moved = theta_stack + alpha * direction_stack
-    q, r = np.linalg.qr(moved)
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    mags = np.abs(diag)
-    if mags.min() <= 1e-12 * max(float(np.abs(moved).max()), 1.0):
-        raise RetractionError(
-            "retraction target is numerically rank deficient; shrink the step")
-    return q * (diag / mags)[:, None, :]
-
-
 def retract_batch(theta_stack: np.ndarray, direction_stack: np.ndarray,
                   alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Retraction of many candidate steps at once.
 
-    Returns (candidates, ok) with candidates of shape (M, G, R_G, R_G) and a
-    boolean validity flag per candidate; rank-deficient candidates are marked
-    invalid instead of raising so that the surviving ones stay usable.
+    Candidate m is the Q-factor of the QR decomposition of
+    Theta_g + alphas[m] * Xi_g per block, with the triangular factor's
+    diagonal forced real positive so that a zero step reproduces theta up to
+    rounding. Returns (candidates, ok) with candidates of shape
+    (M, G, R_G, R_G) and a boolean validity flag per candidate;
+    rank-deficient candidates are marked invalid instead of raising so that
+    the surviving ones stay usable.
     """
     moved = theta_stack[None] + alphas[:, None, None, None] * direction_stack[None]
     q, r = np.linalg.qr(moved)
@@ -100,42 +55,6 @@ def retract_batch(theta_stack: np.ndarray, direction_stack: np.ndarray,
     safe = np.where(mags > 0, mags, 1.0)
     q = q * (diag / safe)[:, :, None, :]
     return q, ok
-
-
-def retract(theta: ScatteringMatrix, direction: TangentVector,
-            alpha: float) -> ScatteringMatrix:
-    """Move along a tangent direction and map back onto the manifold.
-
-    Per block, returns the Q-factor of the QR decomposition of
-    Theta_g + alpha * Xi_g, with the triangular factor's diagonal forced real
-    positive so that a zero step reproduces theta exactly.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    direction_stack = np.stack(direction.blocks)
-    if alpha == 0.0 or not np.any(direction_stack):
-        return theta
-    new_stack = retract_stack(theta.block_stack(), direction_stack, alpha)
-    return ScatteringMatrix.from_block_stack(new_stack,
-                                             architecture=theta.architecture)
-
-
-def inner(a: TangentVector | BlockGradient,
-          b: TangentVector | BlockGradient) -> float:
-    """Real trace inner product Re sum_g tr(A_g^H B_g)."""
-    a_blocks = a.grads if isinstance(a, BlockGradient) else a.blocks
-    b_blocks = b.grads if isinstance(b, BlockGradient) else b.blocks
-    if len(a_blocks) != len(b_blocks):
-        raise ValueError("tangent vectors have different block counts")
-    a_stack, b_stack = np.stack(a_blocks), np.stack(b_blocks)
-    if a_stack.shape != b_stack.shape:
-        raise ValueError(
-            f"block shape mismatch: {a_stack.shape} vs {b_stack.shape}")
-    return float(np.real(np.vdot(a_stack, b_stack)))
-
-
-def norm(a: TangentVector | BlockGradient) -> float:
-    return float(np.sqrt(max(inner(a, a), 0.0)))
 
 
 def random_feasible_stack(rng: np.random.Generator, n_groups: int,

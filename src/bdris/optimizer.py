@@ -15,10 +15,13 @@ each block onto the symmetric unitary set (symmetrize, SVD, take U V^H).
 
 Direction handling note: the update is written in ascent form (initial
 direction equals the gradient, update Xi <- r + beta * Xi, reset to r when
-<r, Xi> <= 0). The Polak-Ribiere denominator defaults to <r, r>, which stays
-well defined right after resets; the <r, Xi> variant is available through
-``CgaSettings.beta_denominator`` for fidelity experiments. Old directions are
-carried to the new tangent space by identity transport plus reprojection.
+<r, Xi> <= 0). The Polak-Ribiere denominator is <r, r>, which stays well
+defined right after resets. Old directions are carried to the new tangent
+space by identity transport plus reprojection.
+
+Every formula is implemented once, on (G, R_G, R_G) block stacks: the signal
+matrix, auxiliaries, rate and objective in ``_Workspace``, the gradient in
+``gradient.gradient_stack``, and the manifold steps in ``manifold``.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ import numpy as np
 
 from .channel import ChannelSet
 from .config import SystemConfig
-from .fp import LN2, FpState, _surrogate_terms
+from .fp import LN2, _surrogate_terms
 from .gradient import channel_stacks, gradient_stack
-from .manifold import (TangentVector, project_stack, random_feasible,
-                       retract_batch, unitarity_residuals)
-from .system import (Architecture, Beamformer, ScatteringMatrix)
+from .manifold import (project_stack, random_feasible, retract_batch,
+                       unitarity_residuals)
+from .system import Architecture, Beamformer, ScatteringMatrix
 
 
 @dataclass(frozen=True)
@@ -43,9 +46,7 @@ class CgaSettings:
     """Solver hyperparameters for one optimization run.
 
     ``noise_power`` is carried here as well because the line search has to
-    evaluate the surrogate objective. ``beta_denominator`` selects the
-    Polak-Ribiere normalization: "gradient" uses <r, r> (default),
-    "direction" uses <r, Xi>.
+    evaluate the surrogate objective.
     """
 
     max_iters: int = 8000
@@ -56,11 +57,6 @@ class CgaSettings:
     step_contract: float = 0.75
     nu: float = 1.0
     noise_power: float = 1.0
-    beta_denominator: str = "gradient"
-
-    def __post_init__(self):
-        if self.beta_denominator not in ("gradient", "direction"):
-            raise ValueError("beta_denominator must be 'gradient' or 'direction'")
 
     @classmethod
     def from_config(cls, config: SystemConfig, **overrides) -> "CgaSettings":
@@ -138,6 +134,7 @@ class _Workspace:
         self.nu = settings.nu
 
     def signal(self, theta_stack: np.ndarray) -> np.ndarray:
+        """Signal matrix C = H_rx @ Theta @ H_tx @ V, summed over blocks."""
         return (self.a @ theta_stack @ self.b).sum(axis=0)
 
     def stats(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -156,6 +153,7 @@ class _Workspace:
 
     def objective(self, theta_stack: np.ndarray, c: np.ndarray,
                   tau: np.ndarray, y: np.ndarray) -> float:
+        """Surrogate sum at frozen auxiliaries minus nu * asymmetry penalty."""
         value = float(_surrogate_terms(c, tau, y, self.noise).sum())
         return value - self.nu * _penalty_stack(theta_stack)
 
@@ -183,6 +181,12 @@ class _Workspace:
 
 
 _ARMIJO_CHUNK = 16
+# The frozen-auxiliary objective sums per-user terms of size log2(1 + tau)
+# and tau / ln2 that partly cancel, at a point that retract_batch's QR has
+# rounded. When theta does not move at all its value still moves by up to
+# about 3 ulps of (|f| + those terms), as measured from sc to fc at R = 4..64;
+# an increase below this many such ulps is noise.
+_NOISE_ULPS = 16.0
 
 
 def _armijo_stack(ws: _Workspace, theta_stack: np.ndarray, xi_stack: np.ndarray,
@@ -194,7 +198,11 @@ def _armijo_stack(ws: _Workspace, theta_stack: np.ndarray, xi_stack: np.ndarray,
     Tries alpha = step_init * step_contract^m for m = 0 .. L-1 and accepts
     the smallest m with
 
-        f(retract(theta, xi, alpha)) >= f(theta) + coeff * alpha * <grad, xi>.
+        f(R(theta, alpha * xi)) >= f(theta) + max(coeff * alpha * <grad, xi>, floor),
+
+    R being the QR retraction ``retract_batch`` and floor the rounding noise
+    of f (see ``_NOISE_ULPS``), so that an increase f cannot resolve never
+    passes, whatever the coefficient.
 
     Candidate steps are evaluated in vectorized chunks but acceptance is
     still the first qualifying m. A rank-deficient retraction counts as a
@@ -203,6 +211,8 @@ def _armijo_stack(ws: _Workspace, theta_stack: np.ndarray, xi_stack: np.ndarray,
     """
     if directional_derivative <= 0 or not np.any(xi_stack):
         return 0.0, None, f_current
+    floor = _NOISE_ULPS * np.finfo(float).eps * (
+        abs(f_current) + float(np.sum(np.log2(1.0 + tau) + 2.0 * tau / LN2)))
     total = settings.armijo_max_steps
     for start in range(0, total, _ARMIJO_CHUNK):
         count = min(_ARMIJO_CHUNK, total - start)
@@ -210,44 +220,14 @@ def _armijo_stack(ws: _Workspace, theta_stack: np.ndarray, xi_stack: np.ndarray,
             start, start + count, dtype=float)
         candidates, ok = retract_batch(theta_stack, xi_stack, alphas)
         values = ws.objective_batch(candidates, tau, y)
-        accepted = ok & (values >= f_current
-                         + settings.armijo_coeff * alphas * directional_derivative)
+        demand = np.maximum(
+            settings.armijo_coeff * alphas * directional_derivative, floor)
+        accepted = ok & (values >= f_current + demand)
         hits = np.flatnonzero(accepted)
         if hits.size:
             first = int(hits[0])
             return float(alphas[first]), candidates[first], float(values[first])
     return 0.0, None, f_current
-
-
-def armijo_search(theta: ScatteringMatrix, direction: TangentVector,
-                  fp: FpState, channels: ChannelSet, beam: Beamformer,
-                  settings: CgaSettings,
-                  *, directional_derivative: float | None = None
-                  ) -> tuple[float, ScatteringMatrix, float]:
-    """One backtracking line search from ``theta`` along ``direction``.
-
-    The directional derivative <grad, direction> is computed from the
-    Riemannian gradient at theta unless supplied. Returns the accepted step,
-    the retracted point, and its objective value; a stall returns
-    (0.0, theta, current objective).
-    """
-    ws = _Workspace(channels, beam, settings, theta.group_size)
-    theta_stack = theta.block_stack()
-    xi_stack = np.stack(direction.blocks)
-    c = ws.signal(theta_stack)
-    f_current = ws.objective(theta_stack, c, fp.tau, fp.y)
-    if directional_derivative is None:
-        riem = project_stack(ws.gradient(theta_stack, c, fp.tau, fp.y),
-                             theta_stack)
-        directional_derivative = _re_vdot(riem, xi_stack)
-    alpha, candidate, f_new = _armijo_stack(
-        ws, theta_stack, xi_stack, fp.tau, fp.y, f_current,
-        directional_derivative, settings)
-    if candidate is None:
-        return 0.0, theta, f_current
-    theta_new = ScatteringMatrix.from_block_stack(
-        candidate, architecture=theta.architecture)
-    return alpha, theta_new, f_new
 
 
 def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
@@ -306,11 +286,7 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
                 xi = riem.copy()
             continue
         stalls = 0
-
-        if settings.beta_denominator == "direction":
-            denominator = directional
-        else:
-            denominator = _re_vdot(riem, riem)
+        denominator = _re_vdot(riem, riem)
 
         theta_stack = candidate
         c = ws.signal(theta_stack)

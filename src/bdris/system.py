@@ -1,9 +1,9 @@
-"""Scattering matrix, beamformer, equivalent channel, and rate evaluation.
+"""Scattering matrix, architecture tags, and transmit beamformers.
 
 The surface's scattering matrix Theta is block diagonal with G square blocks
 of size R_G = R/G. The composite channel seen by the users for a fixed Theta
-is E = H_rx @ Theta @ H_tx, from which per-user SINR and the sum-rate follow
-analytically. Rates are in bits (log base 2).
+is E = H_rx @ Theta @ H_tx; the optimizer evaluates it, the SINRs and the
+sum-rate on the stacked blocks (see ``optimizer._Workspace``).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelSet
 from .config import SystemConfig
 
 
@@ -46,14 +45,6 @@ def parse_architecture_tag(tag: str, n_elements: int) -> tuple[Architecture, int
                 f"group size {size} does not divide n_elements={n_elements}")
         return Architecture.GROUP_CONNECTED, size
     raise ValueError(f"unknown architecture tag {tag!r} (expected sc, gc<k>, fc)")
-
-
-def architecture_tag(architecture: Architecture, group_size: int) -> str:
-    if architecture is Architecture.SINGLE_CONNECTED:
-        return "sc"
-    if architecture is Architecture.FULLY_CONNECTED:
-        return "fc"
-    return f"gc{group_size}"
 
 
 def block_mask(n_elements: int, group_size: int) -> np.ndarray:
@@ -102,13 +93,6 @@ class ScatteringMatrix:
     def n_groups(self) -> int:
         return self.n_elements // self.group_size
 
-    def block(self, g: int) -> np.ndarray:
-        """Block of group g (1-based)."""
-        if not 1 <= g <= self.n_groups:
-            raise ValueError(f"group index {g} out of range 1..{self.n_groups}")
-        sl = slice((g - 1) * self.group_size, g * self.group_size)
-        return self.theta[sl, sl]
-
     def block_stack(self) -> np.ndarray:
         """All blocks as one (G, R_G, R_G) array."""
         rg, n = self.group_size, self.n_groups
@@ -143,86 +127,12 @@ class Beamformer:
     def __post_init__(self):
         if self.v.ndim != 2:
             raise ValueError("v must be 2-D (N, K)")
+        if not np.isfinite(self.v).all():
+            raise ValueError("beamformer entries must be finite")
         used = float(np.linalg.norm(self.v) ** 2)
         if used > self.power_budget + 1e-9:
             raise ValueError(
                 f"beamformer power {used:.6g} exceeds budget {self.power_budget:.6g}")
-
-
-@dataclass(frozen=True)
-class EquivalentChannel:
-    """Composite channel for a fixed scattering matrix.
-
-    omega: (R, N) = Theta @ H_tx.
-    e: (K, N) = H_rx @ omega, row k seen by user k.
-    """
-
-    e: np.ndarray
-    omega: np.ndarray
-
-
-def equivalent_channel(theta: ScatteringMatrix,
-                       channels: ChannelSet) -> EquivalentChannel:
-    """E = H_rx @ Theta @ H_tx, computed groupwise on the block structure."""
-    if theta.n_elements != channels.n_elements:
-        raise ValueError(
-            f"theta is {theta.n_elements}x{theta.n_elements} but channels have "
-            f"R={channels.n_elements}")
-    rg = theta.group_size
-    omega = np.empty_like(channels.h_tx)
-    for g in range(theta.n_groups):
-        sl = slice(g * rg, (g + 1) * rg)
-        omega[sl] = theta.theta[sl, sl] @ channels.h_tx[sl]
-    e = channels.h_rx @ omega
-    return EquivalentChannel(e=e, omega=omega)
-
-
-def group_slice(channels: ChannelSet, theta: ScatteringMatrix,
-                g: int) -> tuple[np.ndarray, np.ndarray]:
-    """Channel slices of group g (1-based).
-
-    Returns (h_g, w_g) where h_g is (K, R_G), row k holding user k's elements
-    for group g, and w_g is the (R_G, N) slice of the BS-RIS matrix. The
-    groupwise composite rows h_g[k] @ Theta_g @ w_g sum to row k of E over g.
-    """
-    if not 1 <= g <= theta.n_groups:
-        raise ValueError(f"group index {g} out of range 1..{theta.n_groups}")
-    rg = theta.group_size
-    sl = slice((g - 1) * rg, g * rg)
-    return channels.h_rx[:, sl], channels.h_tx[sl, :]
-
-
-def signal_matrix(eq_chan: EquivalentChannel, beam: Beamformer) -> np.ndarray:
-    """C = E @ V; C[k, i] is user k's received amplitude of stream i."""
-    return eq_chan.e @ beam.v
-
-
-def sinr(eq_chan: EquivalentChannel, beam: Beamformer, noise_power: float,
-         k: int) -> float:
-    """SINR of user k (0-based): |C_kk|^2 / (sum_{i!=k} |C_ki|^2 + noise)."""
-    if noise_power <= 0:
-        raise ValueError("noise_power must be positive")
-    row = eq_chan.e[k] @ beam.v
-    powers = np.abs(row) ** 2
-    signal = powers[k]
-    interference = float(powers.sum() - signal)
-    return float(signal / (interference + noise_power))
-
-
-def sinr_vector(eq_chan: EquivalentChannel, beam: Beamformer,
-                noise_power: float) -> np.ndarray:
-    """All K SINRs at once."""
-    c = signal_matrix(eq_chan, beam)
-    powers = np.abs(c) ** 2
-    signal = np.diagonal(powers)
-    interference = powers.sum(axis=1) - signal
-    return signal / (interference + noise_power)
-
-
-def sum_rate(eq_chan: EquivalentChannel, beam: Beamformer,
-             noise_power: float) -> float:
-    """Sum over users of log2(1 + SINR), in bits/s/Hz."""
-    return float(np.log2(1.0 + sinr_vector(eq_chan, beam, noise_power)).sum())
 
 
 def init_beamformer_uniform(config: SystemConfig) -> Beamformer:
@@ -238,21 +148,20 @@ def init_beamformer_uniform(config: SystemConfig) -> Beamformer:
     return Beamformer(v=v, power_budget=config.p_max)
 
 
-def init_beamformer_mmse(eq_chan: EquivalentChannel,
-                         config: SystemConfig) -> Beamformer:
+def init_beamformer_mmse(e: np.ndarray, config: SystemConfig) -> Beamformer:
     """Regularized channel-inverse beamformer, scaled to the full power budget.
 
-    V is proportional to E^H (E E^H + (K n0 / p_max) I)^{-1}. This is an
-    initialization heuristic only; the scattering design afterwards treats V
-    as fixed.
+    ``e`` is the (K, N) composite channel H_rx @ Theta @ H_tx for some fixed
+    Theta. V is proportional to E^H (E E^H + (K n0 / p_max) I)^{-1}. This is
+    an initialization heuristic only; the scattering design afterwards treats
+    V as fixed.
     """
-    e = eq_chan.e
     k = e.shape[0]
     gram = e @ e.conj().T + (k * config.noise_power / config.p_max) * np.eye(k)
     v0 = np.linalg.solve(gram, e).conj().T
-    norm = np.linalg.norm(v0)
-    if norm < 1e-300:
+    scale = np.linalg.norm(v0)
+    if scale < 1e-300:
         # Degenerate all-zero channel; fall back to uniform allocation.
         return init_beamformer_uniform(config)
-    v = v0 * (np.sqrt(config.p_max) / norm)
+    v = v0 * (np.sqrt(config.p_max) / scale)
     return Beamformer(v=v, power_budget=config.p_max)

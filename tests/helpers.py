@@ -1,4 +1,4 @@
-"""Shared builders for test instances.
+"""Shared builders and reference oracles for test instances.
 
 All tests use unit-gain channels (no pathloss) with noise power 1 and a
 uniform beamformer at p_max = K, which puts typical SINRs in an
@@ -9,9 +9,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from bdris import (SystemConfig, equivalent_channel, generate_channels_from_gains,
+from bdris import (CgaSettings, SystemConfig, generate_channels_from_gains,
                    init_beamformer_uniform, parse_architecture_tag,
-                   random_feasible, update_fp_state)
+                   random_feasible)
+from bdris.optimizer import _Workspace
 
 
 def make_config(n_users=2, n_tx=2, n_elements=4, n_groups=2, noise_power=1.0,
@@ -41,15 +42,66 @@ def make_instance(seed, n_users=2, n_tx=2, n_elements=4, n_groups=2,
     return config, channels, theta, beam
 
 
-def fp_at(theta, channels, beam, config):
-    """Closed-form optimal auxiliaries at the given point."""
-    eq = equivalent_channel(theta, channels)
-    return update_fp_state(eq, beam, config.noise_power), eq
+def workspace_at(theta, channels, beam, config):
+    """(workspace, block stack, signal matrix, tau, y) at the given point.
+
+    The workspace is the one ``cga_optimize`` builds; tau and y are its
+    closed-form optimal auxiliaries at theta.
+    """
+    ws = _Workspace(channels, beam, CgaSettings.from_config(config),
+                    config.group_size)
+    stack = theta.block_stack()
+    c = ws.signal(stack)
+    tau, y, _ = ws.stats(c)
+    return ws, stack, c, tau, y
 
 
-def random_fp_state(rng: np.random.Generator, n_users: int):
+def random_aux(rng: np.random.Generator, n_users: int):
     """Arbitrary feasible auxiliaries (tau >= 0, y complex)."""
-    from bdris import FpState
     tau = rng.uniform(0.0, 5.0, n_users)
     y = rng.standard_normal(n_users) + 1j * rng.standard_normal(n_users)
-    return FpState(tau=tau, y=y * rng.uniform(0.0, 1.0))
+    return tau, y * rng.uniform(0.0, 1.0)
+
+
+def reference_sinr(channels, theta: np.ndarray, v: np.ndarray,
+                   noise_power: float) -> np.ndarray:
+    """Per-user SINR from the dense composite channel E = H_rx Theta H_tx.
+
+    Written out user by user from the definition, independently of the
+    stacked kernels: |c_kk|^2 / (sum_{i != k} |c_ki|^2 + n0), c = E V.
+    """
+    e = channels.h_rx @ theta @ channels.h_tx
+    out = np.empty(e.shape[0])
+    for k in range(e.shape[0]):
+        amplitudes = [e[k] @ v[:, i] for i in range(v.shape[1])]
+        interference = sum(abs(a) ** 2 for i, a in enumerate(amplitudes) if i != k)
+        out[k] = abs(amplitudes[k]) ** 2 / (interference + noise_power)
+    return out
+
+
+def reference_sum_rate(channels, theta, v, noise_power) -> float:
+    """Sum over users of log2(1 + SINR) from ``reference_sinr``."""
+    return float(np.log2(1.0 + reference_sinr(channels, theta, v,
+                                               noise_power)).sum())
+
+
+def central_difference_gradient(objective, stack: np.ndarray,
+                                step: float) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a block stack.
+
+    Perturbs every real and imaginary coordinate of every block and returns
+    an array shaped like ``stack`` with the ascent convention of the
+    closed-form gradient: entry (g, p, q) is d f/d Re + 1j * d f/d Im.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    grad = np.empty(stack.shape, dtype=complex)
+    for index in np.ndindex(*stack.shape):
+        partials = []
+        for delta in (step, 1j * step):
+            plus, minus = stack.copy(), stack.copy()
+            plus[index] += delta
+            minus[index] -= delta
+            partials.append((objective(plus) - objective(minus)) / (2.0 * step))
+        grad[index] = partials[0] + 1j * partials[1]
+    return grad

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from bdris import (ExperimentSpec, Geometry, LinkGeometry, cga_optimize,
-                   emit_outputs, euclidean_gradient,
-                   finite_difference_gradient, generate_channels_from_gains,
-                   init_beamformer_uniform, run_experiment, sum_rate,
+                   emit_outputs, generate_channels_from_gains,
+                   init_beamformer_uniform, run_experiment,
                    validate_feasibility)
 
-from helpers import config_for_tag, fp_at, make_instance
+from helpers import (central_difference_gradient, config_for_tag,
+                     make_instance, reference_sum_rate, workspace_at)
 
 LOSSLESS = Geometry(bs_ris=LinkGeometry(1.0, 0.0, 0.0),
                     ris_user=LinkGeometry(1.0, 0.0, 0.0))
@@ -65,27 +65,31 @@ def ordering_table():
 
 
 def test_c1_gradient_correctness():
+    # (K, R, group size) with N = K, plus the single-user, single-antenna
+    # instance; the gradient and objective are the optimizer's own kernels.
     cases = [(2, 2, 1), (2, 2, 2), (2, 4, 1), (2, 4, 2), (2, 4, 4),
              (2, 8, 2), (2, 8, 8), (4, 4, 4), (4, 8, 1), (4, 8, 2),
              (4, 8, 4), (4, 8, 8), (2, 8, 1), (4, 4, 1), (4, 4, 2),
-             (2, 2, 1), (2, 4, 4), (4, 8, 8), (2, 8, 4), (4, 8, 4)]
+             (2, 2, 1), (2, 4, 4), (4, 8, 8), (2, 8, 4), (4, 8, 4),
+             (1, 2, 2)]
     started = time.perf_counter()
     worst = 0.0
     for index, (k, r, group_size) in enumerate(cases):
         config, channels, theta, beam = make_instance(
             seed=7000 + index, n_users=k, n_tx=k, n_elements=r,
             n_groups=r // group_size)
-        fp, _ = fp_at(theta, channels, beam, config)
-        cf = euclidean_gradient(theta, fp, channels, beam, config)
-        fd = finite_difference_gradient(theta, fp, channels, beam, config,
-                                        step=1e-6)
-        num = max(np.linalg.norm(a - b) for a, b in zip(cf.grads, fd.grads))
-        den = max(np.linalg.norm(a) for a in cf.grads)
+        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
+        cf = ws.gradient(stack, c, tau, y)
+        fd = central_difference_gradient(
+            lambda s: ws.objective(s, ws.signal(s), tau, y), stack, step=1e-6)
+        num = max(np.linalg.norm(a - b) for a, b in zip(cf, fd))
+        den = max(np.linalg.norm(a) for a in cf)
         worst = max(worst, num / den)
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-6 and elapsed < 30.0
     assert report(1, "gradient matches finite differences", ok,
-                  f"20 instances, max rel err {worst:.2e}, {elapsed:.1f}s")
+                  f"{len(cases)} instances, max rel err {worst:.2e}, "
+                  f"{elapsed:.1f}s")
 
 
 def test_c2_constraint_preservation(trace_bundle):
@@ -106,16 +110,18 @@ def test_c2_constraint_preservation(trace_bundle):
 
 
 def test_c3_surrogate_tightness():
+    # The optimizer's objective at its own closed-form auxiliaries against
+    # the dense reference sum-rate.
     worst = 0.0
     for seed in range(100):
         dims = [(2, 2, 4, 2), (3, 3, 8, 4), (4, 4, 8, 1), (2, 2, 6, 6)][seed % 4]
         k, n, r, g = dims
         config, channels, theta, beam = make_instance(
             seed=3000 + seed, n_users=k, n_tx=n, n_elements=r, n_groups=g)
-        fp, eq = fp_at(theta, channels, beam, config)
-        from bdris import surrogate_sum
-        gap = abs(surrogate_sum(fp, eq, beam, config.noise_power)
-                  - sum_rate(eq, beam, config.noise_power))
+        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
+        gap = abs(ws.objective(stack, c, tau, y)
+                  - reference_sum_rate(channels, theta.theta, beam.v,
+                                       config.noise_power))
         worst = max(worst, gap)
     ok = worst <= 1e-10
     assert report(3, "surrogate tight at optimal auxiliaries", ok,

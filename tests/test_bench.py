@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdris import (ExperimentSpec, Geometry, LinkGeometry, empirical_cdf,
-                   emit_outputs, load_experiment_spec, run_convergence_traces,
-                   run_experiment)
+                   emit_outputs, load_experiment_spec, run_experiment)
+from bdris.bench import _run_cell
 
 from helpers import make_config
 
@@ -80,6 +80,19 @@ class TestSpecValidation:
         assert spec.n_trials == 3
         assert spec.seed_base == 5
 
+    @pytest.mark.parametrize("text", [
+        "sweep: {variable: n_elements, values: [4.9, 8]}\nn_trials: 3\n",
+        "n_trials: 2.5\n",
+        "n_trials: 3\nseed_base: 1.5\n"],
+        ids=["sweep_values", "n_trials", "seed_base"])
+    def test_non_integral_counts_rejected(self, tmp_path, text):
+        path = tmp_path / "spec.yaml"
+        path.write_text("config: {n_tx: 2, n_users: 2, n_elements: 4, "
+                        "n_groups: 1, p_max: 2.0, noise_power: 1.0}\n"
+                        "architectures: [sc]\n" + text)
+        with pytest.raises(ValueError):
+            load_experiment_spec(path)
+
 
 class TestRunExperiment:
     def test_single_cell_single_row(self):
@@ -151,14 +164,16 @@ class TestEmitOutputs:
         assert {p.name for p in written} == {"results.csv", "manifest.json"}
 
     def test_trace_file_count(self, tmp_path):
-        config = make_config(max_iters=25)
-        table, traces = run_convergence_traces(config, LOSSLESS,
-                                               ["sc", "gc2"], seeds=[0, 1])
-        written = emit_outputs(table, traces, tmp_path)
+        spec = tiny_spec(values=(4,), variable="n_elements", max_iters=25)
+        traces = [trace for trial in range(spec.n_trials)
+                  for trace in _run_cell((spec, 4, trial))[2]]
+        assert [(t.architecture, t.trial, t.seed) for t in traces] == [
+            ("sc", 0, 11), ("gc2", 0, 11), ("sc", 1, 12), ("gc2", 1, 12)]
+        written = emit_outputs(run_experiment(spec), traces, tmp_path)
         trace_files = [p for p in written if p.name.startswith("trace_")]
         assert len(trace_files) == 4
-        assert (tmp_path / "trace_sc_0.csv").exists()
-        assert (tmp_path / "trace_gc2_1.csv").exists()
+        assert (tmp_path / "trace_sc_11.csv").exists()
+        assert (tmp_path / "trace_gc2_12.csv").exists()
 
     def test_unlabeled_trace_rejected(self, tmp_path):
         from bdris.bench import ResultTable

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdris import generate_channels, generate_channels_from_gains, pathloss
+from bdris import (ChannelSet, generate_channels, generate_channels_from_gains,
+                   pathloss)
 from bdris.config import Geometry, LinkGeometry
 
 from helpers import make_config
@@ -77,6 +78,17 @@ def test_negative_gain_rejected():
     config = make_config()
     with pytest.raises(ValueError):
         generate_channels_from_gains(config, -1.0, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("link", ["h_tx", "h_rx"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_nonfinite_entries_rejected(link, bad):
+    # A NaN channel used to run to a silent NaN rate.
+    channels = generate_channels_from_gains(make_config(), 1.0, 1.0, seed=0)
+    entries = {"h_tx": channels.h_tx.copy(), "h_rx": channels.h_rx.copy()}
+    entries[link][0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ChannelSet(seed=0, **entries)
 
 
 def test_geometry_generation_scales_by_pathloss():

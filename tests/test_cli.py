@@ -63,6 +63,10 @@ def test_matrix_file_errors(tmp_path):
     path.write_text("2 1\n1+0j\n0+0j 1+0j\n")
     with pytest.raises(ValueError, match="entries per row"):
         read_matrix_file(path)
+    for header in ("4 0", "0 1", "-2 1"):
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match="positive"):
+            read_matrix_file(path)
 
 
 def test_optimize_command(tmp_path, config_file, capsys):
@@ -127,6 +131,11 @@ def test_bench_command(tmp_path, capsys):
     assert (out_dir / "manifest.json").exists()
     body = (out_dir / "results.csv").read_text().splitlines()
     assert len(body) == 1 + 2 * 2 * 2  # header + archs x values x trials
+    summary = [line for line in capsys.readouterr().out.splitlines()
+               if "median" in line]
+    assert [line.split(":")[0] for line in summary] == [
+        "sc   p_max=1.0", "sc   p_max=2.0", "fc   p_max=1.0", "fc   p_max=2.0"]
+    assert all(line.endswith("n=2") for line in summary)
 
 
 def test_bench_requires_output_dir(tmp_path, capsys):
@@ -138,12 +147,15 @@ def test_bench_requires_output_dir(tmp_path, capsys):
 
 def test_convergence_command(tmp_path, config_file):
     out_dir = tmp_path / "conv"
-    rc = main(["convergence", "--config", str(config_file), "--seeds", "0..1",
+    rc = main(["convergence", "--config", str(config_file), "--seeds", "3..4",
                "--out", str(out_dir), "--arch", "sc", "--arch", "gc2"])
     assert rc == 0
-    assert (out_dir / "trace_sc_0.csv").exists()
-    assert (out_dir / "trace_gc2_1.csv").exists()
-    assert (out_dir / "results.csv").exists()
+    assert sorted(p.name for p in out_dir.glob("trace_*.csv")) == [
+        "trace_gc2_3.csv", "trace_gc2_4.csv", "trace_sc_3.csv",
+        "trace_sc_4.csv"]
+    rows = (out_dir / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2:4] for row in rows] == [
+        ["0", "3"], ["0", "3"], ["1", "4"], ["1", "4"]]  # trial, seed
 
 
 def test_seed_range_parsing():

@@ -43,6 +43,18 @@ def test_dict_roundtrip():
     assert rebuilt == config
 
 
+@pytest.mark.parametrize("key, value", [("n_elements", 8.9), ("n_groups", 2.5),
+                                        ("max_iters", 10.5)])
+def test_non_integral_counts_rejected(key, value):
+    # These used to be truncated silently (8.9 elements loaded as 8).
+    raw = config_to_dict(make_config(n_elements=8, n_groups=2))
+    raw[key] = value
+    with pytest.raises(ValueError, match=key):
+        config_from_dict(raw)
+    raw[key] = float(int(value))
+    assert getattr(config_from_dict(raw)[0], key) == int(value)
+
+
 def test_unknown_keys_rejected():
     raw = config_to_dict(make_config())
     raw["bandwidth"] = 1.0

@@ -1,157 +1,199 @@
+"""The surrogate objective as the optimizer evaluates it.
+
+Auxiliaries come from ``_Workspace.stats``, per-user surrogate values from
+``fp._surrogate_terms``, and the penalized objective from
+``_Workspace.objective``/``objective_batch``; the true rate they are compared
+with is the dense reference in ``helpers``.
+"""
+
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdris import (Architecture, Beamformer, FpState, ScatteringMatrix,
-                   equivalent_channel, penalized_objective, penalty, sinr,
-                   sum_rate, surrogate_rate, surrogate_sum, update_fp_state,
-                   update_tau, update_y)
+from bdris import Beamformer
+from bdris.fp import _surrogate_terms
+from bdris.manifold import retract_batch
+from bdris.optimizer import _penalty_stack
 
-from helpers import fp_at, make_instance, random_fp_state
+from helpers import (make_instance, random_aux, reference_sinr,
+                     reference_sum_rate, workspace_at)
+
+
+def bent_stack(stack, rng, scale=0.3):
+    return stack + scale * (rng.standard_normal(stack.shape)
+                            + 1j * rng.standard_normal(stack.shape))
 
 
 class TestAuxiliaryUpdates:
     def test_tau_zero_beam(self):
         config, channels, theta, beam = make_instance(seed=0)
         beam0 = Beamformer(v=np.zeros_like(beam.v), power_budget=beam.power_budget)
-        eq = equivalent_channel(theta, channels)
-        assert np.all(update_tau(eq, beam0, 1.0) == 0.0)
-        assert np.all(update_y(eq, beam0, 1.0) == 0.0)
+        _, _, _, tau, y = workspace_at(theta, channels, beam0, config)
+        assert np.all(tau == 0.0)
+        assert np.all(y == 0.0)
 
     def test_tau_unit_when_signal_equals_noise(self):
-        from bdris.system import EquivalentChannel
-        eq = EquivalentChannel(e=np.array([[2.0 + 0j]]),
-                               omega=np.zeros((1, 1), dtype=complex))
-        beam = Beamformer(v=np.array([[0.5 + 0j]]), power_budget=1.0)
-        # |e v|^2 = 1 = noise power
-        assert update_tau(eq, beam, 1.0)[0] == pytest.approx(1.0, rel=1e-14)
+        config, channels, theta, beam = make_instance(
+            seed=0, n_users=1, n_tx=1, n_elements=1, n_groups=1, p_max=1.0)
+        ws, *_ = workspace_at(theta, channels, beam, config)
+        # |c|^2 = |2 * 0.5|^2 = 1 = noise power
+        tau, _, _ = ws.stats(np.array([[2.0 * 0.5 + 0j]]))
+        assert tau[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_tau_equals_sinr(self):
         config, channels, theta, beam = make_instance(seed=1)
-        eq = equivalent_channel(theta, channels)
-        tau = update_tau(eq, beam, config.noise_power)
+        _, _, _, tau, _ = workspace_at(theta, channels, beam, config)
+        expected = reference_sinr(channels, theta.theta, beam.v,
+                                  config.noise_power)
         for k in range(config.n_users):
-            assert tau[k] == pytest.approx(
-                sinr(eq, beam, config.noise_power, k), rel=1e-13)
+            assert tau[k] == pytest.approx(expected[k], rel=1e-13)
 
     def test_y_single_user_half(self):
-        from bdris.system import EquivalentChannel
-        eq = EquivalentChannel(e=np.array([[1.0 + 0j]]),
-                               omega=np.zeros((1, 1), dtype=complex))
-        beam = Beamformer(v=np.array([[1.0 + 0j]]), power_budget=1.0)
-        assert update_y(eq, beam, 1.0)[0] == pytest.approx(0.5, rel=1e-14)
+        config, channels, theta, beam = make_instance(
+            seed=0, n_users=1, n_tx=1, n_elements=1, n_groups=1, p_max=1.0)
+        ws, *_ = workspace_at(theta, channels, beam, config)
+        _, y, _ = ws.stats(np.array([[1.0 + 0j]]))
+        assert y[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_y_scalar_oracle_includes_own_stream(self):
         config, channels, theta, beam = make_instance(seed=2)
-        eq = equivalent_channel(theta, channels)
-        y = update_y(eq, beam, config.noise_power)
+        _, _, _, _, y = workspace_at(theta, channels, beam, config)
+        e = channels.h_rx @ theta.theta @ channels.h_tx
         for k in range(config.n_users):
-            c = [eq.e[k] @ beam.v[:, i] for i in range(config.n_users)]
+            c = [e[k] @ beam.v[:, i] for i in range(config.n_users)]
             denom = sum(abs(ci) ** 2 for ci in c) + config.noise_power
             assert y[k] == pytest.approx(c[k] / denom, rel=1e-13)
 
     def test_tau_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            FpState(tau=np.array([-0.1]), y=np.array([0j]))
+        # The closed-form multipliers are SINRs, never negative, including
+        # the zero-signal case.
+        for seed in range(10):
+            config, channels, theta, beam = make_instance(seed=seed)
+            ws, _, c, tau, _ = workspace_at(theta, channels, beam, config)
+            assert (tau >= 0).all()
+        assert (ws.stats(np.zeros_like(c))[0] == 0).all()
 
 
 class TestSurrogate:
     def test_zero_aux_gives_zero(self):
         config, channels, theta, beam = make_instance(seed=3)
-        eq = equivalent_channel(theta, channels)
-        fp = FpState(tau=np.zeros(2), y=np.zeros(2, dtype=complex))
-        for k in range(2):
-            assert surrogate_rate(k, fp, eq, beam, 1.0) == pytest.approx(0.0, abs=1e-15)
+        _, _, c, _, _ = workspace_at(theta, channels, beam, config)
+        terms = _surrogate_terms(c, np.zeros(2), np.zeros(2, dtype=complex), 1.0)
+        assert np.allclose(terms, 0.0, atol=1e-15)
 
     def test_tight_at_optimal_aux(self):
         for seed in range(30):
             config, channels, theta, beam = make_instance(
                 seed=seed, n_users=3, n_tx=3, n_elements=6, n_groups=2)
-            fp, eq = fp_at(theta, channels, beam, config)
+            _, _, c, tau, y = workspace_at(theta, channels, beam, config)
+            terms = _surrogate_terms(c, tau, y, config.noise_power)
+            rates = np.log2(1 + reference_sinr(channels, theta.theta, beam.v,
+                                               config.noise_power))
             for k in range(config.n_users):
-                rate_k = np.log2(1 + sinr(eq, beam, config.noise_power, k))
-                assert surrogate_rate(k, fp, eq, beam, config.noise_power) \
-                    == pytest.approx(rate_k, abs=1e-12)
+                assert terms[k] == pytest.approx(rates[k], abs=1e-12)
 
     @settings(deadline=None, max_examples=60)
     @given(seed=st.integers(0, 1000), aux_seed=st.integers(0, 10**6))
     def test_minorization(self, seed, aux_seed):
         config, channels, theta, beam = make_instance(seed=seed)
-        eq = equivalent_channel(theta, channels)
-        fp = random_fp_state(np.random.default_rng(aux_seed), config.n_users)
-        for k in range(config.n_users):
-            rate_k = np.log2(1 + sinr(eq, beam, config.noise_power, k))
-            assert surrogate_rate(k, fp, eq, beam, config.noise_power) \
-                <= rate_k + 1e-12
+        _, _, c, _, _ = workspace_at(theta, channels, beam, config)
+        tau, y = random_aux(np.random.default_rng(aux_seed), config.n_users)
+        terms = _surrogate_terms(c, tau, y, config.noise_power)
+        rates = np.log2(1 + reference_sinr(channels, theta.theta, beam.v,
+                                           config.noise_power))
+        assert (terms <= rates + 1e-12).all()
 
     def test_joint_update_never_decreases_surrogate(self):
         rng = np.random.default_rng(99)
         for seed in range(20):
             config, channels, theta, beam = make_instance(seed=seed)
-            eq = equivalent_channel(theta, channels)
-            fp0 = random_fp_state(rng, config.n_users)
-            before = surrogate_sum(fp0, eq, beam, config.noise_power)
-            fp1 = update_fp_state(eq, beam, config.noise_power)
-            after = surrogate_sum(fp1, eq, beam, config.noise_power)
+            ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
+            before = ws.objective(stack, c, *random_aux(rng, config.n_users))
+            after = ws.objective(stack, c, tau, y)
             assert after >= before - 1e-12
 
 
 class TestPenalty:
     def test_symmetric_matrix_zero(self):
         config, channels, theta, beam = make_instance(seed=4)
-        assert penalty(theta) == pytest.approx(0.0, abs=1e-25)
+        assert _penalty_stack(theta.block_stack()) == pytest.approx(0.0, abs=1e-25)
 
     def test_hand_computed_asymmetry(self):
-        theta = ScatteringMatrix(
-            theta=np.array([[0, 1], [-1, 0]], dtype=complex),
-            architecture=Architecture.FULLY_CONNECTED, group_size=2)
-        assert penalty(theta) == pytest.approx(8.0, rel=1e-14)
+        stack = np.array([[[0, 1], [-1, 0]]], dtype=complex)
+        assert _penalty_stack(stack) == pytest.approx(8.0, rel=1e-14)
 
     def test_single_connected_always_zero(self):
         rng = np.random.default_rng(5)
-        diag = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-        theta = ScatteringMatrix(theta=np.diag(diag),
-                                 architecture=Architecture.SINGLE_CONNECTED,
-                                 group_size=1)
-        assert penalty(theta) == 0.0
+        stack = np.exp(1j * rng.uniform(0, 2 * np.pi, 4)).reshape(4, 1, 1)
+        assert _penalty_stack(stack) == 0.0
 
     def test_blockwise_equals_dense(self):
+        # With zero auxiliaries the objective is exactly -nu * penalty.
         rng = np.random.default_rng(6)
+        config, channels, theta, beam = make_instance(
+            seed=6, n_elements=6, n_groups=2, nu=1.0)
+        ws, _, _, _, _ = workspace_at(theta, channels, beam, config)
         stack = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
-        theta = ScatteringMatrix.from_block_stack(stack)
-        dense = np.linalg.norm(theta.theta - theta.theta.T) ** 2
-        assert penalty(theta) == pytest.approx(dense, rel=1e-12)
+        dense = np.zeros((6, 6), dtype=complex)
+        dense[:3, :3], dense[3:, 3:] = stack
+        expected = np.linalg.norm(dense - dense.T) ** 2
+        assert _penalty_stack(stack) == pytest.approx(expected, rel=1e-12)
+        zero_tau, zero_y = np.zeros(2), np.zeros(2, dtype=complex)
+        value = ws.objective(stack, ws.signal(stack), zero_tau, zero_y)
+        assert value == pytest.approx(-expected, rel=1e-12)
 
 
 class TestPenalizedObjective:
     def test_equals_sum_rate_at_optimal_aux_without_penalty(self):
         config, channels, theta, beam = make_instance(seed=7, nu=0.0)
-        fp, eq = fp_at(theta, channels, beam, config)
-        value = penalized_objective(theta, fp, channels, beam, config)
-        assert value == pytest.approx(sum_rate(eq, beam, config.noise_power),
-                                      abs=1e-10)
+        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
+        value = ws.objective(stack, c, tau, y)
+        assert value == pytest.approx(
+            reference_sum_rate(channels, theta.theta, beam.v,
+                               config.noise_power), abs=1e-10)
 
     def test_symmetric_point_ignores_nu(self):
         config, channels, theta, beam = make_instance(seed=8)  # nu = 1
-        fp, eq = fp_at(theta, channels, beam, config)
-        value = penalized_objective(theta, fp, channels, beam, config)
+        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
+        value = ws.objective(stack, c, tau, y)
         assert value == pytest.approx(
-            surrogate_sum(fp, eq, beam, config.noise_power), abs=1e-12)
+            _surrogate_terms(c, tau, y, config.noise_power).sum(), abs=1e-12)
 
     def test_linear_in_nu(self):
-        from dataclasses import replace
         rng = np.random.default_rng(9)
         config, channels, theta, beam = make_instance(seed=9)
-        stack = theta.block_stack()
-        stack = stack + 0.3 * (rng.standard_normal(stack.shape)
-                               + 1j * rng.standard_normal(stack.shape))
-        bent = ScatteringMatrix.from_block_stack(stack, theta.architecture)
-        fp, _ = fp_at(theta, channels, beam, config)
-        with_nu = penalized_objective(bent, fp, channels, beam, config)
-        without = penalized_objective(bent, fp, channels, beam,
-                                      replace(config, nu=0.0))
-        assert with_nu == pytest.approx(without - penalty(bent), rel=1e-12)
+        ws, stack, _, tau, y = workspace_at(theta, channels, beam, config)
+        ws0, *_ = workspace_at(theta, channels, beam, replace(config, nu=0.0))
+        bent = bent_stack(stack, rng)
+        c = ws.signal(bent)
+        with_nu = ws.objective(bent, c, tau, y)
+        without = ws0.objective(bent, c, tau, y)
+        assert with_nu == pytest.approx(without - _penalty_stack(bent),
+                                        rel=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 4, 2), (3, 6, 1), (2, 4, 4),
+                                      (4, 8, 1)])
+    def test_batch_matches_single(self, dims):
+        # objective_batch (line search) against objective (per iterate), on
+        # retracted candidates and on asymmetric points that exercise nu.
+        k, r, n_groups = dims
+        rng = np.random.default_rng(r * 10 + n_groups)
+        config, channels, theta, beam = make_instance(
+            seed=r + n_groups, n_users=k, n_tx=k, n_elements=r,
+            n_groups=n_groups, nu=0.7)
+        ws, stack, _, tau, y = workspace_at(theta, channels, beam, config)
+        direction = bent_stack(np.zeros_like(stack), rng, scale=1.0)
+        candidates, _ = retract_batch(stack, direction,
+                                      0.75 ** np.arange(6, dtype=float))
+        batch = np.concatenate([candidates,
+                                [bent_stack(stack, rng) for _ in range(3)]])
+        values = ws.objective_batch(batch, tau, y)
+        for candidate, value in zip(batch, values):
+            single = ws.objective(candidate, ws.signal(candidate), tau, y)
+            assert value == pytest.approx(single, rel=1e-12, abs=0)
 
 
 def test_tightness_invariant_many_instances():
@@ -162,9 +204,10 @@ def test_tightness_invariant_many_instances():
         k, n, r, g = dims
         config, channels, theta, beam = make_instance(
             seed=seed, n_users=k, n_tx=n, n_elements=r, n_groups=g)
-        fp, eq = fp_at(theta, channels, beam, config)
-        gap = abs(surrogate_sum(fp, eq, beam, config.noise_power)
-                  - sum_rate(eq, beam, config.noise_power))
+        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
+        gap = abs(ws.objective(stack, c, tau, y)
+                  - reference_sum_rate(channels, theta.theta, beam.v,
+                                       config.noise_power))
         assert gap <= 1e-10
         count += 1
     assert count == 100

@@ -1,51 +1,59 @@
+"""The closed-form gradient the optimizer runs (``_Workspace.gradient``).
+
+Checked against central differences of ``_Workspace.objective`` with the
+stacked finite-difference oracle from ``helpers``, which is itself checked
+on functions with known gradients.
+"""
+
 import numpy as np
 import pytest
 
-from bdris import (BlockGradient, FpState, ScatteringMatrix,
-                   euclidean_gradient, euclidean_gradient_diagonal_beam,
-                   finite_difference_gradient,
-                   finite_difference_objective_gradient,
-                   penalized_objective)
+from bdris import Beamformer
+from bdris.optimizer import _penalty_stack
 
-from helpers import fp_at, make_instance
+from helpers import central_difference_gradient, make_instance, workspace_at
 
 
-def rel_error(a: BlockGradient, b: BlockGradient) -> float:
-    num = max(np.linalg.norm(x - y) for x, y in zip(a.grads, b.grads))
-    den = max(max(np.linalg.norm(x) for x in a.grads), 1e-300)
+def rel_error(closed_form: np.ndarray, reference: np.ndarray) -> float:
+    num = max(np.linalg.norm(x - y) for x, y in zip(closed_form, reference))
+    den = max(max(np.linalg.norm(x) for x in closed_form), 1e-300)
     return num / den
 
 
-def bent_copy(theta, rng, scale=0.2):
-    stack = theta.block_stack()
-    stack = stack + scale * (rng.standard_normal(stack.shape)
-                             + 1j * rng.standard_normal(stack.shape))
-    return ScatteringMatrix.from_block_stack(stack, theta.architecture)
+def bent_copy(stack, rng, scale=0.2):
+    return stack + scale * (rng.standard_normal(stack.shape)
+                            + 1j * rng.standard_normal(stack.shape))
+
+
+def fd_of_objective(ws, stack, tau, y, step):
+    """Central differences of the frozen-auxiliary objective at ``stack``."""
+    return central_difference_gradient(
+        lambda s: ws.objective(s, ws.signal(s), tau, y), stack, step)
 
 
 class TestClosedForm:
     def test_zero_aux_symmetric_point_gives_zero(self):
         config, channels, theta, beam = make_instance(seed=0)
-        fp = FpState(tau=np.zeros(2), y=np.zeros(2, dtype=complex))
-        grad = euclidean_gradient(theta, fp, channels, beam, config)
-        assert all(np.allclose(g, 0, atol=1e-14) for g in grad.grads)
+        ws, stack, c, _, _ = workspace_at(theta, channels, beam, config)
+        grad = ws.gradient(stack, c, np.zeros(2), np.zeros(2, dtype=complex))
+        assert np.allclose(grad, 0, atol=1e-14)
 
     def test_zero_aux_reduces_to_penalty_gradient(self):
         rng = np.random.default_rng(1)
         config, channels, theta, beam = make_instance(seed=1)  # nu = 1
-        bent = bent_copy(theta, rng)
-        fp = FpState(tau=np.zeros(2), y=np.zeros(2, dtype=complex))
-        grad = euclidean_gradient(bent, fp, channels, beam, config)
-        for g, block in zip(grad.grads, bent.block_stack()):
-            assert np.allclose(g, -4.0 * (block - block.T), atol=1e-13)
+        ws, stack, _, _, _ = workspace_at(theta, channels, beam, config)
+        bent = bent_copy(stack, rng)
+        grad = ws.gradient(bent, ws.signal(bent), np.zeros(2),
+                           np.zeros(2, dtype=complex))
+        assert np.allclose(grad, -4.0 * (bent - bent.transpose(0, 2, 1)),
+                           atol=1e-13)
 
     def test_matches_finite_differences(self):
         config, channels, theta, beam = make_instance(seed=2, n_elements=4,
                                                       n_groups=2)
-        fp, _ = fp_at(theta, channels, beam, config)
-        cf = euclidean_gradient(theta, fp, channels, beam, config)
-        fd = finite_difference_gradient(theta, fp, channels, beam, config,
-                                        step=1e-6)
+        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
+        cf = ws.gradient(stack, c, tau, y)
+        fd = fd_of_objective(ws, stack, tau, y, step=1e-6)
         assert rel_error(cf, fd) <= 1e-6
 
     def test_oracle_agreement_across_architectures(self):
@@ -56,10 +64,9 @@ class TestClosedForm:
             config, channels, theta, beam = make_instance(
                 seed=31 * seed_base, n_users=k, n_tx=k, n_elements=r,
                 n_groups=r // group_size)
-            fp, _ = fp_at(theta, channels, beam, config)
-            cf = euclidean_gradient(theta, fp, channels, beam, config)
-            fd = finite_difference_gradient(theta, fp, channels, beam, config,
-                                            step=1e-6)
+            ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
+            cf = ws.gradient(stack, c, tau, y)
+            fd = fd_of_objective(ws, stack, tau, y, step=1e-6)
             assert rel_error(cf, fd) <= 1e-6
             count += 1
         assert count >= 20
@@ -67,18 +74,16 @@ class TestClosedForm:
     def test_directional_derivative_consistency(self):
         rng = np.random.default_rng(3)
         config, channels, theta, beam = make_instance(seed=3)
-        fp, _ = fp_at(theta, channels, beam, config)
-        grad = euclidean_gradient(theta, fp, channels, beam, config)
-        direction = [rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-                     for g in grad.grads]
-        predicted = sum(float(np.real(np.vdot(g, d)))
-                        for g, d in zip(grad.grads, direction))
-        f0 = penalized_objective(theta, fp, channels, beam, config)
+        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
+        grad = ws.gradient(stack, c, tau, y)
+        direction = rng.standard_normal(grad.shape) \
+            + 1j * rng.standard_normal(grad.shape)
+        predicted = float(np.real(np.vdot(grad, direction)))
+        f0 = ws.objective(stack, c, tau, y)
         errors = []
         for t in (1e-4, 5e-5):
-            stack = theta.block_stack() + t * np.stack(direction)
-            moved = ScatteringMatrix.from_block_stack(stack, theta.architecture)
-            f1 = penalized_objective(moved, fp, channels, beam, config)
+            moved = stack + t * direction
+            f1 = ws.objective(moved, ws.signal(moved), tau, y)
             errors.append(abs((f1 - f0) - t * predicted))
         # first-order term dominates, remainder shrinks ~quadratically
         assert errors[0] <= 1e-5
@@ -86,105 +91,87 @@ class TestClosedForm:
 
 
 class TestDiagonalBeamFastPath:
-    def test_uniform_allocation_matches_general(self):
-        config, channels, theta, beam = make_instance(
-            seed=4, n_users=4, n_tx=4, n_elements=8, n_groups=4, p_max=4.0)
-        fp, _ = fp_at(theta, channels, beam, config)
-        general = euclidean_gradient(theta, fp, channels, beam, config)
-        power = np.full(4, config.p_max / 4)
-        fast = euclidean_gradient_diagonal_beam(theta, fp, channels, power,
-                                                config)
-        assert rel_error(general, fast) <= 1e-12
+    """Diagonal-beamformer instances, on the general kernel the solver runs."""
 
     def test_single_user_matches_finite_differences(self):
         config, channels, theta, beam = make_instance(
             seed=5, n_users=1, n_tx=1, n_elements=2, n_groups=1, p_max=1.0)
-        fp, _ = fp_at(theta, channels, beam, config)
-        fast = euclidean_gradient_diagonal_beam(theta, fp, channels,
-                                                np.array([1.0]), config)
-        fd = finite_difference_gradient(theta, fp, channels, beam, config,
-                                        step=1e-6)
-        assert rel_error(fast, fd) <= 1e-6
+        assert np.array_equal(beam.v, np.eye(1))
+        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
+        cf = ws.gradient(stack, c, tau, y)
+        fd = fd_of_objective(ws, stack, tau, y, step=1e-6)
+        assert rel_error(cf, fd) <= 1e-6
 
     def test_zero_power_leaves_penalty_term(self):
+        # A zero-power beamformer gives zero auxiliaries at every point, so
+        # only the penalty term of the gradient is left.
         rng = np.random.default_rng(6)
         config, channels, theta, beam = make_instance(seed=6)
-        bent = bent_copy(theta, rng)
-        fp, _ = fp_at(theta, channels, beam, config)
-        grad = euclidean_gradient_diagonal_beam(bent, fp, channels,
-                                                np.zeros(2), config)
-        for g, block in zip(grad.grads, bent.block_stack()):
-            assert np.allclose(g, -4.0 * (block - block.T), atol=1e-13)
-
-    def test_requires_fully_loaded(self):
-        config, channels, theta, beam = make_instance(seed=7, n_users=2,
-                                                      n_tx=3)
-        fp, _ = fp_at(theta, channels, beam, config)
-        with pytest.raises(ValueError):
-            euclidean_gradient_diagonal_beam(theta, fp, channels,
-                                             np.ones(2), config)
+        beam0 = Beamformer(v=np.zeros_like(beam.v), power_budget=beam.power_budget)
+        ws, stack, _, _, _ = workspace_at(theta, channels, beam0, config)
+        bent = bent_copy(stack, rng)
+        c = ws.signal(bent)
+        tau, y, _ = ws.stats(c)
+        assert np.allclose(ws.gradient(bent, c, tau, y),
+                           -4.0 * (bent - bent.transpose(0, 2, 1)), atol=1e-13)
 
 
 class TestFiniteDifferenceOracle:
     def test_quadratic_test_function(self):
         rng = np.random.default_rng(8)
         config, channels, theta, _ = make_instance(seed=8)
-        target = [rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
-                  for b in theta.block_stack()]
+        stack = theta.block_stack()
+        target = rng.standard_normal(stack.shape) \
+            + 1j * rng.standard_normal(stack.shape)
 
         def objective(candidate):
-            return -sum(np.linalg.norm(b - t) ** 2
-                        for b, t in zip(candidate.block_stack(), target))
+            return -float(np.sum(np.abs(candidate - target) ** 2))
 
-        fd = finite_difference_objective_gradient(objective, theta, step=1e-5)
-        for g, b, t in zip(fd.grads, theta.block_stack(), target):
-            assert np.allclose(g, 2.0 * (t - b), atol=1e-8)
+        fd = central_difference_gradient(objective, stack, step=1e-5)
+        assert np.allclose(fd, 2.0 * (target - stack), atol=1e-8)
 
     def test_exact_on_quadratic_objective(self):
         # The frozen-auxiliary objective is quadratic in every coordinate, so
         # central differences carry no truncation error even at coarse steps.
         config, channels, theta, beam = make_instance(seed=9)
-        fp, _ = fp_at(theta, channels, beam, config)
-        cf = euclidean_gradient(theta, fp, channels, beam, config)
-        fd = finite_difference_gradient(theta, fp, channels, beam, config,
-                                        step=1e-2)
-        assert max(np.linalg.norm(a - b)
-                   for a, b in zip(cf.grads, fd.grads)) <= 1e-10
+        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
+        cf = ws.gradient(stack, c, tau, y)
+        fd = fd_of_objective(ws, stack, tau, y, step=1e-2)
+        assert max(np.linalg.norm(a - b) for a, b in zip(cf, fd)) <= 1e-10
 
     def test_second_order_accuracy_on_cubic(self):
         # Truncation error needs a third derivative to show; use Re tr(X^3),
         # whose ascent gradient is 3 (X^2)^H.
         config, channels, theta, _ = make_instance(seed=9)
+        stack = theta.block_stack()
 
         def objective(candidate):
-            return sum(float(np.real(np.trace(b @ b @ b)))
-                       for b in candidate.block_stack())
+            return float(np.real(np.trace(candidate @ candidate @ candidate,
+                                          axis1=1, axis2=2)).sum())
 
-        exact = [3.0 * (b @ b).conj().T for b in theta.block_stack()]
+        exact = 3.0 * (stack @ stack).conj().transpose(0, 2, 1)
         errors = []
         for step in (2e-3, 1e-3):
-            fd = finite_difference_objective_gradient(objective, theta, step)
-            errors.append(max(np.linalg.norm(a - b)
-                              for a, b in zip(exact, fd.grads)))
+            fd = central_difference_gradient(objective, stack, step)
+            errors.append(max(np.linalg.norm(a - b) for a, b in zip(exact, fd)))
         ratio = errors[0] / errors[1]
         assert 3.0 <= ratio <= 5.0  # ~4x for halved step
 
     def test_penalty_only_objective(self):
         rng = np.random.default_rng(10)
         config, channels, theta, _ = make_instance(seed=10)
-        bent = bent_copy(theta, rng)
+        bent = bent_copy(theta.block_stack(), rng)
         nu = 1.7
 
         def objective(candidate):
-            from bdris import penalty
-            return -nu * penalty(candidate)
+            return -nu * _penalty_stack(candidate)
 
-        fd = finite_difference_objective_gradient(objective, bent, step=1e-6)
-        for g, block in zip(fd.grads, bent.block_stack()):
-            assert np.allclose(g, -4.0 * nu * (block - block.T), atol=1e-7)
+        fd = central_difference_gradient(objective, bent, step=1e-6)
+        assert np.allclose(fd, -4.0 * nu * (bent - bent.transpose(0, 2, 1)),
+                           atol=1e-7)
 
     def test_rejects_nonpositive_step(self):
         config, channels, theta, beam = make_instance(seed=11)
-        fp, _ = fp_at(theta, channels, beam, config)
+        ws, stack, _, tau, y = workspace_at(theta, channels, beam, config)
         with pytest.raises(ValueError):
-            finite_difference_gradient(theta, fp, channels, beam, config, 0.0)
+            fd_of_objective(ws, stack, tau, y, 0.0)

@@ -1,87 +1,88 @@
+"""Blockwise unitary-manifold kernels on (G, R_G, R_G) stacks.
+
+``project_stack``, ``retract_batch`` and the inner product ``_re_vdot`` are
+the functions ``cga_optimize`` calls; ``random_feasible`` is its start.
+"""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdris import (BlockGradient, RetractionError, TangentVector, inner, norm,
-                   random_feasible, retract, tangent_project,
-                   validate_feasibility)
-from bdris.manifold import retract_stack, unitarity_residuals
-from bdris.system import ScatteringMatrix
+from bdris import random_feasible, validate_feasibility
+from bdris.manifold import project_stack, retract_batch, unitarity_residuals
+from bdris.optimizer import _re_vdot
 
 from helpers import make_config, make_instance
 
+# A retraction at zero step reproduces theta up to the rounding of one
+# Householder QR of a unitary block.
+ROUNDING = 1e-14
+
 
 def random_blocks(rng, n_groups, size):
-    return [rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-            for _ in range(n_groups)]
+    shape = (n_groups, size, size)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def tangency_residual(direction: TangentVector, theta) -> float:
-    worst = 0.0
-    for xi, block in zip(direction.blocks, theta.block_stack()):
-        lift = block.conj().T @ xi + xi.conj().T @ block
-        worst = max(worst, np.linalg.norm(lift))
-    return worst
+def tangency_residual(direction: np.ndarray, stack: np.ndarray) -> float:
+    lift = stack.conj().transpose(0, 2, 1) @ direction
+    return float(np.linalg.norm(lift + lift.conj().transpose(0, 2, 1),
+                                axis=(1, 2)).max())
 
 
 class TestTangentProject:
     def test_base_point_projects_to_zero(self):
         config, _, theta, _ = make_instance(seed=0)
-        grad = BlockGradient(grads=list(theta.block_stack()))
-        projected = tangent_project(grad, theta)
-        assert norm(projected) <= 1e-12
+        stack = theta.block_stack()
+        assert np.linalg.norm(project_stack(stack, stack)) <= 1e-12
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
         config, _, theta, _ = make_instance(seed=1, n_elements=6, n_groups=2)
-        grad = BlockGradient(grads=random_blocks(rng, 2, 3))
-        once = tangent_project(grad, theta)
-        twice = tangent_project(once, theta)
-        assert max(np.linalg.norm(a - b)
-                   for a, b in zip(once.blocks, twice.blocks)) <= 1e-12
+        stack = theta.block_stack()
+        once = project_stack(random_blocks(rng, 2, 3), stack)
+        twice = project_stack(once, stack)
+        assert np.linalg.norm(once - twice, axis=(1, 2)).max() <= 1e-12
 
     def test_output_is_tangent(self):
         rng = np.random.default_rng(2)
         config, _, theta, _ = make_instance(seed=2, n_elements=6, n_groups=2)
-        grad = BlockGradient(grads=random_blocks(rng, 2, 3))
-        projected = tangent_project(grad, theta)
-        assert tangency_residual(projected, theta) <= 1e-10
-
-    def test_rejects_non_unitary_base(self):
-        config = make_config()
-        theta = ScatteringMatrix.from_block_stack(
-            np.stack([2.0 * np.eye(2, dtype=complex)] * 2))
-        grad = BlockGradient(grads=[np.eye(2, dtype=complex)] * 2)
-        with pytest.raises(ValueError, match="unitary"):
-            tangent_project(grad, theta)
+        stack = theta.block_stack()
+        projected = project_stack(random_blocks(rng, 2, 3), stack)
+        assert tangency_residual(projected, stack) <= 1e-10
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
         config, _, theta, _ = make_instance(seed=3)
-        a = BlockGradient(grads=random_blocks(rng, 2, 2))
-        b = BlockGradient(grads=random_blocks(rng, 2, 2))
-        combo = BlockGradient(grads=[2.0 * x + 3.0 * y
-                                     for x, y in zip(a.grads, b.grads)])
-        lhs = tangent_project(combo, theta)
-        pa, pb = tangent_project(a, theta), tangent_project(b, theta)
-        rhs = [2.0 * x + 3.0 * y for x, y in zip(pa.blocks, pb.blocks)]
-        assert max(np.linalg.norm(x - y)
-                   for x, y in zip(lhs.blocks, rhs)) <= 1e-12
+        stack = theta.block_stack()
+        a, b = random_blocks(rng, 2, 2), random_blocks(rng, 2, 2)
+        lhs = project_stack(2.0 * a + 3.0 * b, stack)
+        rhs = 2.0 * project_stack(a, stack) + 3.0 * project_stack(b, stack)
+        assert np.linalg.norm(lhs - rhs, axis=(1, 2)).max() <= 1e-12
 
 
 class TestRetract:
     def test_zero_step_returns_theta_exactly(self):
+        # "Exactly" up to one Householder QR of a unitary block, which rounds
+        # at about 6e-16: the kernel has no zero-step short-circuit.
         rng = np.random.default_rng(4)
-        config, _, theta, _ = make_instance(seed=4)
-        direction = TangentVector(blocks=random_blocks(rng, 2, 2))
-        assert retract(theta, direction, 0.0) is theta
+        for n_elements, n_groups in ((4, 2), (4, 4), (6, 1)):
+            config, _, theta, _ = make_instance(seed=4, n_elements=n_elements,
+                                                n_groups=n_groups)
+            stack = theta.block_stack()
+            direction = random_blocks(rng, n_groups, n_elements // n_groups)
+            moved, ok = retract_batch(stack, direction, np.array([0.0]))
+            assert ok[0]
+            assert np.abs(moved[0] - stack).max() <= ROUNDING
 
     def test_zero_direction_returns_theta_for_any_alpha(self):
         config, _, theta, _ = make_instance(seed=5)
-        zero = TangentVector(blocks=[np.zeros((2, 2), dtype=complex)] * 2)
-        for alpha in (0.0, 0.5, 10.0):
-            assert retract(theta, zero, alpha) is theta
+        stack = theta.block_stack()
+        moved, ok = retract_batch(stack, np.zeros_like(stack),
+                                  np.array([0.0, 0.5, 10.0]))
+        assert ok.all()
+        assert np.abs(moved - stack[None]).max() <= ROUNDING
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10**6), alpha=st.floats(0.0, 5.0))
@@ -89,83 +90,77 @@ class TestRetract:
         rng = np.random.default_rng(seed)
         config, _, theta, _ = make_instance(seed=seed % 100, n_elements=6,
                                             n_groups=2)
-        direction = TangentVector(blocks=random_blocks(rng, 2, 3))
-        moved = retract(theta, direction, alpha)
-        assert unitarity_residuals(moved.block_stack()).max() <= 1e-10
+        moved, ok = retract_batch(theta.block_stack(), random_blocks(rng, 2, 3),
+                                  np.array([alpha]))
+        assert ok[0]
+        assert unitarity_residuals(moved[0]).max() <= 1e-10
 
     def test_scalar_blocks_normalize_modulus(self):
         config, _, theta, _ = make_instance(seed=6, n_elements=2, n_groups=2)
         rng = np.random.default_rng(6)
-        direction = TangentVector(blocks=random_blocks(rng, 2, 1))
+        stack = theta.block_stack()
+        direction = random_blocks(rng, 2, 1)
         alpha = 0.7
-        moved = retract(theta, direction, alpha)
-        for old, xi, new in zip(theta.block_stack(), direction.blocks,
-                                moved.block_stack()):
-            target = old[0, 0] + alpha * xi[0, 0]
-            assert new[0, 0] == pytest.approx(target / abs(target), rel=1e-12)
+        moved, _ = retract_batch(stack, direction, np.array([alpha]))
+        target = stack + alpha * direction
+        assert np.allclose(moved[0], target / np.abs(target), rtol=1e-12,
+                           atol=0)
 
     def test_rank_deficient_target_raises(self):
+        # Rank-deficient candidates are flagged, not raised, so the other
+        # candidates of the batch stay usable.
         theta_stack = np.stack([np.eye(2, dtype=complex)])
         direction = np.stack([-np.eye(2, dtype=complex)])
-        with pytest.raises(RetractionError):
-            retract_stack(theta_stack, direction, 1.0)
-
-    def test_rejects_negative_alpha(self):
-        config, _, theta, _ = make_instance(seed=7)
-        zero = TangentVector(blocks=[np.zeros((2, 2), dtype=complex)] * 2)
-        with pytest.raises(ValueError):
-            retract(theta, zero, -0.1)
+        moved, ok = retract_batch(theta_stack, direction,
+                                  np.array([1.0, 0.5]))
+        assert ok.tolist() == [False, True]
+        assert unitarity_residuals(moved[1]).max() <= 1e-12
 
 
 class TestInner:
+    """The real trace inner product Re sum_g tr(A_g^H B_g)."""
+
     def test_positive_definite(self):
         rng = np.random.default_rng(8)
-        x = TangentVector(blocks=random_blocks(rng, 3, 2))
-        assert inner(x, x) > 0
-        zero = TangentVector(blocks=[np.zeros((2, 2), dtype=complex)] * 3)
-        assert inner(zero, zero) == 0.0
+        x = random_blocks(rng, 3, 2)
+        assert _re_vdot(x, x) > 0
+        zero = np.zeros((3, 2, 2), dtype=complex)
+        assert _re_vdot(zero, zero) == 0.0
 
     def test_orthonormal_basis_table(self):
         basis = []
         for p in range(2):
             for q in range(2):
-                block = np.zeros((2, 2), dtype=complex)
-                block[p, q] = 1.0
-                basis.append(TangentVector(blocks=[block]))
-                block_i = np.zeros((2, 2), dtype=complex)
-                block_i[p, q] = 1j
-                basis.append(TangentVector(blocks=[block_i]))
+                for unit in (1.0, 1j):
+                    block = np.zeros((1, 2, 2), dtype=complex)
+                    block[0, p, q] = unit
+                    basis.append(block)
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
-                assert inner(a, b) == pytest.approx(float(i == j), abs=1e-15)
+                assert _re_vdot(a, b) == pytest.approx(float(i == j), abs=1e-15)
 
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 10**6), s=st.floats(-3, 3), t=st.floats(-3, 3))
     def test_symmetric_and_bilinear(self, seed, s, t):
         rng = np.random.default_rng(seed)
-        a = TangentVector(blocks=random_blocks(rng, 2, 2))
-        b = TangentVector(blocks=random_blocks(rng, 2, 2))
-        c = TangentVector(blocks=random_blocks(rng, 2, 2))
-        assert inner(a, b) == pytest.approx(inner(b, a), rel=1e-12, abs=1e-12)
-        combo = TangentVector(blocks=[s * x + t * y
-                                      for x, y in zip(b.blocks, c.blocks)])
-        assert inner(a, combo) == pytest.approx(
-            s * inner(a, b) + t * inner(a, c), rel=1e-10, abs=1e-10)
+        a, b, c = (random_blocks(rng, 2, 2) for _ in range(3))
+        assert _re_vdot(a, b) == pytest.approx(_re_vdot(b, a), rel=1e-12,
+                                               abs=1e-12)
+        assert _re_vdot(a, s * b + t * c) == pytest.approx(
+            s * _re_vdot(a, b) + t * _re_vdot(a, c), rel=1e-10, abs=1e-10)
 
     def test_matches_entrywise_sum(self):
         rng = np.random.default_rng(9)
-        a = TangentVector(blocks=random_blocks(rng, 2, 3))
-        b = TangentVector(blocks=random_blocks(rng, 2, 3))
+        a, b = random_blocks(rng, 2, 3), random_blocks(rng, 2, 3)
         expected = sum(np.real(np.conj(x[p, q]) * y[p, q])
-                       for x, y in zip(a.blocks, b.blocks)
+                       for x, y in zip(a, b)
                        for p in range(3) for q in range(3))
-        assert inner(a, b) == pytest.approx(expected, rel=1e-12)
+        assert _re_vdot(a, b) == pytest.approx(expected, rel=1e-12)
 
     def test_shape_mismatch(self):
-        a = TangentVector(blocks=[np.zeros((2, 2), dtype=complex)])
-        b = TangentVector(blocks=[np.zeros((3, 3), dtype=complex)])
         with pytest.raises(ValueError):
-            inner(a, b)
+            _re_vdot(np.zeros((1, 2, 2), dtype=complex),
+                     np.zeros((1, 3, 3), dtype=complex))
 
 
 class TestRandomFeasible:

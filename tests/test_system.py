@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from bdris import (Architecture, Beamformer, ScatteringMatrix,
-                   equivalent_channel, generate_channels_from_gains,
-                   group_slice, init_beamformer_mmse, init_beamformer_uniform,
-                   parse_architecture_tag, sinr, sum_rate)
-from bdris.system import EquivalentChannel, infer_architecture
+                   generate_channels_from_gains, init_beamformer_mmse,
+                   init_beamformer_uniform, parse_architecture_tag)
+from bdris.gradient import channel_stacks
+from bdris.system import infer_architecture
 
-from helpers import make_config, make_instance
+from helpers import make_config, make_instance, reference_sinr, workspace_at
 
 
 def identity_theta(config):
@@ -42,9 +42,7 @@ class TestScatteringMatrix:
                                                     theta.architecture)
         assert np.array_equal(rebuilt.theta, theta.theta)
         assert rebuilt.n_groups == 3
-        assert np.array_equal(theta.block(2), theta.theta[2:4, 2:4])
-        with pytest.raises(ValueError):
-            theta.block(0)
+        assert np.array_equal(theta.block_stack()[1], theta.theta[2:4, 2:4])
 
     def test_parse_tags(self):
         assert parse_architecture_tag("sc", 8) == (Architecture.SINGLE_CONNECTED, 1)
@@ -57,140 +55,144 @@ class TestScatteringMatrix:
 
 
 class TestEquivalentChannel:
+    """The composite signal matrix C = H_rx Theta H_tx V of the workspace."""
+
     def test_identity_scattering(self):
-        config, channels, _, _ = make_instance(seed=1)
-        eq = equivalent_channel(identity_theta(config), channels)
-        assert np.allclose(eq.e, channels.h_rx @ channels.h_tx, atol=1e-13)
+        config, channels, _, beam = make_instance(seed=1)
+        ws, _, c, _, _ = workspace_at(identity_theta(config), channels, beam,
+                                      config)
+        assert np.allclose(c, channels.h_rx @ channels.h_tx @ beam.v,
+                           atol=1e-13)
 
     def test_matches_dense_triple_product(self):
-        config, channels, theta, _ = make_instance(seed=2, n_elements=4,
-                                                   n_groups=2)
-        eq = equivalent_channel(theta, channels)
-        dense = channels.h_rx @ theta.theta @ channels.h_tx
-        assert np.allclose(eq.e, dense, atol=1e-12)
-        assert np.allclose(eq.omega, theta.theta @ channels.h_tx, atol=1e-13)
+        config, channels, theta, beam = make_instance(seed=2, n_elements=4,
+                                                      n_groups=2)
+        _, _, c, _, _ = workspace_at(theta, channels, beam, config)
+        dense = channels.h_rx @ theta.theta @ channels.h_tx @ beam.v
+        assert np.allclose(c, dense, atol=1e-12)
 
     def test_diagonal_phases_scale_rows(self):
         config = make_config(n_elements=2, n_groups=2)
         channels = generate_channels_from_gains(config, 1.0, 1.0, seed=5)
+        beam = init_beamformer_uniform(config)
         phases = np.exp(1j * np.array([0.3, -1.2]))
         theta = ScatteringMatrix(theta=np.diag(phases),
                                  architecture=Architecture.SINGLE_CONNECTED,
                                  group_size=1)
-        eq = equivalent_channel(theta, channels)
-        assert np.allclose(eq.omega, phases[:, None] * channels.h_tx, atol=1e-13)
+        _, _, c, _, _ = workspace_at(theta, channels, beam, config)
+        scaled = channels.h_rx @ (phases[:, None] * channels.h_tx) @ beam.v
+        assert np.allclose(c, scaled, atol=1e-13)
 
     def test_linear_in_theta(self):
-        config, channels, theta_a, _ = make_instance(seed=3)
+        config, channels, theta_a, beam = make_instance(seed=3)
         _, _, theta_b, _ = make_instance(seed=4)
-        combined = ScatteringMatrix(theta=theta_a.theta + theta_b.theta,
-                                    architecture=theta_a.architecture,
-                                    group_size=theta_a.group_size)
-        e_sum = (equivalent_channel(theta_a, channels).e
-                 + equivalent_channel(theta_b, channels).e)
-        assert np.allclose(equivalent_channel(combined, channels).e, e_sum,
-                           atol=1e-12)
+        ws, stack_a, c_a, _, _ = workspace_at(theta_a, channels, beam, config)
+        stack_b = theta_b.block_stack()
+        assert np.allclose(ws.signal(stack_a + stack_b),
+                           c_a + ws.signal(stack_b), atol=1e-12)
 
     def test_shape_mismatch(self):
-        config, channels, _, _ = make_instance(seed=0)
-        other = make_config(n_elements=8, n_groups=2)
-        _, bigger, theta8, _ = make_instance(seed=0, n_elements=8, n_groups=2)
+        config, channels, theta, beam = make_instance(seed=0)
+        ws, *_ = workspace_at(theta, channels, beam, config)
+        _, _, theta8, _ = make_instance(seed=0, n_elements=8, n_groups=2)
         with pytest.raises(ValueError):
-            equivalent_channel(theta8, channels)
+            ws.signal(theta8.block_stack())
 
 
 class TestGroupSlice:
+    """Groupwise channel factors: C = sum_g a[g] @ Theta_g @ b[g]."""
+
     def test_single_group_returns_everything(self):
-        config, channels, theta, _ = make_instance(seed=6, n_elements=4,
-                                                   n_groups=1)
-        h, w = group_slice(channels, theta, 1)
-        assert np.array_equal(h, channels.h_rx)
-        assert np.array_equal(w, channels.h_tx)
+        config, channels, _, beam = make_instance(seed=6, n_elements=4,
+                                                  n_groups=1)
+        a, b = channel_stacks(channels, beam.v, 4)
+        assert np.array_equal(a[0], channels.h_rx)
+        assert np.allclose(b[0], channels.h_tx @ beam.v, atol=1e-15)
 
     def test_scalar_groups(self):
-        config, channels, theta, _ = make_instance(seed=7, n_elements=4,
-                                                   n_groups=4)
-        h, w = group_slice(channels, theta, 3)
-        assert h.shape == (config.n_users, 1)
-        assert w.shape == (1, config.n_tx)
+        config, channels, _, beam = make_instance(seed=7, n_elements=4,
+                                                  n_groups=4)
+        a, b = channel_stacks(channels, beam.v, 1)
+        assert a.shape == (4, config.n_users, 1)
+        assert b.shape == (4, 1, config.n_users)
 
     def test_reconstruction_and_row_sum(self):
-        config, channels, theta, _ = make_instance(seed=8, n_elements=6,
-                                                   n_groups=2)
-        eq = equivalent_channel(theta, channels)
-        parts = []
-        h_cat, w_cat = [], []
-        for g in range(1, theta.n_groups + 1):
-            h, w = group_slice(channels, theta, g)
-            h_cat.append(h)
-            w_cat.append(w)
-            parts.append(h @ theta.block(g) @ w)
-        assert np.allclose(sum(parts), eq.e, atol=1e-12)
-        assert np.array_equal(np.hstack(h_cat), channels.h_rx)
-        assert np.array_equal(np.vstack(w_cat), channels.h_tx)
+        config, channels, theta, beam = make_instance(seed=8, n_elements=6,
+                                                      n_groups=2)
+        a, b = channel_stacks(channels, beam.v, theta.group_size)
+        parts = [a[g] @ block @ b[g]
+                 for g, block in enumerate(theta.block_stack())]
+        dense = channels.h_rx @ theta.theta @ channels.h_tx @ beam.v
+        assert np.allclose(sum(parts), dense, atol=1e-12)
+        assert np.array_equal(np.hstack(list(a)), channels.h_rx)
+        assert np.allclose(np.vstack(list(b)), channels.h_tx @ beam.v,
+                           atol=1e-15)
 
     def test_out_of_range(self):
-        config, channels, theta, _ = make_instance(seed=9)
+        # A group size that does not divide R has no block structure.
+        config, channels, _, beam = make_instance(seed=9)
         with pytest.raises(ValueError):
-            group_slice(channels, theta, 0)
-        with pytest.raises(ValueError):
-            group_slice(channels, theta, theta.n_groups + 1)
+            channel_stacks(channels, beam.v, 3)
 
 
 class TestRates:
+    """Closed-form SINRs (tau) and sum-rate of ``_Workspace.stats``."""
+
     def test_single_user_no_interference(self):
         config, channels, theta, beam = make_instance(seed=10, n_users=1,
                                                       n_tx=1, n_elements=2,
                                                       n_groups=1,
                                                       noise_power=0.5)
-        eq = equivalent_channel(theta, channels)
-        expected = abs(eq.e[0] @ beam.v[:, 0]) ** 2 / 0.5
-        assert sinr(eq, beam, 0.5, 0) == pytest.approx(expected, rel=1e-12)
+        _, _, _, tau, _ = workspace_at(theta, channels, beam, config)
+        e = channels.h_rx @ theta.theta @ channels.h_tx
+        expected = abs(e[0] @ beam.v[:, 0]) ** 2 / 0.5
+        assert tau[0] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_beam_column(self):
         config, channels, theta, beam = make_instance(seed=11)
         v = beam.v.copy()
         v[:, 0] = 0
         beam2 = Beamformer(v=v, power_budget=beam.power_budget)
-        eq = equivalent_channel(theta, channels)
-        assert sinr(eq, beam2, config.noise_power, 0) == 0.0
+        _, _, _, tau, _ = workspace_at(theta, channels, beam2, config)
+        assert tau[0] == 0.0
 
     def test_two_user_scalar_oracle(self):
         config, channels, theta, beam = make_instance(seed=12)
-        eq = equivalent_channel(theta, channels)
+        _, _, _, tau, _ = workspace_at(theta, channels, beam, config)
+        e = channels.h_rx @ theta.theta @ channels.h_tx
         n0 = config.noise_power
         for k in range(2):
-            c = [eq.e[k] @ beam.v[:, i] for i in range(2)]
+            c = [e[k] @ beam.v[:, i] for i in range(2)]
             expected = abs(c[k]) ** 2 / (abs(c[1 - k]) ** 2 + n0)
-            assert sinr(eq, beam, n0, k) == pytest.approx(expected, rel=1e-12)
+            assert tau[k] == pytest.approx(expected, rel=1e-12)
+        assert np.allclose(tau, reference_sinr(channels, theta.theta, beam.v,
+                                               n0), rtol=1e-12)
 
     def test_sinr_phase_invariance(self):
         config, channels, theta, beam = make_instance(seed=13)
-        eq = equivalent_channel(theta, channels)
-        rotated = EquivalentChannel(e=np.exp(1j * 0.7) * eq.e, omega=eq.omega)
-        for k in range(config.n_users):
-            assert sinr(rotated, beam, 1.0, k) == pytest.approx(
-                sinr(eq, beam, 1.0, k), rel=1e-12)
+        ws, _, c, tau, _ = workspace_at(theta, channels, beam, config)
+        rotated, _, _ = ws.stats(np.exp(1j * 0.7) * c)
+        assert np.allclose(rotated, tau, rtol=1e-12)
 
     def test_sum_rate_zero_when_no_signal(self):
         config, channels, theta, beam = make_instance(seed=14)
         beam0 = Beamformer(v=np.zeros_like(beam.v), power_budget=beam.power_budget)
-        eq = equivalent_channel(theta, channels)
-        assert sum_rate(eq, beam0, config.noise_power) == 0.0
+        ws, _, c, _, _ = workspace_at(theta, channels, beam0, config)
+        assert ws.rate(c) == 0.0
 
     def test_sum_rate_unit_sinr(self):
-        config = make_config(n_users=1, n_tx=1, n_elements=2, n_groups=1,
-                             p_max=1.0)
-        eq = EquivalentChannel(e=np.array([[1.0 + 0j]]),
-                               omega=np.zeros((2, 1), dtype=complex))
-        beam = Beamformer(v=np.array([[1.0 + 0j]]), power_budget=1.0)
-        assert sum_rate(eq, beam, 1.0) == pytest.approx(1.0, abs=1e-12)
+        config, channels, theta, beam = make_instance(
+            seed=0, n_users=1, n_tx=1, n_elements=2, n_groups=1, p_max=1.0)
+        ws, *_ = workspace_at(theta, channels, beam, config)
+        assert ws.rate(np.array([[1.0 + 0j]])) == pytest.approx(1.0, abs=1e-12)
 
     def test_sum_rate_matches_per_user_sum(self):
         config, channels, theta, beam = make_instance(seed=15)
-        eq = equivalent_channel(theta, channels)
-        total = sum(np.log2(1 + sinr(eq, beam, 1.0, k)) for k in range(2))
-        assert sum_rate(eq, beam, 1.0) == pytest.approx(total, rel=1e-12)
+        ws, _, c, tau, _ = workspace_at(theta, channels, beam, config)
+        total = sum(np.log2(1 + t) for t in reference_sinr(
+            channels, theta.theta, beam.v, config.noise_power))
+        assert ws.rate(c) == pytest.approx(total, rel=1e-12)
+        assert ws.rate(c) == pytest.approx(np.log2(1 + tau).sum(), rel=1e-15)
 
     def test_zero_phase_single_connected_equals_direct_product(self):
         config, channels, _, beam = make_instance(seed=16, n_elements=4,
@@ -198,11 +200,9 @@ class TestRates:
         theta = ScatteringMatrix(theta=np.eye(4, dtype=complex),
                                  architecture=Architecture.SINGLE_CONNECTED,
                                  group_size=1)
-        eq = equivalent_channel(theta, channels)
-        direct = EquivalentChannel(e=channels.h_rx @ channels.h_tx,
-                                   omega=channels.h_tx)
-        assert sum_rate(eq, beam, 1.0) == pytest.approx(
-            sum_rate(direct, beam, 1.0), rel=1e-12)
+        ws, _, c, _, _ = workspace_at(theta, channels, beam, config)
+        direct = ws.rate(channels.h_rx @ channels.h_tx @ beam.v)
+        assert ws.rate(c) == pytest.approx(direct, rel=1e-12)
 
 
 class TestBeamformers:
@@ -229,24 +229,29 @@ class TestBeamformers:
         with pytest.raises(ValueError, match="power"):
             Beamformer(v=np.eye(2, dtype=complex), power_budget=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_nonfinite_entries_rejected(self, bad):
+        # NaN slips past the power check (nan > budget is False).
+        v = np.eye(2, dtype=complex) * 0.5
+        v[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Beamformer(v=v, power_budget=1.0)
+
     def test_mmse_identity_channel(self):
         config = make_config(n_users=2, n_tx=2, p_max=2.0, noise_power=1e-9)
-        eq = EquivalentChannel(e=np.eye(2, dtype=complex),
-                               omega=np.zeros((4, 2), dtype=complex))
-        beam = init_beamformer_mmse(eq, config)
+        beam = init_beamformer_mmse(np.eye(2, dtype=complex), config)
         assert np.allclose(beam.v, np.eye(2), atol=1e-6)
 
     def test_mmse_power_normalization(self):
         config, channels, theta, _ = make_instance(seed=17, p_max=3.0)
-        eq = equivalent_channel(theta, channels)
-        beam = init_beamformer_mmse(eq, config)
+        e = channels.h_rx @ theta.theta @ channels.h_tx
+        beam = init_beamformer_mmse(e, config)
         assert np.linalg.norm(beam.v) ** 2 == pytest.approx(3.0, abs=1e-10)
 
     def test_mmse_matches_direct_solve(self):
         config, channels, theta, _ = make_instance(seed=18)
-        eq = equivalent_channel(theta, channels)
-        beam = init_beamformer_mmse(eq, config)
-        e = eq.e
+        e = channels.h_rx @ theta.theta @ channels.h_tx
+        beam = init_beamformer_mmse(e, config)
         reg = config.n_users * config.noise_power / config.p_max
         raw = e.conj().T @ np.linalg.inv(e @ e.conj().T + reg * np.eye(2))
         expected = raw * np.sqrt(config.p_max) / np.linalg.norm(raw)
