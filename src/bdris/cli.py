@@ -104,6 +104,7 @@ def cmd_optimize(args) -> int:
     print(f"seed: {args.seed}")
     print(f"iterations: {final.iters_used}")
     print(f"converged: {str(final.converged).lower()}")
+    print(f"stop_reason: {final.stop_reason}")
     print(f"sum_rate_bits: {final.projected_rate!r}")
     print(f"pre_projection_rate_bits: {final.pre_projection_rate!r}")
     print(f"projection_rate_delta: {final.projection_rate_delta:.3e}")
@@ -243,7 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        # Bad input files and values end in one line, not a traceback.
+        print(f"bdris {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -41,19 +41,26 @@ def retract_batch(theta_stack: np.ndarray, direction_stack: np.ndarray,
     Candidate m is the Q-factor of the QR decomposition of
     Theta_g + alphas[m] * Xi_g per block, with the triangular factor's
     diagonal forced real positive so that a zero step reproduces theta up to
-    rounding. Returns (candidates, ok) with candidates of shape
-    (M, G, R_G, R_G) and a boolean validity flag per candidate;
-    rank-deficient candidates are marked invalid instead of raising so that
-    the surviving ones stay usable.
+    rounding. For 1 x 1 blocks that Q-factor is the phase z / |z| of the
+    moved entry z, computed directly instead of by one LAPACK QR per block.
+    Returns (candidates, ok) with candidates of shape (M, G, R_G, R_G) and a
+    boolean validity flag per candidate; rank-deficient candidates (a
+    triangular diagonal entry, |z| for 1 x 1 blocks, at most 1e-12 of the
+    largest moved entry) are marked invalid instead of raising so that the
+    surviving ones stay usable.
     """
     moved = theta_stack[None] + alphas[:, None, None, None] * direction_stack[None]
-    q, r = np.linalg.qr(moved)
-    diag = np.diagonal(r, axis1=2, axis2=3)
-    mags = np.abs(diag)
-    scale = np.maximum(np.abs(moved).reshape(len(alphas), -1).max(axis=1), 1.0)
+    sizes = np.abs(moved)
+    if moved.shape[-1] == 1:
+        mags = sizes
+        q = moved / np.where(mags > 0, mags, 1.0)
+    else:
+        q, r = np.linalg.qr(moved)
+        diag = np.diagonal(r, axis1=2, axis2=3)
+        mags = np.abs(diag)
+        q = q * (diag / np.where(mags > 0, mags, 1.0))[:, :, None, :]
+    scale = np.maximum(sizes.reshape(len(alphas), -1).max(axis=1), 1.0)
     ok = mags.reshape(len(alphas), -1).min(axis=1) > 1e-12 * scale
-    safe = np.where(mags > 0, mags, 1.0)
-    q = q * (diag / safe)[:, :, None, :]
     return q, ok
 
 

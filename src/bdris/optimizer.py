@@ -21,7 +21,10 @@ space by identity transport plus reprojection.
 
 Every formula is implemented once, on (G, R_G, R_G) block stacks: the signal
 matrix, auxiliaries, rate and objective in ``_Workspace``, the gradient in
-``gradient.gradient_stack``, and the manifold steps in ``manifold``.
+``gradient.gradient_stack``, and the manifold steps in ``manifold``. The
+signal matrix is linear in Theta, so ``_Workspace`` builds its channel tensor
+once per run and gets the signal matrices of a point, or of a whole chunk of
+line-search candidates, from one matrix product.
 """
 
 from __future__ import annotations
@@ -93,7 +96,11 @@ class TraceFinal:
     symmetry_residual: float
     unitarity_residual: float
     iters_used: int
-    converged: bool
+    stop_reason: str         # "tolerance", "max_iters" or "stalled"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tolerance"
 
 
 @dataclass
@@ -125,17 +132,30 @@ def _penalty_stack(theta_stack: np.ndarray) -> float:
 
 
 class _Workspace:
-    """Precomputed channel factors and batched objective/gradient kernels."""
+    """Precomputed channel factors and batched objective/gradient kernels.
+
+    Besides the groupwise factors ``a``, ``b`` of ``channel_stacks`` (used
+    by the gradient) it holds the channel tensor ``t`` of shape
+    (G * R_G^2, K^2), t[(g, i, j), (k, l)] = a[g, k, i] * b[g, j, l], so that
+    the signal matrix is linear in the flattened block stack:
+    C.ravel() = theta_stack.ravel() @ t. It takes R * R_G * K^2 * 16 bytes
+    (256 KiB for one 32 x 32 block and K = 4) and is built once per solve.
+    """
 
     def __init__(self, channels: ChannelSet, beam: Beamformer,
                  settings: CgaSettings, group_size: int):
         self.a, self.b = channel_stacks(channels, beam.v, group_size)
+        self.users, self.streams = self.a.shape[1], self.b.shape[2]
+        self.t = np.einsum("gki,gjl->gijkl", self.a, self.b).reshape(
+            -1, self.users * self.streams)
         self.noise = settings.noise_power
         self.nu = settings.nu
 
     def signal(self, theta_stack: np.ndarray) -> np.ndarray:
-        """Signal matrix C = H_rx @ Theta @ H_tx @ V, summed over blocks."""
-        return (self.a @ theta_stack @ self.b).sum(axis=0)
+        """Signal matrix C = H_rx @ Theta @ H_tx @ V: the contraction of
+        ``objective_batch`` for a single point."""
+        return (theta_stack.reshape(1, -1) @ self.t).reshape(
+            self.users, self.streams)
 
     def stats(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """Optimal auxiliaries and true sum-rate from the signal matrix."""
@@ -162,15 +182,18 @@ class _Workspace:
         """Frozen-auxiliary objective of many candidate points at once.
 
         ``theta_batch`` has shape (M, G, R_G, R_G); returns (M,) values that
-        agree with ``objective`` up to summation order.
+        agree with ``objective`` up to summation order. All M signal
+        matrices come from one product with the channel tensor. 1 x 1 blocks
+        are symmetric, so their penalty is skipped.
         """
-        c = (self.a[None] @ theta_batch @ self.b[None]).sum(axis=1)
+        c = (theta_batch.reshape(len(theta_batch), -1) @ self.t).reshape(
+            -1, self.users, self.streams)
         diag = np.diagonal(c, axis1=1, axis2=2)
         total = (np.abs(c) ** 2).sum(axis=2) + self.noise
         quad = 2.0 * np.real(np.conj(y)[None] * diag) - (np.abs(y) ** 2)[None] * total
         const = float((np.log2(1.0 + tau) - tau / LN2).sum())
         values = const + (((1.0 + tau) / LN2)[None] * quad).sum(axis=1)
-        if self.nu:
+        if self.nu and theta_batch.shape[-1] > 1:
             diff = theta_batch - theta_batch.transpose(0, 1, 3, 2)
             values = values - self.nu * np.sum(np.abs(diff) ** 2, axis=(1, 2, 3))
         return values
@@ -182,10 +205,11 @@ class _Workspace:
 
 _ARMIJO_CHUNK = 16
 # The frozen-auxiliary objective sums per-user terms of size log2(1 + tau)
-# and tau / ln2 that partly cancel, at a point that retract_batch's QR has
-# rounded. When theta does not move at all its value still moves by up to
-# about 3 ulps of (|f| + those terms), as measured from sc to fc at R = 4..64;
-# an increase below this many such ulps is noise.
+# and tau / ln2 that partly cancel, at a point that retract_batch has
+# rounded. When theta does not move at all (alpha * |xi| <= 1e-30) the
+# batched value still exceeds f by up to 2.4 ulps of (|f| + those terms):
+# measured over 240 instances, sc/gc2/gc4/fc at R = 4..64, K = 4, link gains
+# 1e-9 to 1e4 at unit noise; an increase below this many such ulps is noise.
 _NOISE_ULPS = 16.0
 
 
@@ -241,7 +265,9 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
     whose line search stalls leave the iterate unchanged and do not trigger
     the convergence test: one stall retries with the refreshed direction, a
     second consecutive stall resets the direction to the gradient, and a
-    third terminates the run with ``converged=False``.
+    third terminates the run with ``converged=False``. ``final.stop_reason``
+    says which exit ended the run: ``"tolerance"`` (converged),
+    ``"max_iters"`` or ``"stalled"``.
     """
     if settings is None:
         settings = CgaSettings.from_config(config)
@@ -260,7 +286,7 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
         grad_norm=float(np.sqrt(max(_re_vdot(riem, riem), 0.0))), beta=0.0,
         unitarity_residual=float(unitarity_residuals(theta_stack).max()))]
 
-    converged = False
+    stop_reason = "max_iters"
     stalls = 0
     iters_used = 0
     for i in range(1, settings.max_iters + 1):
@@ -281,6 +307,7 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
                 beta=0.0,
                 unitarity_residual=float(unitarity_residuals(theta_stack).max())))
             if stalls >= 3:
+                stop_reason = "stalled"
                 break
             if stalls == 2:
                 xi = riem.copy()
@@ -311,7 +338,7 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
         eta = eta_new
         riem = riem_new
         if rate_change < settings.tolerance:
-            converged = True
+            stop_reason = "tolerance"
             break
 
     pre_projection = ScatteringMatrix.from_block_stack(
@@ -328,7 +355,7 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
                                                axis=(1, 2))).max()),
         unitarity_residual=float(unitarity_residuals(opt_stack).max()),
         iters_used=iters_used,
-        converged=converged)
+        stop_reason=stop_reason)
     trace = OptimizerTrace(records=records, final=final, seed=seed)
     return theta_opt, trace
 

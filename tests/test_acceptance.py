@@ -21,6 +21,8 @@ from bdris import (ExperimentSpec, Geometry, LinkGeometry, cga_optimize,
 from helpers import (central_difference_gradient, config_for_tag,
                      make_instance, reference_sum_rate, workspace_at)
 
+pytestmark = pytest.mark.acceptance
+
 LOSSLESS = Geometry(bs_ris=LinkGeometry(1.0, 0.0, 0.0),
                     ris_user=LinkGeometry(1.0, 0.0, 0.0))
 ALL_TAGS = ("sc", "gc2", "gc4", "fc")

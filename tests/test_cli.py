@@ -79,10 +79,31 @@ def test_optimize_command(tmp_path, config_file, capsys):
     assert rc == 0
     assert "sum_rate_bits:" in out
     assert "architecture: fully-connected" in out
+    assert "stop_reason: " in out
     assert trace.exists()
     header = trace.read_text().splitlines()[0]
     assert header == "iter,eta,eta_breve,alpha,grad_norm,beta"
     assert matrix.exists()
+
+
+@pytest.mark.parametrize("command, filename, text", [
+    ("validate", "header.txt", "4 0\n"),
+    ("optimize", "config.yaml", CONFIG_YAML.replace("n_elements: 4",
+                                                    "n_elements: 8.9")),
+])
+def test_bad_input_is_one_line_error(tmp_path, capsys, command, filename,
+                                     text):
+    path = tmp_path / filename
+    path.write_text(text)
+    if command == "validate":
+        argv = ["validate", "--matrix", str(path)]
+    else:
+        argv = ["optimize", "--config", str(path), "--seed", "0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"bdris {command}: error: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_optimize_mmse_beam(config_file, capsys):

@@ -175,7 +175,8 @@ class TestPenalizedObjective:
                                         rel=1e-12)
 
     @pytest.mark.parametrize("dims", [(2, 4, 2), (3, 6, 1), (2, 4, 4),
-                                      (4, 8, 1)])
+                                      (4, 8, 1), (4, 64, 64), (4, 8, 4),
+                                      (4, 8, 2), (4, 32, 1)])
     def test_batch_matches_single(self, dims):
         # objective_batch (line search) against objective (per iterate), on
         # retracted candidates and on asymmetric points that exercise nu.
@@ -194,6 +195,24 @@ class TestPenalizedObjective:
         for candidate, value in zip(batch, values):
             single = ws.objective(candidate, ws.signal(candidate), tau, y)
             assert value == pytest.approx(single, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("tag, r, n_groups", [
+        ("sc", 64, 64), ("gc2", 8, 4), ("gc4", 8, 2), ("fc", 8, 1),
+        ("fc", 32, 1)])
+    def test_batch_at_optimal_aux_equals_rate(self, tag, r, n_groups):
+        # At a feasible point and its closed-form auxiliaries the batched
+        # objective is the true sum-rate (the penalty of a symmetric point
+        # is 0), whichever contraction computes the signal matrix.
+        config, channels, theta, beam = make_instance(
+            seed=r + n_groups, n_users=4, n_tx=4, n_elements=r,
+            n_groups=n_groups)
+        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
+        rate = reference_sum_rate(channels, theta.theta, beam.v,
+                                  config.noise_power)
+        value = ws.objective_batch(stack[None], tau, y)[0]
+        assert value == pytest.approx(ws.objective(stack, c, tau, y),
+                                      rel=1e-12, abs=0)
+        assert value == pytest.approx(rate, rel=1e-12, abs=0)
 
 
 def test_tightness_invariant_many_instances():

@@ -106,15 +106,34 @@ class TestRetract:
         assert np.allclose(moved[0], target / np.abs(target), rtol=1e-12,
                            atol=0)
 
+    def test_scalar_blocks_match_sign_fixed_qr(self):
+        # 1 x 1 blocks retract by phase normalization; it must be the same
+        # Q-factor (with a real positive R) that the Householder QR gives.
+        rng = np.random.default_rng(7)
+        config, _, theta, _ = make_instance(seed=7, n_elements=64,
+                                            n_groups=64)
+        stack = theta.block_stack()
+        direction = random_blocks(rng, 64, 1)
+        alphas = np.concatenate([[0.0, 10.0], 0.75 ** np.arange(16.0)])
+        moved, ok = retract_batch(stack, direction, alphas)
+        q, r = np.linalg.qr(stack[None] + alphas[:, None, None, None]
+                            * direction[None])
+        phase = np.diagonal(r, axis1=2, axis2=3)
+        expected = q * (phase / np.abs(phase))[:, :, None, :]
+        assert ok.all()
+        assert np.abs(moved - expected).max() <= 1e-15
+
     def test_rank_deficient_target_raises(self):
         # Rank-deficient candidates are flagged, not raised, so the other
-        # candidates of the batch stay usable.
-        theta_stack = np.stack([np.eye(2, dtype=complex)])
-        direction = np.stack([-np.eye(2, dtype=complex)])
-        moved, ok = retract_batch(theta_stack, direction,
-                                  np.array([1.0, 0.5]))
-        assert ok.tolist() == [False, True]
-        assert unitarity_residuals(moved[1]).max() <= 1e-12
+        # candidates of the batch stay usable; for 1 x 1 blocks that is a
+        # zero entry.
+        for size in (1, 2):
+            theta_stack = np.stack([np.eye(size, dtype=complex)])
+            direction = np.stack([-np.eye(size, dtype=complex)])
+            moved, ok = retract_batch(theta_stack, direction,
+                                      np.array([1.0, 0.5]))
+            assert ok.tolist() == [False, True], size
+            assert unitarity_residuals(moved[1]).max() <= 1e-12
 
 
 class TestInner:

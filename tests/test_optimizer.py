@@ -277,6 +277,15 @@ class TestCgaRun:
                 (theta, trace), *_ = small_run(seed=seed, tag=tag)
                 assert trace.final.projected_rate >= trace.records[0].true_rate
 
+    def test_stop_reason(self):
+        (_, capped), *_ = small_run(seed=0, max_iters=2)
+        assert (capped.final.stop_reason, capped.final.converged,
+                capped.final.iters_used) == ("max_iters", False, 2)
+        (_, full), *_ = small_run(seed=0, tag="sc")
+        assert full.final.iters_used < 400
+        assert (full.final.stop_reason, full.final.converged) == (
+            "tolerance", True)
+
     def test_stall_policy_terminates_unconverged(self):
         config = config_for_tag("gc2", n_users=2, n_tx=2, n_elements=4,
                                 max_iters=50)
@@ -288,6 +297,7 @@ class TestCgaRun:
             theta, trace = cga_optimize(channels, beam, config, seed=seed,
                                         settings=settings)
             assert not trace.final.converged, seed
+            assert trace.final.stop_reason == "stalled", seed
             assert trace.final.iters_used == 3, seed  # three consecutive stalls
             assert all(r.step == 0.0 for r in trace.records[1:]), seed
 
