@@ -3,12 +3,14 @@
 The package designs blockwise symmetric unitary scattering matrices that
 maximize the downlink sum-rate of a multi-user MISO system. The optimizer
 runs conjugate gradient ascent on the blockwise unitary manifold against a
-fractional-programming surrogate of the sum-rate, with symmetry enforced by
-a penalty during iteration and an exact projection at the end.
+fractional-programming surrogate of the sum-rate. Each block is kept
+exactly symmetric by iterating its Takagi factor U_g (Theta_g = U_g U_g^T)
+along geodesics of the unitary group.
 
 Each formula has one implementation, on stacks of blocks: ``gradient``
-(channel factors and the closed-form gradient), ``manifold`` (tangent
-projection, batched QR retraction, random feasible points) and
+(channel factors, the closed-form gradient and its Takagi-factor chain
+rule), ``manifold`` (tangent projection, batched exponential-map
+retraction, random feasible points) and
 ``optimizer._Workspace`` (signal matrix, auxiliaries, sum-rate, objective).
 The public API is the config and channel types, the beamformer
 initializers, ``cga_optimize`` with its trace types, the feasibility check,

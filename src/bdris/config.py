@@ -20,8 +20,8 @@ class SystemConfig:
 
     Solver defaults: tolerance 1e-8, at most 8000 conjugate-gradient
     iterations, at most 200 Armijo trials per search with sufficient-increase
-    coefficient 2e-11, initial step 1 contracted by 0.75, asymmetry penalty
-    weight 1.
+    coefficient 2e-11, initial step 1 contracted by 0.75. Reciprocity needs
+    no setting: the optimizer keeps every block exactly symmetric.
     """
 
     n_tx: int                      # BS transmit antennas N
@@ -30,7 +30,6 @@ class SystemConfig:
     n_groups: int                  # element groups G (group size R/G)
     p_max: float                   # transmit power budget, linear W
     noise_power: float             # receiver noise power, linear W
-    nu: float = 1.0                # asymmetry penalty weight
     epsilon: float = 1e-8          # convergence tolerance on the sum-rate
     max_iters: int = 8000          # conjugate-gradient iteration cap
     armijo_max_steps: int = 200    # line-search trial cap
@@ -55,8 +54,6 @@ class SystemConfig:
             raise ValueError("p_max must be positive")
         if not self.noise_power > 0:
             raise ValueError("noise_power must be positive")
-        if self.nu < 0:
-            raise ValueError("nu must be nonnegative")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.armijo_coeff < 0:

@@ -16,8 +16,9 @@ all i, including i = k. For any tau >= 0 and any y the surrogate never
 exceeds the true rate, and at the closed-form (tau, y) it equals it; the
 closed-form values come from ``optimizer._Workspace.stats``.
 
-The optimizer maximizes the surrogate sum minus a penalty nu * ||Theta -
-Theta^T||_F^2 that drives the blocks toward symmetry.
+The optimizer maximizes the surrogate sum itself: its iterates are exactly
+symmetric, so no penalty term is added, and a step that raises the surrogate
+at frozen auxiliaries raises the true sum-rate at least as much.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Closed-form gradients of the penalized surrogate objective.
+"""Closed-form gradients of the surrogate objective.
 
 Gradients follow the convention that for a perturbation D of block g,
 
@@ -12,12 +12,15 @@ g is
 
     G_g = 2 sum_k w_k conj(h_k_g) (y_k conj(u_k) - |y_k|^2 sum_i c_ki conj(u_i))^T
 
-and the penalty contributes -4 nu (Theta_g - Theta_g^T). The constant
-tau-terms of the surrogate do not depend on Theta and drop out. The scalar
-c_ki deliberately uses the full composite channel (all groups), not the
-group-local slice: differentiating |e_k v_i|^2 with e_k summed over groups
-leaves the full scalar multiplying the group-local factor, which the
-finite-difference checks in the tests confirm.
+The constant tau-terms of the surrogate do not depend on Theta and drop
+out. The scalar c_ki deliberately uses the full composite channel (all
+groups), not the group-local slice: differentiating |e_k v_i|^2 with e_k
+summed over groups leaves the full scalar multiplying the group-local
+factor, which the finite-difference checks in the tests confirm.
+
+For blocks Theta_g = U_g U_g^T parametrized by their Takagi factor, the
+chain rule gives the gradient with respect to U_g in the same convention,
+(G_g + G_g^T) conj(U_g) (``factor_gradient``).
 """
 
 from __future__ import annotations
@@ -44,15 +47,22 @@ def channel_stacks(channels: ChannelSet, beam_v: np.ndarray,
     return a, b
 
 
-def gradient_stack(theta_stack: np.ndarray, a: np.ndarray, b: np.ndarray,
-                   c: np.ndarray, tau: np.ndarray, y: np.ndarray,
-                   nu: float) -> np.ndarray:
+def gradient_stack(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                   tau: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Batched gradient over all blocks; see the module docstring."""
     weights = (1.0 + tau) / LN2
     b_conj_t = b.conj().transpose(0, 2, 1)              # (G, K, R_G)
     t1 = y[None, :, None] * b_conj_t
     t2 = (np.abs(y) ** 2)[None, :, None] * (c @ b_conj_t)
     weighted = weights[None, :, None] * (t1 - t2)
-    grad = 2.0 * (a.conj().transpose(0, 2, 1) @ weighted)
-    grad -= 4.0 * nu * (theta_stack - theta_stack.transpose(0, 2, 1))
-    return grad
+    return 2.0 * (a.conj().transpose(0, 2, 1) @ weighted)
+
+
+def factor_gradient(grad_stack: np.ndarray, u_stack: np.ndarray) -> np.ndarray:
+    """Gradient with respect to U of a function of Theta = U U^T.
+
+    ``grad_stack`` is the gradient with respect to Theta at U U^T. The
+    first-order change Re tr(G^H (dU U^T + U dU^T)) equals
+    Re tr(((G + G^T) conj(U))^H dU).
+    """
+    return (grad_stack + grad_stack.transpose(0, 2, 1)) @ u_stack.conj()

@@ -1,10 +1,13 @@
 """Blockwise unitary-manifold primitives.
 
-Each block of the scattering matrix lives on the unitary group (the square
-complex Stiefel manifold). The primitives here act on (G, R_G, R_G) block
-stacks: orthogonal projection onto the tangent space, a batched QR-based
-retraction, and a random feasible (symmetric unitary) starting point. The
-real trace inner product is ``optimizer._re_vdot``.
+The optimizer's state is a (G, R_G, R_G) stack of unitary blocks: for
+R_G > 1 the Takagi factor U_g of each scattering block Theta_g = U_g U_g^T
+(every symmetric unitary matrix has this form), for 1 x 1 blocks the unit
+scalar Theta_g itself. The primitives here act on such stacks: orthogonal
+projection onto the tangent space, a batched retraction (the exponential
+map for R_G > 1, phase normalization for 1 x 1 blocks), and a random
+feasible starting point. The real trace inner product is
+``optimizer._re_vdot``.
 """
 
 from __future__ import annotations
@@ -34,57 +37,64 @@ def unitarity_residuals(theta_stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(gram) ** 2, axis=(1, 2)))
 
 
-def retract_batch(theta_stack: np.ndarray, direction_stack: np.ndarray,
+def retract_batch(stack: np.ndarray, direction_stack: np.ndarray,
                   alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Retraction of many candidate steps at once.
 
-    Candidate m is the Q-factor of the QR decomposition of
-    Theta_g + alphas[m] * Xi_g per block, with the triangular factor's
-    diagonal forced real positive so that a zero step reproduces theta up to
-    rounding. For 1 x 1 blocks that Q-factor is the phase z / |z| of the
-    moved entry z, computed directly instead of by one LAPACK QR per block.
+    For R_G > 1 candidate m follows the geodesic of the unitary group,
+    U_g exp(alphas[m] * A_g) with A_g the skew-Hermitian part of U_g^H Xi_g
+    (so a direction that is not tangent contributes only its tangent part).
+    One ``eigh`` per call of the Hermitian generator -i A_g = V diag(w) V^H
+    gives every candidate as (U_g V) diag(exp(i alphas[m] w)) V^H, unitary
+    for every step. For 1 x 1 blocks candidate m is the phase z / |z| of the
+    moved entry z = theta + alphas[m] * xi, which is rank-deficient when
+    |z| is at most 1e-12 of max(1, largest |z| of the candidate).
     Returns (candidates, ok) with candidates of shape (M, G, R_G, R_G) and a
-    boolean validity flag per candidate; rank-deficient candidates (a
-    triangular diagonal entry, |z| for 1 x 1 blocks, at most 1e-12 of the
-    largest moved entry) are marked invalid instead of raising so that the
-    surviving ones stay usable.
+    boolean validity flag per candidate; only 1 x 1 blocks can be flagged,
+    and flagged candidates stay in the batch so that the others stay usable.
     """
-    moved = theta_stack[None] + alphas[:, None, None, None] * direction_stack[None]
-    sizes = np.abs(moved)
-    if moved.shape[-1] == 1:
-        mags = sizes
-        q = moved / np.where(mags > 0, mags, 1.0)
-    else:
-        q, r = np.linalg.qr(moved)
-        diag = np.diagonal(r, axis1=2, axis2=3)
-        mags = np.abs(diag)
-        q = q * (diag / np.where(mags > 0, mags, 1.0))[:, :, None, :]
-    scale = np.maximum(sizes.reshape(len(alphas), -1).max(axis=1), 1.0)
-    ok = mags.reshape(len(alphas), -1).min(axis=1) > 1e-12 * scale
-    return q, ok
+    if stack.shape[-1] == 1:
+        moved = stack[None] + alphas[:, None, None, None] * direction_stack[None]
+        mags = np.abs(moved)
+        scale = np.maximum(mags.reshape(len(alphas), -1).max(axis=1), 1.0)
+        ok = mags.reshape(len(alphas), -1).min(axis=1) > 1e-12 * scale
+        return moved / np.where(mags > 0, mags, 1.0), ok
+    lift = stack.conj().transpose(0, 2, 1) @ direction_stack
+    w, v = np.linalg.eigh(0.5j * (lift.conj().transpose(0, 2, 1) - lift))
+    groups, size = v.shape[0], v.shape[-1]
+    # Built as (G, M, R_G, R_G), so that each group's M products with V^H
+    # are one tall matrix product.
+    phases = np.exp(1j * alphas[None, :, None] * w[:, None, :])  # (G, M, R_G)
+    scaled = (stack @ v)[:, None] * phases[:, :, None, :]
+    moved = scaled.reshape(groups, -1, size) @ v.conj().transpose(0, 2, 1)
+    candidates = moved.reshape(groups, len(alphas), size, size)
+    return candidates.transpose(1, 0, 2, 3), np.ones(len(alphas), dtype=bool)
 
 
 def random_feasible_stack(rng: np.random.Generator, n_groups: int,
                           group_size: int) -> np.ndarray:
-    """Random symmetric unitary blocks, U U^T with U a Haar-ish unitary.
+    """Random unitary Takagi factors U of symmetric unitary blocks U U^T.
 
-    U is the sign-fixed Q-factor of a complex Gaussian matrix, so each block
-    is symmetric by construction and unitary to rounding. Draw order (one
-    real block then one imaginary block over all groups) is part of the
-    determinism contract.
+    U is the sign-fixed Q-factor of a complex Gaussian matrix, unitary to
+    rounding. Draw order (one real block then one imaginary block over all
+    groups) is part of the determinism contract.
     """
     shape = (n_groups, group_size, group_size)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=1, axis2=2)
-    q = q * (diag / np.abs(diag))[:, None, :]
-    return q @ q.transpose(0, 2, 1)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def random_feasible(config: SystemConfig, seed: int,
                     architecture: Architecture | None = None
                     ) -> ScatteringMatrix:
-    """Random blockwise symmetric unitary scattering matrix for the config."""
-    rng = np.random.default_rng(seed)
-    stack = random_feasible_stack(rng, config.n_groups, config.group_size)
-    return ScatteringMatrix.from_block_stack(stack, architecture=architecture)
+    """Random blockwise symmetric unitary scattering matrix for the config.
+
+    Its blocks are U U^T for U = ``random_feasible_stack`` of
+    ``default_rng(seed)``, so that factor reproduces them bit for bit.
+    """
+    u = random_feasible_stack(np.random.default_rng(seed), config.n_groups,
+                              config.group_size)
+    return ScatteringMatrix.from_block_stack(u @ u.transpose(0, 2, 1),
+                                             architecture=architecture)

@@ -1,17 +1,25 @@
 """Conjugate gradient ascent for the scattering matrix.
 
-One run: start from a random blockwise symmetric unitary point, repeatedly
+Every symmetric unitary block has the Takagi form Theta_g = U_g U_g^T with
+U_g unitary, so the optimizer's state is the stack of factors U_g, and every
+iterate is exactly symmetric and unitary. 1 x 1 blocks (unit scalars, which
+are symmetric already) keep Theta_g itself as their state. One run starts
+from a random symmetric unitary point and repeatedly
 
-  1. reset the search direction to the Riemannian gradient if it stopped
+  1. resets the search direction to the Riemannian gradient if it stopped
      being an ascent direction,
-  2. pick a step by backtracking Armijo search on the penalized surrogate
-     objective (auxiliaries frozen during the search),
-  3. refresh the per-user auxiliaries at the new point,
-  4. recompute the Riemannian gradient and update the direction with a
+  2. picks a step by backtracking Armijo search on the surrogate objective
+     (auxiliaries frozen during the search), moving the state along
+     geodesics of the unitary group,
+  3. refreshes the per-user auxiliaries at the new point,
+  4. recomputes the Riemannian gradient and updates the direction with a
      nonnegative Polak-Ribiere coefficient,
 
-until the true sum-rate changes by less than the tolerance, then project
-each block onto the symmetric unitary set (symmetrize, SVD, take U V^H).
+until the true sum-rate changes by less than the tolerance. The surrogate
+equals the sum-rate at refreshed auxiliaries and never exceeds it, so the
+sum-rate never decreases from one iterate to the next. The final matrix
+still goes through the per-block projection onto the symmetric unitary set
+(symmetrize, SVD, take U V^H), which only rounds an exact iterate.
 
 Direction handling note: the update is written in ascent form (initial
 direction equals the gradient, update Xi <- r + beta * Xi, reset to r when
@@ -21,10 +29,10 @@ space by identity transport plus reprojection.
 
 Every formula is implemented once, on (G, R_G, R_G) block stacks: the signal
 matrix, auxiliaries, rate and objective in ``_Workspace``, the gradient in
-``gradient.gradient_stack``, and the manifold steps in ``manifold``. The
-signal matrix is linear in Theta, so ``_Workspace`` builds its channel tensor
-once per run and gets the signal matrices of a point, or of a whole chunk of
-line-search candidates, from one matrix product.
+``gradient``, and the manifold steps in ``manifold``. The signal matrix is
+linear in Theta, so ``_Workspace`` builds its channel tensor once per run
+and gets the signal matrices of a point, or of a whole chunk of line-search
+candidates, from one matrix product.
 """
 
 from __future__ import annotations
@@ -38,9 +46,9 @@ import numpy as np
 from .channel import ChannelSet
 from .config import SystemConfig
 from .fp import LN2, _surrogate_terms
-from .gradient import channel_stacks, gradient_stack
-from .manifold import (project_stack, random_feasible, retract_batch,
-                       unitarity_residuals)
+from .gradient import channel_stacks, factor_gradient, gradient_stack
+from .manifold import (project_stack, random_feasible, random_feasible_stack,
+                       retract_batch, unitarity_residuals)
 from .system import Architecture, Beamformer, ScatteringMatrix
 
 
@@ -58,7 +66,6 @@ class CgaSettings:
     armijo_coeff: float = 2e-11
     step_init: float = 1.0
     step_contract: float = 0.75
-    nu: float = 1.0
     noise_power: float = 1.0
 
     @classmethod
@@ -70,7 +77,6 @@ class CgaSettings:
             armijo_coeff=config.armijo_coeff,
             step_init=config.step_init,
             step_contract=config.step_contract,
-            nu=config.nu,
             noise_power=config.noise_power,
         )
         kwargs.update(overrides)
@@ -81,7 +87,7 @@ class CgaSettings:
 class IterationRecord:
     iter: int
     true_rate: float         # eta, bits/s/Hz
-    surrogate: float         # eta_breve, penalized surrogate value
+    surrogate: float         # eta_breve, surrogate value
     step: float              # accepted Armijo step alpha
     grad_norm: float         # Riemannian gradient norm
     beta: float              # direction-update coefficient
@@ -126,11 +132,6 @@ def _re_vdot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(a, b)))
 
 
-def _penalty_stack(theta_stack: np.ndarray) -> float:
-    diff = theta_stack - theta_stack.transpose(0, 2, 1)
-    return float(np.sum(np.abs(diff) ** 2))
-
-
 class _Workspace:
     """Precomputed channel factors and batched objective/gradient kernels.
 
@@ -140,6 +141,7 @@ class _Workspace:
     the signal matrix is linear in the flattened block stack:
     C.ravel() = theta_stack.ravel() @ t. It takes R * R_G * K^2 * 16 bytes
     (256 KiB for one 32 x 32 block and K = 4) and is built once per solve.
+    ``theta`` maps an optimizer state to its scattering blocks.
     """
 
     def __init__(self, channels: ChannelSet, beam: Beamformer,
@@ -149,7 +151,14 @@ class _Workspace:
         self.t = np.einsum("gki,gjl->gijkl", self.a, self.b).reshape(
             -1, self.users * self.streams)
         self.noise = settings.noise_power
-        self.nu = settings.nu
+        self.factored = group_size > 1
+
+    def theta(self, state: np.ndarray) -> np.ndarray:
+        """Scattering blocks of a state stack (..., G, R_G, R_G): U U^T of
+        the Takagi factors, or the state itself for 1 x 1 blocks."""
+        if not self.factored:
+            return state
+        return state @ np.swapaxes(state, -1, -2)
 
     def signal(self, theta_stack: np.ndarray) -> np.ndarray:
         """Signal matrix C = H_rx @ Theta @ H_tx @ V: the contraction of
@@ -171,11 +180,9 @@ class _Workspace:
     def rate(self, c: np.ndarray) -> float:
         return self.stats(c)[2]
 
-    def objective(self, theta_stack: np.ndarray, c: np.ndarray,
-                  tau: np.ndarray, y: np.ndarray) -> float:
-        """Surrogate sum at frozen auxiliaries minus nu * asymmetry penalty."""
-        value = float(_surrogate_terms(c, tau, y, self.noise).sum())
-        return value - self.nu * _penalty_stack(theta_stack)
+    def objective(self, c: np.ndarray, tau: np.ndarray, y: np.ndarray) -> float:
+        """Surrogate sum at frozen auxiliaries from the signal matrix."""
+        return float(_surrogate_terms(c, tau, y, self.noise).sum())
 
     def objective_batch(self, theta_batch: np.ndarray, tau: np.ndarray,
                         y: np.ndarray) -> np.ndarray:
@@ -183,8 +190,7 @@ class _Workspace:
 
         ``theta_batch`` has shape (M, G, R_G, R_G); returns (M,) values that
         agree with ``objective`` up to summation order. All M signal
-        matrices come from one product with the channel tensor. 1 x 1 blocks
-        are symmetric, so their penalty is skipped.
+        matrices come from one product with the channel tensor.
         """
         c = (theta_batch.reshape(len(theta_batch), -1) @ self.t).reshape(
             -1, self.users, self.streams)
@@ -192,28 +198,35 @@ class _Workspace:
         total = (np.abs(c) ** 2).sum(axis=2) + self.noise
         quad = 2.0 * np.real(np.conj(y)[None] * diag) - (np.abs(y) ** 2)[None] * total
         const = float((np.log2(1.0 + tau) - tau / LN2).sum())
-        values = const + (((1.0 + tau) / LN2)[None] * quad).sum(axis=1)
-        if self.nu and theta_batch.shape[-1] > 1:
-            diff = theta_batch - theta_batch.transpose(0, 1, 3, 2)
-            values = values - self.nu * np.sum(np.abs(diff) ** 2, axis=(1, 2, 3))
-        return values
+        return const + (((1.0 + tau) / LN2)[None] * quad).sum(axis=1)
 
-    def gradient(self, theta_stack: np.ndarray, c: np.ndarray,
-                 tau: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return gradient_stack(theta_stack, self.a, self.b, c, tau, y, self.nu)
+    def gradient(self, c: np.ndarray, tau: np.ndarray,
+                 y: np.ndarray) -> np.ndarray:
+        """Gradient of the objective with respect to the scattering blocks."""
+        return gradient_stack(self.a, self.b, c, tau, y)
+
+    def riemannian_gradient(self, state: np.ndarray, c: np.ndarray,
+                            tau: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Gradient with respect to the state, projected onto its tangent
+        space."""
+        grad = self.gradient(c, tau, y)
+        if self.factored:
+            grad = factor_gradient(grad, state)
+        return project_stack(grad, state)
 
 
 _ARMIJO_CHUNK = 16
 # The frozen-auxiliary objective sums per-user terms of size log2(1 + tau)
-# and tau / ln2 that partly cancel, at a point that retract_batch has
-# rounded. When theta does not move at all (alpha * |xi| <= 1e-30) the
-# batched value still exceeds f by up to 2.4 ulps of (|f| + those terms):
-# measured over 240 instances, sc/gc2/gc4/fc at R = 4..64, K = 4, link gains
-# 1e-9 to 1e4 at unit noise; an increase below this many such ulps is noise.
+# and tau / ln2 that partly cancel, at blocks that retract_batch and
+# ``_Workspace.theta`` have rounded. When the state does not move at all
+# (alpha * |xi| <= 1e-30) the batched value still exceeds f by up to 9.1
+# ulps of (|f| + those terms), 4.1 without fc at R = 64: measured over 240
+# instances, sc/gc2/gc4/fc at R = 4..64, K = 4, link gains 1e-9 to 1e4 at
+# unit noise; an increase below this many such ulps is noise.
 _NOISE_ULPS = 16.0
 
 
-def _armijo_stack(ws: _Workspace, theta_stack: np.ndarray, xi_stack: np.ndarray,
+def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
                   tau: np.ndarray, y: np.ndarray, f_current: float,
                   directional_derivative: float, settings: CgaSettings
                   ) -> tuple[float, np.ndarray | None, float]:
@@ -222,16 +235,18 @@ def _armijo_stack(ws: _Workspace, theta_stack: np.ndarray, xi_stack: np.ndarray,
     Tries alpha = step_init * step_contract^m for m = 0 .. L-1 and accepts
     the smallest m with
 
-        f(R(theta, alpha * xi)) >= f(theta) + max(coeff * alpha * <grad, xi>, floor),
+        f(R(state, alpha * xi)) >= f(state) + max(coeff * alpha * <grad, xi>, floor),
 
-    R being the QR retraction ``retract_batch`` and floor the rounding noise
+    R being the retraction ``retract_batch`` and floor the rounding noise
     of f (see ``_NOISE_ULPS``), so that an increase f cannot resolve never
-    passes, whatever the coefficient.
+    passes, whatever the coefficient. Candidates are scored at their
+    scattering blocks ``ws.theta``.
 
     Candidate steps are evaluated in vectorized chunks but acceptance is
     still the first qualifying m. A rank-deficient retraction counts as a
-    failed trial (forced contraction). Returns (0.0, None, f_current) when
-    no trial is accepted or the directional derivative is not positive.
+    failed trial (forced contraction). Returns (alpha, accepted state,
+    its objective), or (0.0, None, f_current) when no trial is accepted or
+    the directional derivative is not positive.
     """
     if directional_derivative <= 0 or not np.any(xi_stack):
         return 0.0, None, f_current
@@ -242,8 +257,8 @@ def _armijo_stack(ws: _Workspace, theta_stack: np.ndarray, xi_stack: np.ndarray,
         count = min(_ARMIJO_CHUNK, total - start)
         alphas = settings.step_init * settings.step_contract ** np.arange(
             start, start + count, dtype=float)
-        candidates, ok = retract_batch(theta_stack, xi_stack, alphas)
-        values = ws.objective_batch(candidates, tau, y)
+        candidates, ok = retract_batch(state, xi_stack, alphas)
+        values = ws.objective_batch(ws.theta(candidates), tau, y)
         demand = np.maximum(
             settings.armijo_coeff * alphas * directional_derivative, floor)
         accepted = ok & (values >= f_current + demand)
@@ -261,9 +276,9 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
 
     Returns the projected (blockwise symmetric unitary) scattering matrix and
     the per-iteration trace. The convergence test compares consecutive true
-    sum-rates; line searches accept on the penalized surrogate. Iterations
-    whose line search stalls leave the iterate unchanged and do not trigger
-    the convergence test: one stall retries with the refreshed direction, a
+    sum-rates; line searches accept on the surrogate. Iterations whose line
+    search stalls leave the iterate unchanged and do not trigger the
+    convergence test: one stall retries with the refreshed direction, a
     second consecutive stall resets the direction to the gradient, and a
     third terminates the run with ``converged=False``. ``final.stop_reason``
     says which exit ended the run: ``"tolerance"`` (converged),
@@ -274,11 +289,17 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
     theta0 = random_feasible(config, seed)
     ws = _Workspace(channels, beam, settings, config.group_size)
 
-    theta_stack = theta0.block_stack()
+    if ws.factored:
+        # The same seeded draw as theta0: state @ state^T is theta0 bit for bit.
+        state = random_feasible_stack(np.random.default_rng(seed),
+                                      config.n_groups, config.group_size)
+    else:
+        state = theta0.block_stack()
+    theta_stack = ws.theta(state)
     c = ws.signal(theta_stack)
     tau, y, eta = ws.stats(c)
-    f_current = ws.objective(theta_stack, c, tau, y)
-    riem = project_stack(ws.gradient(theta_stack, c, tau, y), theta_stack)
+    f_current = ws.objective(c, tau, y)
+    riem = ws.riemannian_gradient(state, c, tau, y)
     xi = riem.copy()
 
     records = [IterationRecord(
@@ -297,7 +318,7 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
             directional = _re_vdot(riem, riem)
 
         alpha, candidate, _ = _armijo_stack(
-            ws, theta_stack, xi, tau, y, f_current, directional, settings)
+            ws, state, xi, tau, y, f_current, directional, settings)
 
         if candidate is None:
             stalls += 1
@@ -315,18 +336,18 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
         stalls = 0
         denominator = _re_vdot(riem, riem)
 
-        theta_stack = candidate
+        state = candidate
+        theta_stack = ws.theta(state)
         c = ws.signal(theta_stack)
         tau, y, eta_new = ws.stats(c)
-        f_current = ws.objective(theta_stack, c, tau, y)
-        riem_new = project_stack(ws.gradient(theta_stack, c, tau, y),
-                                 theta_stack)
+        f_current = ws.objective(c, tau, y)
+        riem_new = ws.riemannian_gradient(state, c, tau, y)
 
         if denominator > 1e-300:
             beta = max(0.0, _re_vdot(riem_new, riem_new - riem) / denominator)
         else:
             beta = 0.0
-        xi = riem_new + beta * project_stack(xi, theta_stack)
+        xi = riem_new + beta * project_stack(xi, state)
 
         records.append(IterationRecord(
             iter=i, true_rate=eta_new, surrogate=f_current, step=alpha,
@@ -413,11 +434,13 @@ def _takagi_symmetric_unitary(sym: np.ndarray) -> np.ndarray:
 def project_symmetric_unitary(theta: ScatteringMatrix) -> ScatteringMatrix:
     """Project every block onto the symmetric unitary set.
 
-    Per block: symmetrize, take the SVD U S V^H of the symmetrized block, and
-    return U V^H. For a nonsingular symmetric input U V^H is the unique polar
-    factor and is itself symmetric; when singular values are degenerate a
-    generic SVD may break the pairing, in which case a Takagi-style
-    factorization that guarantees a symmetric unitary output is used instead.
+    ``cga_optimize`` applies it to its exactly symmetric unitary result,
+    which it changes only at rounding level. Per block: symmetrize, take the
+    SVD U S V^H of the symmetrized block, and return U V^H. For a
+    nonsingular symmetric input U V^H is the unique polar factor and is
+    itself symmetric; when singular values are degenerate a generic SVD may
+    break the pairing, in which case a Takagi-style factorization that
+    guarantees a symmetric unitary output is used instead.
     """
     stack = theta.block_stack()
     sym = 0.5 * (stack + stack.transpose(0, 2, 1))

@@ -12,6 +12,7 @@ import numpy as np
 from bdris import (CgaSettings, SystemConfig, generate_channels_from_gains,
                    init_beamformer_uniform, parse_architecture_tag,
                    random_feasible)
+from bdris.manifold import random_feasible_stack
 from bdris.optimizer import _Workspace
 
 
@@ -40,6 +41,19 @@ def make_instance(seed, n_users=2, n_tx=2, n_elements=4, n_groups=2,
     theta = random_feasible(config, seed=seed + 1)
     beam = init_beamformer_uniform(config)
     return config, channels, theta, beam
+
+
+def start_state(config, seed) -> np.ndarray:
+    """The state ``cga_optimize`` starts from for ``seed``.
+
+    For blocks larger than 1 x 1 that is the stack of Takagi factors U of
+    ``random_feasible(config, seed)`` (whose blocks are U U^T bit for bit);
+    1 x 1 blocks are their own state.
+    """
+    if config.group_size == 1:
+        return random_feasible(config, seed).block_stack()
+    return random_feasible_stack(np.random.default_rng(seed), config.n_groups,
+                                 config.group_size)
 
 
 def workspace_at(theta, channels, beam, config):

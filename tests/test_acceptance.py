@@ -81,9 +81,9 @@ def test_c1_gradient_correctness():
             seed=7000 + index, n_users=k, n_tx=k, n_elements=r,
             n_groups=r // group_size)
         ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-        cf = ws.gradient(stack, c, tau, y)
+        cf = ws.gradient(c, tau, y)
         fd = central_difference_gradient(
-            lambda s: ws.objective(s, ws.signal(s), tau, y), stack, step=1e-6)
+            lambda s: ws.objective(ws.signal(s), tau, y), stack, step=1e-6)
         num = max(np.linalg.norm(a - b) for a, b in zip(cf, fd))
         den = max(np.linalg.norm(a) for a in cf)
         worst = max(worst, num / den)
@@ -121,7 +121,7 @@ def test_c3_surrogate_tightness():
         config, channels, theta, beam = make_instance(
             seed=3000 + seed, n_users=k, n_tx=n, n_elements=r, n_groups=g)
         ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-        gap = abs(ws.objective(stack, c, tau, y)
+        gap = abs(ws.objective(c, tau, y)
                   - reference_sum_rate(channels, theta.theta, beam.v,
                                        config.noise_power))
         worst = max(worst, gap)
@@ -131,12 +131,12 @@ def test_c3_surrogate_tightness():
 
 
 def test_c4_monotone_ascent(trace_bundle):
-    # The per-step clause fails for connected architectures at the default
-    # penalty weight: line searches accept on the penalized surrogate, so the
-    # guaranteed-ascending quantity is (rate - nu * asymmetry penalty), and
-    # the raw sum-rate dips whenever an accepted step reduces the penalty
-    # faster than it raises that objective. Group size 1 keeps the penalty
-    # identically zero, which is why single-connected runs are monotone.
+    # The optimizer iterates the Takagi factor U of each block
+    # (Theta_g = U_g U_g^T), so every iterate is exactly symmetric and no
+    # penalty trades rate for symmetry. An accepted step raises the
+    # surrogate at frozen auxiliaries, the surrogate never exceeds the
+    # sum-rate and equals it at the refreshed auxiliaries, so the raw
+    # sum-rate is monotone for every architecture.
     worst_dip = 0.0
     worst_run = None
     final_ok = True

@@ -90,6 +90,8 @@ def test_optimize_command(tmp_path, config_file, capsys):
     ("validate", "header.txt", "4 0\n"),
     ("optimize", "config.yaml", CONFIG_YAML.replace("n_elements: 4",
                                                     "n_elements: 8.9")),
+    # The asymmetry penalty weight is gone; old configs must say so.
+    ("optimize", "config.yaml", CONFIG_YAML + "nu: 1.0\n"),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, command, filename,
                                      text):
@@ -104,6 +106,8 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, command, filename,
     assert "Traceback" not in err
     assert err.startswith(f"bdris {command}: error: ")
     assert len(err.strip().splitlines()) == 1
+    if "nu:" in text:
+        assert "'nu'" in err
 
 
 def test_optimize_mmse_beam(config_file, capsys):

@@ -14,7 +14,6 @@ def test_defaults_and_group_size():
     assert config.armijo_coeff == 2e-11
     assert config.step_init == 1.0
     assert config.step_contract == 0.75
-    assert config.nu == 1.0
 
 
 @pytest.mark.parametrize("overrides", [
@@ -22,7 +21,7 @@ def test_defaults_and_group_size():
     dict(n_tx=2, n_users=3),              # fewer antennas than users
     dict(p_max=0.0),
     dict(noise_power=0.0),
-    dict(nu=-1.0),
+    dict(armijo_coeff=-1.0),
     dict(epsilon=0.0),
     dict(step_contract=1.0),
     dict(step_contract=0.0),
@@ -38,7 +37,7 @@ def test_invalid_configs_rejected(overrides):
 
 
 def test_dict_roundtrip():
-    config = make_config(n_elements=8, n_groups=2, nu=0.5)
+    config = make_config(n_elements=8, n_groups=2, epsilon=1e-6)
     rebuilt, geometry = config_from_dict(config_to_dict(config))
     assert rebuilt == config
 

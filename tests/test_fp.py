@@ -1,25 +1,23 @@
 """The surrogate objective as the optimizer evaluates it.
 
 Auxiliaries come from ``_Workspace.stats``, per-user surrogate values from
-``fp._surrogate_terms``, and the penalized objective from
+``fp._surrogate_terms``, and the objective from
 ``_Workspace.objective``/``objective_batch``; the true rate they are compared
 with is the dense reference in ``helpers``.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdris import Beamformer
+from bdris import (Architecture, Beamformer, ScatteringMatrix,
+                   validate_feasibility)
 from bdris.fp import _surrogate_terms
 from bdris.manifold import retract_batch
-from bdris.optimizer import _penalty_stack
 
 from helpers import (make_instance, random_aux, reference_sinr,
-                     reference_sum_rate, workspace_at)
+                     reference_sum_rate, start_state, workspace_at)
 
 
 def bent_stack(stack, rng, scale=0.3):
@@ -111,89 +109,99 @@ class TestSurrogate:
         for seed in range(20):
             config, channels, theta, beam = make_instance(seed=seed)
             ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-            before = ws.objective(stack, c, *random_aux(rng, config.n_users))
-            after = ws.objective(stack, c, tau, y)
+            before = ws.objective(c, *random_aux(rng, config.n_users))
+            after = ws.objective(c, tau, y)
             assert after >= before - 1e-12
 
 
 class TestPenalty:
+    """The asymmetry ||Theta_g - Theta_g^T||_F that the objective used to
+    penalize, as ``validate_feasibility`` measures it. The optimizer has no
+    penalty: every state it visits maps to exactly symmetric blocks."""
+
     def test_symmetric_matrix_zero(self):
         config, channels, theta, beam = make_instance(seed=4)
-        assert _penalty_stack(theta.block_stack()) == pytest.approx(0.0, abs=1e-25)
+        ws, *_ = workspace_at(theta, channels, beam, config)
+        u = start_state(config, seed=5)
+        direction = bent_stack(np.zeros_like(u), np.random.default_rng(4), 1.0)
+        moved, _ = retract_batch(u, direction, np.array([0.0, 0.3, 5.0]))
+        for blocks in ws.theta(moved):
+            report = validate_feasibility(
+                ScatteringMatrix.from_block_stack(blocks), 1e-13, 1e-14)
+            assert report.passed
 
     def test_hand_computed_asymmetry(self):
         stack = np.array([[[0, 1], [-1, 0]]], dtype=complex)
-        assert _penalty_stack(stack) == pytest.approx(8.0, rel=1e-14)
+        report = validate_feasibility(ScatteringMatrix.from_block_stack(stack))
+        assert report.symmetry_residuals[0] == pytest.approx(np.sqrt(8.0),
+                                                             rel=1e-14)
 
     def test_single_connected_always_zero(self):
+        # 1 x 1 blocks are their own state.
         rng = np.random.default_rng(5)
         stack = np.exp(1j * rng.uniform(0, 2 * np.pi, 4)).reshape(4, 1, 1)
-        assert _penalty_stack(stack) == 0.0
+        config, channels, theta, beam = make_instance(seed=5, n_groups=4)
+        ws, *_ = workspace_at(theta, channels, beam, config)
+        assert ws.theta(stack) is stack
+        report = validate_feasibility(ScatteringMatrix.from_block_stack(stack))
+        assert report.max_symmetry == 0.0
 
     def test_blockwise_equals_dense(self):
-        # With zero auxiliaries the objective is exactly -nu * penalty.
+        # The blockwise residuals add up to the dense asymmetry, and with
+        # zero auxiliaries the objective is exactly 0 at any point.
         rng = np.random.default_rng(6)
         config, channels, theta, beam = make_instance(
-            seed=6, n_elements=6, n_groups=2, nu=1.0)
+            seed=6, n_elements=6, n_groups=2)
         ws, _, _, _, _ = workspace_at(theta, channels, beam, config)
         stack = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
         dense = np.zeros((6, 6), dtype=complex)
         dense[:3, :3], dense[3:, 3:] = stack
         expected = np.linalg.norm(dense - dense.T) ** 2
-        assert _penalty_stack(stack) == pytest.approx(expected, rel=1e-12)
+        report = validate_feasibility(ScatteringMatrix.from_block_stack(
+            stack, architecture=Architecture.GROUP_CONNECTED))
+        assert np.sum(report.symmetry_residuals ** 2) == pytest.approx(
+            expected, rel=1e-12)
         zero_tau, zero_y = np.zeros(2), np.zeros(2, dtype=complex)
-        value = ws.objective(stack, ws.signal(stack), zero_tau, zero_y)
-        assert value == pytest.approx(-expected, rel=1e-12)
+        assert ws.objective(ws.signal(stack), zero_tau, zero_y) == 0.0
 
 
 class TestPenalizedObjective:
     def test_equals_sum_rate_at_optimal_aux_without_penalty(self):
-        config, channels, theta, beam = make_instance(seed=7, nu=0.0)
+        config, channels, theta, beam = make_instance(seed=7)
         ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-        value = ws.objective(stack, c, tau, y)
+        value = ws.objective(c, tau, y)
         assert value == pytest.approx(
             reference_sum_rate(channels, theta.theta, beam.v,
                                config.noise_power), abs=1e-10)
 
     def test_symmetric_point_ignores_nu(self):
-        config, channels, theta, beam = make_instance(seed=8)  # nu = 1
+        config, channels, theta, beam = make_instance(seed=8)
         ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-        value = ws.objective(stack, c, tau, y)
+        value = ws.objective(c, tau, y)
         assert value == pytest.approx(
             _surrogate_terms(c, tau, y, config.noise_power).sum(), abs=1e-12)
-
-    def test_linear_in_nu(self):
-        rng = np.random.default_rng(9)
-        config, channels, theta, beam = make_instance(seed=9)
-        ws, stack, _, tau, y = workspace_at(theta, channels, beam, config)
-        ws0, *_ = workspace_at(theta, channels, beam, replace(config, nu=0.0))
-        bent = bent_stack(stack, rng)
-        c = ws.signal(bent)
-        with_nu = ws.objective(bent, c, tau, y)
-        without = ws0.objective(bent, c, tau, y)
-        assert with_nu == pytest.approx(without - _penalty_stack(bent),
-                                        rel=1e-12)
 
     @pytest.mark.parametrize("dims", [(2, 4, 2), (3, 6, 1), (2, 4, 4),
                                       (4, 8, 1), (4, 64, 64), (4, 8, 4),
                                       (4, 8, 2), (4, 32, 1)])
     def test_batch_matches_single(self, dims):
         # objective_batch (line search) against objective (per iterate), on
-        # retracted candidates and on asymmetric points that exercise nu.
+        # the blocks of retracted candidates and on arbitrary points.
         k, r, n_groups = dims
         rng = np.random.default_rng(r * 10 + n_groups)
         config, channels, theta, beam = make_instance(
             seed=r + n_groups, n_users=k, n_tx=k, n_elements=r,
-            n_groups=n_groups, nu=0.7)
+            n_groups=n_groups)
         ws, stack, _, tau, y = workspace_at(theta, channels, beam, config)
-        direction = bent_stack(np.zeros_like(stack), rng, scale=1.0)
-        candidates, _ = retract_batch(stack, direction,
+        state = start_state(config, seed=r + n_groups + 1)
+        direction = bent_stack(np.zeros_like(state), rng, scale=1.0)
+        candidates, _ = retract_batch(state, direction,
                                       0.75 ** np.arange(6, dtype=float))
-        batch = np.concatenate([candidates,
+        batch = np.concatenate([ws.theta(candidates),
                                 [bent_stack(stack, rng) for _ in range(3)]])
         values = ws.objective_batch(batch, tau, y)
         for candidate, value in zip(batch, values):
-            single = ws.objective(candidate, ws.signal(candidate), tau, y)
+            single = ws.objective(ws.signal(candidate), tau, y)
             assert value == pytest.approx(single, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("tag, r, n_groups", [
@@ -201,8 +209,8 @@ class TestPenalizedObjective:
         ("fc", 32, 1)])
     def test_batch_at_optimal_aux_equals_rate(self, tag, r, n_groups):
         # At a feasible point and its closed-form auxiliaries the batched
-        # objective is the true sum-rate (the penalty of a symmetric point
-        # is 0), whichever contraction computes the signal matrix.
+        # objective is the true sum-rate, whichever contraction computes the
+        # signal matrix.
         config, channels, theta, beam = make_instance(
             seed=r + n_groups, n_users=4, n_tx=4, n_elements=r,
             n_groups=n_groups)
@@ -210,7 +218,7 @@ class TestPenalizedObjective:
         rate = reference_sum_rate(channels, theta.theta, beam.v,
                                   config.noise_power)
         value = ws.objective_batch(stack[None], tau, y)[0]
-        assert value == pytest.approx(ws.objective(stack, c, tau, y),
+        assert value == pytest.approx(ws.objective(c, tau, y),
                                       rel=1e-12, abs=0)
         assert value == pytest.approx(rate, rel=1e-12, abs=0)
 
@@ -224,7 +232,7 @@ def test_tightness_invariant_many_instances():
         config, channels, theta, beam = make_instance(
             seed=seed, n_users=k, n_tx=n, n_elements=r, n_groups=g)
         ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-        gap = abs(ws.objective(stack, c, tau, y)
+        gap = abs(ws.objective(c, tau, y)
                   - reference_sum_rate(channels, theta.theta, beam.v,
                                        config.noise_power))
         assert gap <= 1e-10

@@ -1,17 +1,20 @@
-"""The closed-form gradient the optimizer runs (``_Workspace.gradient``).
+"""The closed-form gradients the optimizer runs.
 
-Checked against central differences of ``_Workspace.objective`` with the
-stacked finite-difference oracle from ``helpers``, which is itself checked
-on functions with known gradients.
+``_Workspace.gradient`` (with respect to the scattering blocks) and its
+Takagi-factor chain rule ``factor_gradient`` are checked against central
+differences of ``_Workspace.objective`` with the stacked finite-difference
+oracle from ``helpers``, which is itself checked on functions with known
+gradients.
 """
 
 import numpy as np
 import pytest
 
 from bdris import Beamformer
-from bdris.optimizer import _penalty_stack
+from bdris.gradient import factor_gradient
 
-from helpers import central_difference_gradient, make_instance, workspace_at
+from helpers import (central_difference_gradient, make_instance, start_state,
+                     workspace_at)
 
 
 def rel_error(closed_form: np.ndarray, reference: np.ndarray) -> float:
@@ -28,31 +31,32 @@ def bent_copy(stack, rng, scale=0.2):
 def fd_of_objective(ws, stack, tau, y, step):
     """Central differences of the frozen-auxiliary objective at ``stack``."""
     return central_difference_gradient(
-        lambda s: ws.objective(s, ws.signal(s), tau, y), stack, step)
+        lambda s: ws.objective(ws.signal(s), tau, y), stack, step)
 
 
 class TestClosedForm:
     def test_zero_aux_symmetric_point_gives_zero(self):
         config, channels, theta, beam = make_instance(seed=0)
         ws, stack, c, _, _ = workspace_at(theta, channels, beam, config)
-        grad = ws.gradient(stack, c, np.zeros(2), np.zeros(2, dtype=complex))
+        grad = ws.gradient(c, np.zeros(2), np.zeros(2, dtype=complex))
         assert np.allclose(grad, 0, atol=1e-14)
 
     def test_zero_aux_reduces_to_penalty_gradient(self):
+        # There is no penalty term any more: zero auxiliaries leave a zero
+        # gradient at any point, symmetric or not.
         rng = np.random.default_rng(1)
-        config, channels, theta, beam = make_instance(seed=1)  # nu = 1
+        config, channels, theta, beam = make_instance(seed=1)
         ws, stack, _, _, _ = workspace_at(theta, channels, beam, config)
         bent = bent_copy(stack, rng)
-        grad = ws.gradient(bent, ws.signal(bent), np.zeros(2),
+        grad = ws.gradient(ws.signal(bent), np.zeros(2),
                            np.zeros(2, dtype=complex))
-        assert np.allclose(grad, -4.0 * (bent - bent.transpose(0, 2, 1)),
-                           atol=1e-13)
+        assert np.array_equal(grad, np.zeros_like(bent))
 
     def test_matches_finite_differences(self):
         config, channels, theta, beam = make_instance(seed=2, n_elements=4,
                                                       n_groups=2)
         ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-        cf = ws.gradient(stack, c, tau, y)
+        cf = ws.gradient(c, tau, y)
         fd = fd_of_objective(ws, stack, tau, y, step=1e-6)
         assert rel_error(cf, fd) <= 1e-6
 
@@ -65,7 +69,7 @@ class TestClosedForm:
                 seed=31 * seed_base, n_users=k, n_tx=k, n_elements=r,
                 n_groups=r // group_size)
             ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-            cf = ws.gradient(stack, c, tau, y)
+            cf = ws.gradient(c, tau, y)
             fd = fd_of_objective(ws, stack, tau, y, step=1e-6)
             assert rel_error(cf, fd) <= 1e-6
             count += 1
@@ -75,15 +79,15 @@ class TestClosedForm:
         rng = np.random.default_rng(3)
         config, channels, theta, beam = make_instance(seed=3)
         ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-        grad = ws.gradient(stack, c, tau, y)
+        grad = ws.gradient(c, tau, y)
         direction = rng.standard_normal(grad.shape) \
             + 1j * rng.standard_normal(grad.shape)
         predicted = float(np.real(np.vdot(grad, direction)))
-        f0 = ws.objective(stack, c, tau, y)
+        f0 = ws.objective(c, tau, y)
         errors = []
         for t in (1e-4, 5e-5):
             moved = stack + t * direction
-            f1 = ws.objective(moved, ws.signal(moved), tau, y)
+            f1 = ws.objective(ws.signal(moved), tau, y)
             errors.append(abs((f1 - f0) - t * predicted))
         # first-order term dominates, remainder shrinks ~quadratically
         assert errors[0] <= 1e-5
@@ -98,13 +102,13 @@ class TestDiagonalBeamFastPath:
             seed=5, n_users=1, n_tx=1, n_elements=2, n_groups=1, p_max=1.0)
         assert np.array_equal(beam.v, np.eye(1))
         ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-        cf = ws.gradient(stack, c, tau, y)
+        cf = ws.gradient(c, tau, y)
         fd = fd_of_objective(ws, stack, tau, y, step=1e-6)
         assert rel_error(cf, fd) <= 1e-6
 
     def test_zero_power_leaves_penalty_term(self):
-        # A zero-power beamformer gives zero auxiliaries at every point, so
-        # only the penalty term of the gradient is left.
+        # A zero-power beamformer gives zero auxiliaries at every point, and
+        # with no penalty term the gradient there is zero.
         rng = np.random.default_rng(6)
         config, channels, theta, beam = make_instance(seed=6)
         beam0 = Beamformer(v=np.zeros_like(beam.v), power_budget=beam.power_budget)
@@ -112,8 +116,7 @@ class TestDiagonalBeamFastPath:
         bent = bent_copy(stack, rng)
         c = ws.signal(bent)
         tau, y, _ = ws.stats(c)
-        assert np.allclose(ws.gradient(bent, c, tau, y),
-                           -4.0 * (bent - bent.transpose(0, 2, 1)), atol=1e-13)
+        assert np.array_equal(ws.gradient(c, tau, y), np.zeros_like(bent))
 
 
 class TestFiniteDifferenceOracle:
@@ -135,7 +138,7 @@ class TestFiniteDifferenceOracle:
         # central differences carry no truncation error even at coarse steps.
         config, channels, theta, beam = make_instance(seed=9)
         ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-        cf = ws.gradient(stack, c, tau, y)
+        cf = ws.gradient(c, tau, y)
         fd = fd_of_objective(ws, stack, tau, y, step=1e-2)
         assert max(np.linalg.norm(a - b) for a, b in zip(cf, fd)) <= 1e-10
 
@@ -158,13 +161,16 @@ class TestFiniteDifferenceOracle:
         assert 3.0 <= ratio <= 5.0  # ~4x for halved step
 
     def test_penalty_only_objective(self):
+        # An asymmetry penalty -nu ||X - X^T||_F^2, whose ascent gradient is
+        # -4 nu (X - X^T).
         rng = np.random.default_rng(10)
         config, channels, theta, _ = make_instance(seed=10)
         bent = bent_copy(theta.block_stack(), rng)
         nu = 1.7
 
         def objective(candidate):
-            return -nu * _penalty_stack(candidate)
+            diff = candidate - candidate.transpose(0, 2, 1)
+            return -nu * float(np.sum(np.abs(diff) ** 2))
 
         fd = central_difference_gradient(objective, bent, step=1e-6)
         assert np.allclose(fd, -4.0 * nu * (bent - bent.transpose(0, 2, 1)),
@@ -175,3 +181,23 @@ class TestFiniteDifferenceOracle:
         ws, stack, _, tau, y = workspace_at(theta, channels, beam, config)
         with pytest.raises(ValueError):
             fd_of_objective(ws, stack, tau, y, 0.0)
+
+
+class TestTakagiFactor:
+    """``factor_gradient``: the gradient with respect to U of the objective
+    at Theta = U U^T, the ambient gradient ``cga_optimize`` projects."""
+
+    @pytest.mark.parametrize("n_groups", [4, 2, 1])   # gc2, gc4, fc at R = 8
+    def test_matches_finite_differences(self, n_groups):
+        for seed in range(3):
+            config, channels, theta, beam = make_instance(
+                seed=40 + seed, n_users=4, n_tx=4, n_elements=8,
+                n_groups=n_groups)
+            ws, _, c, tau, y = workspace_at(theta, channels, beam, config)
+            u = start_state(config, seed=41 + seed)
+            assert np.array_equal(ws.theta(u), theta.block_stack())
+            cf = factor_gradient(ws.gradient(c, tau, y), u)
+            fd = central_difference_gradient(
+                lambda s: ws.objective(ws.signal(ws.theta(s)), tau, y), u,
+                step=1e-6)
+            assert rel_error(cf, fd) <= 1e-6

@@ -1,7 +1,8 @@
 """Blockwise unitary-manifold kernels on (G, R_G, R_G) stacks.
 
 ``project_stack``, ``retract_batch`` and the inner product ``_re_vdot`` are
-the functions ``cga_optimize`` calls; ``random_feasible`` is its start.
+the functions ``cga_optimize`` calls; ``random_feasible`` and the Takagi
+factors of ``random_feasible_stack`` are its start.
 """
 
 import numpy as np
@@ -10,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdris import random_feasible, validate_feasibility
-from bdris.manifold import project_stack, retract_batch, unitarity_residuals
+from bdris.manifold import (project_stack, random_feasible_stack,
+                            retract_batch, unitarity_residuals)
 from bdris.optimizer import _re_vdot
 
 from helpers import make_config, make_instance
 
-# A retraction at zero step reproduces theta up to the rounding of one
-# Householder QR of a unitary block.
+# A retraction at zero step reproduces its base point up to the rounding of
+# (U V) V^H with V unitary.
 ROUNDING = 1e-14
 
 
@@ -64,8 +66,8 @@ class TestTangentProject:
 
 class TestRetract:
     def test_zero_step_returns_theta_exactly(self):
-        # "Exactly" up to one Householder QR of a unitary block, which rounds
-        # at about 6e-16: the kernel has no zero-step short-circuit.
+        # "Exactly" up to the rounding of (U V) V^H, about 1e-15: the kernel
+        # has no zero-step short-circuit.
         rng = np.random.default_rng(4)
         for n_elements, n_groups in ((4, 2), (4, 4), (6, 1)):
             config, _, theta, _ = make_instance(seed=4, n_elements=n_elements,
@@ -126,14 +128,59 @@ class TestRetract:
     def test_rank_deficient_target_raises(self):
         # Rank-deficient candidates are flagged, not raised, so the other
         # candidates of the batch stay usable; for 1 x 1 blocks that is a
-        # zero entry.
+        # zero entry. The exponential map of larger blocks never is.
         for size in (1, 2):
             theta_stack = np.stack([np.eye(size, dtype=complex)])
             direction = np.stack([-np.eye(size, dtype=complex)])
             moved, ok = retract_batch(theta_stack, direction,
                                       np.array([1.0, 0.5]))
-            assert ok.tolist() == [False, True], size
+            if size == 1:
+                assert ok.tolist() == [False, True]
+            else:
+                assert ok.all()
             assert unitarity_residuals(moved[1]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("size", [2, 4, 8])
+class TestExponentialMap:
+    """``retract_batch`` on blocks larger than 1 x 1: U exp(alpha A) along
+    the tangent part U A of the direction."""
+
+    def _point(self, size, seed=0):
+        rng = np.random.default_rng(seed)
+        u = random_feasible_stack(rng, 3, size)
+        xi = project_stack(random_blocks(rng, 3, size), u)
+        return u, xi
+
+    def test_zero_step_returns_base(self, size):
+        u, xi = self._point(size)
+        moved, ok = retract_batch(u, xi, np.array([0.0]))
+        assert ok.all()
+        assert np.abs(moved[0] - u).max() <= 1e-14
+
+    def test_unitary_for_large_steps(self, size):
+        u, xi = self._point(size, seed=1)
+        alphas = np.concatenate([np.linspace(0.0, 10.0, 21),
+                                 0.75 ** np.arange(32.0)])
+        moved, ok = retract_batch(u, xi, alphas)
+        assert ok.all()
+        assert max(unitarity_residuals(m).max() for m in moved) <= 1e-13
+
+    def test_velocity_at_zero_is_direction(self, size):
+        u, xi = self._point(size, seed=2)
+        h = 1e-5
+        moved, _ = retract_batch(u, xi, np.array([h, -h]))
+        velocity = (moved[0] - moved[1]) / (2.0 * h)
+        assert np.abs(velocity - xi).max() <= 1e-6
+
+    def test_uses_tangent_part(self, size):
+        rng = np.random.default_rng(3)
+        u = random_feasible_stack(rng, 3, size)
+        raw = random_blocks(rng, 3, size)
+        alphas = np.array([0.0, 0.1, 1.0, 7.0])
+        moved, _ = retract_batch(u, raw, alphas)
+        tangent, _ = retract_batch(u, project_stack(raw, u), alphas)
+        assert np.abs(moved - tangent).max() <= 1e-12
 
 
 class TestInner:
@@ -196,6 +243,16 @@ class TestRandomFeasible:
             report = validate_feasibility(theta, tol_unitary=1e-10,
                                           tol_symmetry=1e-10)
             assert report.passed
+
+    def test_takagi_factor_reproduces_blocks(self):
+        # cga_optimize iterates the factor U of the start point U U^T.
+        for n_elements, n_groups in ((8, 4), (8, 2), (8, 1), (4, 4)):
+            config = make_config(n_elements=n_elements, n_groups=n_groups)
+            u = random_feasible_stack(np.random.default_rng(3), n_groups,
+                                      n_elements // n_groups)
+            assert unitarity_residuals(u).max() <= 1e-14
+            assert np.array_equal(u @ u.transpose(0, 2, 1),
+                                  random_feasible(config, 3).block_stack())
 
     def test_deterministic(self):
         config = make_config(n_elements=6, n_groups=3)

@@ -7,11 +7,11 @@ import pytest
 from bdris import (Architecture, CgaSettings, ScatteringMatrix, cga_optimize,
                    init_beamformer_uniform, project_symmetric_unitary,
                    random_feasible, validate_feasibility, write_trace_csv)
-from bdris.manifold import project_stack, retract_batch
+from bdris.manifold import retract_batch
 from bdris.optimizer import _armijo_stack, _re_vdot
 
 from helpers import (config_for_tag, make_config, make_instance,
-                     reference_sum_rate, workspace_at)
+                     reference_sum_rate, start_state, workspace_at)
 
 
 def small_run(seed, tag="gc2", n_elements=4, max_iters=400, **overrides):
@@ -27,29 +27,32 @@ class TestSettings:
     def test_defaults(self):
         s = CgaSettings()
         assert (s.max_iters, s.tolerance, s.armijo_max_steps) == (8000, 1e-8, 200)
-        assert (s.armijo_coeff, s.step_init, s.step_contract, s.nu) == \
-            (2e-11, 1.0, 0.75, 1.0)
+        assert (s.armijo_coeff, s.step_init, s.step_contract) == \
+            (2e-11, 1.0, 0.75)
 
     def test_from_config(self):
-        config = make_config(epsilon=1e-6, max_iters=123, nu=0.5,
-                             noise_power=2.0)
+        config = make_config(epsilon=1e-6, max_iters=123, noise_power=2.0)
         s = CgaSettings.from_config(config)
         assert s.tolerance == 1e-6
         assert s.max_iters == 123
-        assert s.nu == 0.5
         assert s.noise_power == 2.0
 
 
 class TestArmijo:
-    """The line search ``cga_optimize`` runs, ``_armijo_stack``."""
+    """The line search ``cga_optimize`` runs, ``_armijo_stack``, from the
+    Takagi-factor state of a 2 x 2 block instance."""
 
     def _setup(self, seed):
         config, channels, theta, beam = make_instance(seed=seed)
-        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
+        ws, _, c, tau, y = workspace_at(theta, channels, beam, config)
+        state = start_state(config, seed + 1)
         settings = CgaSettings.from_config(config)
-        grad = project_stack(ws.gradient(stack, c, tau, y), stack)
-        f0 = ws.objective(stack, c, tau, y)
-        return ws, stack, tau, y, f0, settings, grad
+        grad = ws.riemannian_gradient(state, c, tau, y)
+        f0 = ws.objective(c, tau, y)
+        return ws, state, tau, y, f0, settings, grad
+
+    def _value(self, ws, state, tau, y):
+        return ws.objective(ws.signal(ws.theta(state)), tau, y)
 
     def test_zero_direction_stalls(self):
         ws, stack, tau, y, f0, settings, grad = self._setup(0)
@@ -69,14 +72,14 @@ class TestArmijo:
                                                     f0, dd, settings)
             assert alpha > 0
             # direct recheck of the accepted step
-            recheck = ws.objective(candidate, ws.signal(candidate), tau, y)
+            recheck = self._value(ws, candidate, tau, y)
             assert recheck == pytest.approx(f_new, rel=1e-12, abs=1e-12)
             assert f_new >= f0 + settings.armijo_coeff * alpha * dd - 1e-12
             # the step is the first in the contraction schedule that passes
             previous = alpha / settings.step_contract
             if previous <= settings.step_init * (1 + 1e-12):
                 trial, ok = retract_batch(stack, grad, np.array([previous]))
-                f_prev = ws.objective(trial[0], ws.signal(trial[0]), tau, y)
+                f_prev = self._value(ws, trial[0], tau, y)
                 assert not ok[0] or \
                     f_prev < f0 + settings.armijo_coeff * previous * dd
 
@@ -90,9 +93,9 @@ class TestArmijo:
 
     def test_impossible_increase_stalls(self):
         # The last trial steps (0.75^199 ~ 1e-25) demand less than one ulp of
-        # f even at a coefficient of 1e9; the candidate there is theta up to
-        # the rounding of its QR, and that rounding must not pass as an
-        # increase.
+        # f even at a coefficient of 1e9; the candidate there is the state up
+        # to the rounding of its exponential map, and that rounding must not
+        # pass as an increase.
         for seed in range(50):
             ws, stack, tau, y, f0, settings, grad = self._setup(seed)
             greedy = replace(settings, armijo_coeff=1e9)
@@ -256,20 +259,34 @@ class TestCgaRun:
             assert trace.final.projection_rate_delta <= 1e-9
 
     def test_true_rate_monotone_without_penalty(self):
+        # Every iterate is exactly symmetric, so nothing trades rate for
+        # symmetry: the raw sum-rate is monotone for connected blocks too.
         for seed in range(3):
-            (theta, trace), *_ = small_run(seed=seed, tag="fc", nu=0.0)
+            (theta, trace), *_ = small_run(seed=seed, tag="fc")
             rates = np.array([r.true_rate for r in trace.records])
             assert (np.diff(rates) >= -1e-9).all()
 
     def test_penalized_true_rate_monotone_with_penalty(self):
-        # eta - nu * penalty is the quantity the surrogate iteration ascends.
+        # There is no penalty: at refreshed auxiliaries the recorded
+        # surrogate is the sum-rate itself, and both ascend.
         for seed in range(3):
             (theta, trace), *_ = small_run(seed=seed, tag="fc")
             f_vals = np.array([r.surrogate for r in trace.records])
             rates = np.array([r.true_rate for r in trace.records])
-            # at refreshed auxiliaries the surrogate equals eta - nu * pen
             assert (np.diff(f_vals) >= -1e-9).all()
-            assert (rates >= f_vals - 1e-9).all()
+            assert np.allclose(rates, f_vals, rtol=0, atol=1e-10)
+
+    def test_projection_keeps_connected_rate(self):
+        # The final projection only rounds an exactly symmetric unitary
+        # iterate, so it gives up no rate.
+        for tag in ("gc2", "gc4", "fc"):
+            for seed in range(3):
+                (theta, trace), *_ = small_run(seed=seed, tag=tag,
+                                               n_elements=8)
+                final = trace.final
+                assert np.isfinite(final.pre_projection_rate), (tag, seed)
+                assert final.projection_rate_delta <= 1e-9, (tag, seed)
+                assert final.symmetry_residual <= 1e-12, (tag, seed)
 
     def test_final_rate_not_below_initial(self):
         for tag in ("sc", "gc2", "fc"):
