@@ -10,8 +10,13 @@ along geodesics of the unitary group.
 Each formula has one implementation, on stacks of blocks: ``gradient``
 (channel factors, the closed-form gradient and its Takagi-factor chain
 rule), ``manifold`` (tangent projection, batched exponential-map
-retraction, random feasible points) and
-``optimizer._Workspace`` (signal matrix, auxiliaries, sum-rate, objective).
+retraction, random feasible points) and ``optimizer._Workspace`` (signal
+matrix, auxiliaries, sum-rate, and the per-user surrogate that the
+objective sums). Each setting has one home as well: ``SystemConfig`` holds
+the noise power and every solver default, ``CgaSettings.from_config``
+derives the solver settings from it, and a ``ScatteringMatrix`` derives its
+architecture from its group size.
+
 The public API is the config and channel types, the beamformer
 initializers, ``cga_optimize`` with its trace types, the feasibility check,
 and the Monte Carlo harness in ``bench``.

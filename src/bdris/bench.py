@@ -86,8 +86,18 @@ class ResultTable:
     skipped: list[dict] = field(default_factory=list)
 
 
+def _required(raw: dict, key: str, where: str = ""):
+    if key not in raw:
+        raise ValueError(f"experiment spec is missing {where}{key}")
+    return raw[key]
+
+
 def load_experiment_spec(path: str | Path) -> ExperimentSpec:
-    """Read an experiment spec file (YAML/JSON)."""
+    """Read an experiment spec file (YAML/JSON).
+
+    ``architectures`` (a list of tags) and ``n_trials`` are required; a
+    missing ``sweep`` runs the config's element count.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
@@ -99,18 +109,28 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     sweep = raw.get("sweep")
     if sweep is None:
         sweep = {"variable": "n_elements", "values": [config.n_elements]}
-    values = sweep["values"]
-    if sweep["variable"] == "n_elements":
+    if not isinstance(sweep, dict):
+        raise ValueError(f"sweep must be a mapping, got {sweep!r}")
+    variable = _required(sweep, "variable", "sweep.")
+    values = _required(sweep, "values", "sweep.")
+    if not isinstance(values, list):
+        raise ValueError(f"sweep.values must be a list, got {values!r}")
+    if variable == "n_elements":
         values = [integer_field("n_elements", v) for v in values]
     else:
         values = [float(v) for v in values]
+    architectures = _required(raw, "architectures")
+    if not (isinstance(architectures, list)
+            and all(isinstance(tag, str) for tag in architectures)):
+        raise ValueError("architectures must be a list of tags, "
+                         f"got {architectures!r}")
     return ExperimentSpec(
         config=config,
         geometry=geometry,
-        architectures=tuple(raw["architectures"]),
-        sweep_variable=sweep["variable"],
+        architectures=tuple(architectures),
+        sweep_variable=variable,
         sweep_values=tuple(values),
-        n_trials=integer_field("n_trials", raw["n_trials"]),
+        n_trials=integer_field("n_trials", _required(raw, "n_trials")),
         seed_base=integer_field("seed_base", raw.get("seed_base", 0)),
         output_dir=raw.get("output_dir"))
 
@@ -233,11 +253,11 @@ def emit_outputs(table: ResultTable, traces: list[OptimizerTrace],
     with open(results_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["architecture", "sweep_value", "trial", "seed",
-                         "sum_rate_bits", "iters", "converged", "baseline"])
+                         "sum_rate_bits", "iters", "converged"])
         for row in table.rows:
             writer.writerow([row.architecture, _format(row.sweep_value),
                              row.trial, row.seed, _format(row.sum_rate_bits),
-                             row.iters, _format(row.converged), ""])
+                             row.iters, _format(row.converged)])
     written.append(results_path)
 
     architectures = []

@@ -25,9 +25,8 @@ from .channel import generate_channels
 from .config import load_config
 from .manifold import random_feasible
 from .optimizer import cga_optimize, validate_feasibility, write_trace_csv
-from .system import (ScatteringMatrix, block_mask, infer_architecture,
-                     init_beamformer_mmse, init_beamformer_uniform,
-                     parse_architecture_tag)
+from .system import (ScatteringMatrix, block_mask, init_beamformer_mmse,
+                     init_beamformer_uniform, parse_architecture_tag)
 
 DEFAULT_ARCHITECTURES = ["sc", "gc2", "gc4", "fc"]
 
@@ -98,8 +97,7 @@ def cmd_optimize(args) -> int:
         beam = init_beamformer_uniform(config)
     theta_opt, trace = cga_optimize(channels, beam, config, args.seed)
     final = trace.final
-    arch = infer_architecture(config.n_elements, config.group_size)
-    print(f"architecture: {arch.value} "
+    print(f"architecture: {theta_opt.architecture.value} "
           f"(R={config.n_elements}, group size {config.group_size})")
     print(f"seed: {args.seed}")
     print(f"iterations: {final.iters_used}")
@@ -174,9 +172,7 @@ def cmd_validate(args) -> int:
     off_block = np.abs(dense[~mask])
     off_block_max = float(off_block.max()) if off_block.size else 0.0
     blocked = np.where(mask, dense, 0.0)
-    theta = ScatteringMatrix(theta=blocked,
-                             architecture=infer_architecture(r, group_size),
-                             group_size=group_size)
+    theta = ScatteringMatrix(theta=blocked, group_size=group_size)
     report = validate_feasibility(theta, tol_unitary=args.tol_unitary,
                                   tol_symmetry=args.tol_symmetry)
     passed = report.passed and off_block_max == 0.0

@@ -28,7 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelSet
-from .fp import LN2
+
+LN2 = float(np.log(2.0))
 
 
 def channel_stacks(channels: ChannelSet, beam_v: np.ndarray,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SystemConfig
-from .system import Architecture, ScatteringMatrix
+from .system import ScatteringMatrix
 
 
 def project_stack(grad_stack: np.ndarray, theta_stack: np.ndarray) -> np.ndarray:
@@ -86,9 +86,7 @@ def random_feasible_stack(rng: np.random.Generator, n_groups: int,
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def random_feasible(config: SystemConfig, seed: int,
-                    architecture: Architecture | None = None
-                    ) -> ScatteringMatrix:
+def random_feasible(config: SystemConfig, seed: int) -> ScatteringMatrix:
     """Random blockwise symmetric unitary scattering matrix for the config.
 
     Its blocks are U U^T for U = ``random_feasible_stack`` of
@@ -96,5 +94,4 @@ def random_feasible(config: SystemConfig, seed: int,
     """
     u = random_feasible_stack(np.random.default_rng(seed), config.n_groups,
                               config.group_size)
-    return ScatteringMatrix.from_block_stack(u @ u.transpose(0, 2, 1),
-                                             architecture=architecture)
+    return ScatteringMatrix.from_block_stack(u @ u.transpose(0, 2, 1))

@@ -27,8 +27,26 @@ direction equals the gradient, update Xi <- r + beta * Xi, reset to r when
 defined right after resets. Old directions are carried to the new tangent
 space by identity transport plus reprojection.
 
+The surrogate objective replaces the log-of-ratio rate in two steps. A
+multiplier tau_k moves the SINR ratio out of the log:
+
+    log2(1 + tau_k) - tau_k/ln2 + (1 + tau_k)/ln2 * F_k,
+    F_k = |c_kk|^2 / (sum_i |c_ki|^2 + n0),   c_ki = e_k @ v_i,
+
+tight at tau_k = SINR_k. The remaining ratio F_k is replaced by a concave
+quadratic in an auxiliary y_k:
+
+    2 Re{conj(y_k) c_kk} - |y_k|^2 (sum_i |c_ki|^2 + n0),
+
+tight at y_k = c_kk / (sum_i |c_ki|^2 + n0). Both denominators run over all
+i, including i = k. For any tau >= 0 and any y the surrogate never exceeds
+the true rate, and at the closed-form (tau, y) of ``_Workspace.stats`` it
+equals it. The iterates are exactly symmetric, so no penalty term is added,
+and a step that raises the surrogate at frozen auxiliaries raises the true
+sum-rate at least as much.
+
 Every formula is implemented once, on (G, R_G, R_G) block stacks: the signal
-matrix, auxiliaries, rate and objective in ``_Workspace``, the gradient in
+matrix, auxiliaries, rate and surrogate in ``_Workspace``, the gradient in
 ``gradient``, and the manifold steps in ``manifold``. The signal matrix is
 linear in Theta, so ``_Workspace`` builds its channel tensor once per run
 and gets the signal matrices of a point, or of a whole chunk of line-search
@@ -45,28 +63,26 @@ import numpy as np
 
 from .channel import ChannelSet
 from .config import SystemConfig
-from .fp import LN2, _surrogate_terms
-from .gradient import channel_stacks, factor_gradient, gradient_stack
+from .gradient import LN2, channel_stacks, factor_gradient, gradient_stack
 from .manifold import (project_stack, random_feasible, random_feasible_stack,
                        retract_batch, unitarity_residuals)
-from .system import Architecture, Beamformer, ScatteringMatrix
+from .system import Beamformer, ScatteringMatrix
 
 
 @dataclass(frozen=True)
 class CgaSettings:
     """Solver hyperparameters for one optimization run.
 
-    ``noise_power`` is carried here as well because the line search has to
-    evaluate the surrogate objective.
+    Build them with ``from_config``: the config holds the defaults, and the
+    noise power stays there too, since it belongs to the system.
     """
 
-    max_iters: int = 8000
-    tolerance: float = 1e-8
-    armijo_max_steps: int = 200
-    armijo_coeff: float = 2e-11
-    step_init: float = 1.0
-    step_contract: float = 0.75
-    noise_power: float = 1.0
+    max_iters: int
+    tolerance: float
+    armijo_max_steps: int
+    armijo_coeff: float
+    step_init: float
+    step_contract: float
 
     @classmethod
     def from_config(cls, config: SystemConfig, **overrides) -> "CgaSettings":
@@ -77,7 +93,6 @@ class CgaSettings:
             armijo_coeff=config.armijo_coeff,
             step_init=config.step_init,
             step_contract=config.step_contract,
-            noise_power=config.noise_power,
         )
         kwargs.update(overrides)
         return cls(**kwargs)
@@ -145,13 +160,13 @@ class _Workspace:
     """
 
     def __init__(self, channels: ChannelSet, beam: Beamformer,
-                 settings: CgaSettings, group_size: int):
-        self.a, self.b = channel_stacks(channels, beam.v, group_size)
+                 config: SystemConfig):
+        self.a, self.b = channel_stacks(channels, beam.v, config.group_size)
         self.users, self.streams = self.a.shape[1], self.b.shape[2]
         self.t = np.einsum("gki,gjl->gijkl", self.a, self.b).reshape(
             -1, self.users * self.streams)
-        self.noise = settings.noise_power
-        self.factored = group_size > 1
+        self.noise = config.noise_power
+        self.factored = config.group_size > 1
 
     def theta(self, state: np.ndarray) -> np.ndarray:
         """Scattering blocks of a state stack (..., G, R_G, R_G): U U^T of
@@ -180,25 +195,30 @@ class _Workspace:
     def rate(self, c: np.ndarray) -> float:
         return self.stats(c)[2]
 
+    def surrogate(self, c: np.ndarray, tau: np.ndarray,
+                  y: np.ndarray) -> np.ndarray:
+        """Per-user surrogate values (see the module docstring) of signal
+        matrices ``c`` of shape (..., K, K) at frozen auxiliaries."""
+        total = (np.abs(c) ** 2).sum(axis=-1) + self.noise
+        quad = (2.0 * np.real(np.conj(y) * np.diagonal(c, axis1=-2, axis2=-1))
+                - np.abs(y) ** 2 * total)
+        return np.log2(1.0 + tau) - tau / LN2 + (1.0 + tau) / LN2 * quad
+
     def objective(self, c: np.ndarray, tau: np.ndarray, y: np.ndarray) -> float:
         """Surrogate sum at frozen auxiliaries from the signal matrix."""
-        return float(_surrogate_terms(c, tau, y, self.noise).sum())
+        return float(self.surrogate(c, tau, y).sum())
 
     def objective_batch(self, theta_batch: np.ndarray, tau: np.ndarray,
                         y: np.ndarray) -> np.ndarray:
         """Frozen-auxiliary objective of many candidate points at once.
 
-        ``theta_batch`` has shape (M, G, R_G, R_G); returns (M,) values that
-        agree with ``objective`` up to summation order. All M signal
-        matrices come from one product with the channel tensor.
+        ``theta_batch`` has shape (M, G, R_G, R_G); returns the (M,) values
+        of ``objective`` at their signal matrices, which all come from one
+        product with the channel tensor.
         """
         c = (theta_batch.reshape(len(theta_batch), -1) @ self.t).reshape(
             -1, self.users, self.streams)
-        diag = np.diagonal(c, axis1=1, axis2=2)
-        total = (np.abs(c) ** 2).sum(axis=2) + self.noise
-        quad = 2.0 * np.real(np.conj(y)[None] * diag) - (np.abs(y) ** 2)[None] * total
-        const = float((np.log2(1.0 + tau) - tau / LN2).sum())
-        return const + (((1.0 + tau) / LN2)[None] * quad).sum(axis=1)
+        return self.surrogate(c, tau, y).sum(axis=-1)
 
     def gradient(self, c: np.ndarray, tau: np.ndarray,
                  y: np.ndarray) -> np.ndarray:
@@ -287,7 +307,7 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
     if settings is None:
         settings = CgaSettings.from_config(config)
     theta0 = random_feasible(config, seed)
-    ws = _Workspace(channels, beam, settings, config.group_size)
+    ws = _Workspace(channels, beam, config)
 
     if ws.factored:
         # The same seeded draw as theta0: state @ state^T is theta0 bit for bit.
@@ -302,10 +322,15 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
     riem = ws.riemannian_gradient(state, c, tau, y)
     xi = riem.copy()
 
-    records = [IterationRecord(
-        iter=0, true_rate=eta, surrogate=f_current, step=0.0,
-        grad_norm=float(np.sqrt(max(_re_vdot(riem, riem), 0.0))), beta=0.0,
-        unitarity_residual=float(unitarity_residuals(theta_stack).max()))]
+    def record(i: int, step: float, beta: float) -> IterationRecord:
+        """Record of the current iterate, reached by ``step``."""
+        return IterationRecord(
+            iter=i, true_rate=eta, surrogate=f_current, step=step,
+            grad_norm=float(np.sqrt(max(_re_vdot(riem, riem), 0.0))),
+            beta=beta,
+            unitarity_residual=float(unitarity_residuals(theta_stack).max()))
+
+    records = [record(0, 0.0, 0.0)]
 
     stop_reason = "max_iters"
     stalls = 0
@@ -322,11 +347,7 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
 
         if candidate is None:
             stalls += 1
-            records.append(IterationRecord(
-                iter=i, true_rate=eta, surrogate=f_current, step=0.0,
-                grad_norm=float(np.sqrt(max(_re_vdot(riem, riem), 0.0))),
-                beta=0.0,
-                unitarity_residual=float(unitarity_residuals(theta_stack).max())))
+            records.append(record(i, 0.0, 0.0))
             if stalls >= 3:
                 stop_reason = "stalled"
                 break
@@ -349,22 +370,16 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
             beta = 0.0
         xi = riem_new + beta * project_stack(xi, state)
 
-        records.append(IterationRecord(
-            iter=i, true_rate=eta_new, surrogate=f_current, step=alpha,
-            grad_norm=float(np.sqrt(max(_re_vdot(riem_new, riem_new), 0.0))),
-            beta=beta,
-            unitarity_residual=float(unitarity_residuals(theta_stack).max())))
-
         rate_change = abs(eta_new - eta)
         eta = eta_new
         riem = riem_new
+        records.append(record(i, alpha, beta))
         if rate_change < settings.tolerance:
             stop_reason = "tolerance"
             break
 
-    pre_projection = ScatteringMatrix.from_block_stack(
-        theta_stack, architecture=theta0.architecture)
-    theta_opt = project_symmetric_unitary(pre_projection)
+    theta_opt = project_symmetric_unitary(
+        ScatteringMatrix.from_block_stack(theta_stack))
     opt_stack = theta_opt.block_stack()
     eta_post = ws.rate(ws.signal(opt_stack))
     sym = opt_stack - opt_stack.transpose(0, 2, 1)
@@ -450,8 +465,7 @@ def project_symmetric_unitary(theta: ScatteringMatrix) -> ScatteringMatrix:
         residual = float(np.linalg.norm(out[g] - out[g].T))
         if residual > 1e-6:
             out[g] = _takagi_symmetric_unitary(sym[g])
-    return ScatteringMatrix.from_block_stack(out,
-                                             architecture=theta.architecture)
+    return ScatteringMatrix.from_block_stack(out)
 
 
 @dataclass(frozen=True)
@@ -473,8 +487,8 @@ def validate_feasibility(theta: ScatteringMatrix, tol_unitary: float = 1e-8,
                          tol_symmetry: float = 1e-6) -> FeasibilityReport:
     """Check blockwise unitarity and symmetry against tolerances.
 
-    For single-connected matrices additionally checks unit modulus of the
-    diagonal and that off-diagonal entries are zero.
+    For single-connected matrices (group size 1) additionally checks unit
+    modulus of the diagonal and that off-diagonal entries are zero.
     """
     stack = theta.block_stack()
     unit = unitarity_residuals(stack)
@@ -485,7 +499,7 @@ def validate_feasibility(theta: ScatteringMatrix, tol_unitary: float = 1e-8,
     passed = unitary_ok and symmetric_ok
     diag_err = None
     off_max = None
-    if theta.architecture is Architecture.SINGLE_CONNECTED:
+    if theta.group_size == 1:
         diag = np.diagonal(theta.theta)
         diag_err = float(np.max(np.abs(np.abs(diag) - 1.0)))
         off = theta.theta - np.diag(diag)

@@ -56,7 +56,7 @@ def block_mask(n_elements: int, group_size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScatteringMatrix:
-    """Block-diagonal R x R scattering matrix with an architecture tag.
+    """Block-diagonal R x R scattering matrix with blocks of ``group_size``.
 
     Off-block entries must be exactly zero. Feasibility (blockwise unitarity
     and symmetry) is deliberately not enforced here; it is checked by
@@ -65,7 +65,6 @@ class ScatteringMatrix:
     """
 
     theta: np.ndarray
-    architecture: Architecture
     group_size: int
 
     def __post_init__(self):
@@ -78,12 +77,6 @@ class ScatteringMatrix:
         mask = block_mask(r, self.group_size)
         if np.count_nonzero(self.theta[~mask]):
             raise ValueError("off-block entries of theta must be exactly zero")
-        if (self.architecture is Architecture.SINGLE_CONNECTED
-                and self.group_size != 1):
-            raise ValueError("single-connected requires group_size 1")
-        if (self.architecture is Architecture.FULLY_CONNECTED
-                and self.group_size != r):
-            raise ValueError("fully-connected requires group_size R")
 
     @property
     def n_elements(self) -> int:
@@ -93,28 +86,24 @@ class ScatteringMatrix:
     def n_groups(self) -> int:
         return self.n_elements // self.group_size
 
+    @property
+    def architecture(self) -> Architecture:
+        return infer_architecture(self.n_elements, self.group_size)
+
     def block_stack(self) -> np.ndarray:
         """All blocks as one (G, R_G, R_G) array."""
         rg, n = self.group_size, self.n_groups
-        out = np.empty((n, rg, rg), dtype=complex)
-        for g in range(n):
-            sl = slice(g * rg, (g + 1) * rg)
-            out[g] = self.theta[sl, sl]
-        return out
+        g = np.arange(n)
+        blocks = self.theta.reshape(n, rg, n, rg)[g, :, g, :]
+        return blocks.astype(complex, copy=False)
 
     @classmethod
-    def from_block_stack(cls, stack: np.ndarray,
-                         architecture: Architecture | None = None
-                         ) -> "ScatteringMatrix":
-        n_groups, rg, _ = stack.shape
-        r = n_groups * rg
-        theta = np.zeros((r, r), dtype=complex)
-        for g in range(n_groups):
-            sl = slice(g * rg, (g + 1) * rg)
-            theta[sl, sl] = stack[g]
-        if architecture is None:
-            architecture = infer_architecture(r, rg)
-        return cls(theta=theta, architecture=architecture, group_size=rg)
+    def from_block_stack(cls, stack: np.ndarray) -> "ScatteringMatrix":
+        n, rg, _ = stack.shape
+        theta = np.zeros((n, rg, n, rg), dtype=complex)
+        g = np.arange(n)
+        theta[g, :, g, :] = stack
+        return cls(theta=theta.reshape(n * rg, n * rg), group_size=rg)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from bdris import (CgaSettings, SystemConfig, generate_channels_from_gains,
+from bdris import (SystemConfig, generate_channels_from_gains,
                    init_beamformer_uniform, parse_architecture_tag,
                    random_feasible)
 from bdris.manifold import random_feasible_stack
@@ -62,8 +62,7 @@ def workspace_at(theta, channels, beam, config):
     The workspace is the one ``cga_optimize`` builds; tau and y are its
     closed-form optimal auxiliaries at theta.
     """
-    ws = _Workspace(channels, beam, CgaSettings.from_config(config),
-                    config.group_size)
+    ws = _Workspace(channels, beam, config)
     stack = theta.block_stack()
     c = ws.signal(stack)
     tau, y, _ = ws.stats(c)

@@ -153,7 +153,7 @@ class TestEmitOutputs:
                          "manifest.json"}
         header = (tmp_path / "results.csv").read_text().splitlines()[0]
         assert header == ("architecture,sweep_value,trial,seed,"
-                          "sum_rate_bits,iters,converged,baseline")
+                          "sum_rate_bits,iters,converged")
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["experiment"]["n_trials"] == 2
         assert manifest["channel_digests"]

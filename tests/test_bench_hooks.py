@@ -1,37 +1,47 @@
-"""Every span the benchmark's tracer hooks still resolves and is reached.
+"""The benchmark's use of the package still works.
 
 ``perfbench/tracer.py`` wraps package attributes by name, and a refactor
 that renames a hooked kernel or stops calling it turns its per-layer
-metrics into ``absent`` markers. This runs a tiny experiment (sc, gc2 and
-fc at R = 4, one trial, three iterations) under the tracer, read from the
-benchmark's own file, so such a change fails here instead of in a traced
-benchmark run. Only the Takagi fallback of the final projection may go
-uncalled: it runs only on degenerate blocks.
+metrics into ``absent`` markers. The first test runs a tiny experiment (sc,
+gc2 and fc at R = 4, one trial, three iterations) under the tracer, read
+from the benchmark's own file, so such a change fails here instead of in a
+traced benchmark run. Only the Takagi fallback of the final projection may
+go uncalled: it runs only on degenerate blocks.
+
+The second test builds the benchmark's workloads from
+``perfbench/workloads.py`` the same way, so a change to the spec loader, the
+config or the solver calls that the workloads make fails here too.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 import bdris
 from bdris import ExperimentSpec, Geometry, LinkGeometry
 
 from helpers import config_for_tag
 
-TRACER_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
 LOSSLESS = Geometry(bs_ris=LinkGeometry(1.0, 0.0, 0.0),
                     ris_user=LinkGeometry(1.0, 0.0, 0.0))
 MAY_GO_UNCALLED = {"optimizer.takagi"}
 
 
-def load_tracer_module():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_FILE)
+def load_bench_module(name: str):
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    # Registered first, as an import would: dataclasses look the module up.
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_hook_resolves_and_is_called(tmp_path):
-    tracing = load_tracer_module()
+    tracing = load_bench_module("tracer")
     config = config_for_tag("sc", n_users=2, n_tx=2, n_elements=4,
                             max_iters=3)
     spec = ExperimentSpec(config=config, geometry=LOSSLESS,
@@ -51,3 +61,15 @@ def test_every_hook_resolves_and_is_called(tmp_path):
     uncalled = [name for name, _ in tracing.HOOKS
                 if name not in MAY_GO_UNCALLED and summary[name]["calls"] == 0]
     assert uncalled == []
+
+
+@pytest.mark.parametrize("tag", ["sc", "fc"])
+def test_workloads_build_and_solve(tmp_path, tag):
+    workloads = load_bench_module("workloads")
+    cdf = workloads.CdfR8(ROOT, 0, 0)
+    assert cdf.planned == len(cdf.spec.architectures) > 0
+    solves = workloads.DirectSolves(ROOT, 0, 0, tag, 8, count=1, max_iters=3)
+    result = solves.run_pass(tmp_path)
+    assert result.problems == []
+    assert len(result.solves) == result.planned == 1
+    assert all(solve.error is None for solve in result.solves)

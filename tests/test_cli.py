@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bdris import Architecture, ScatteringMatrix, random_feasible
+from bdris import ScatteringMatrix, random_feasible
 from bdris.cli import main, read_matrix_file, write_matrix_file
 
 from helpers import make_config
@@ -36,6 +36,18 @@ sweep: {variable: p_max, values: [1.0, 2.0]}
 n_trials: 2
 seed_base: 3
 """
+
+
+# Broken experiment specs and the key each error message must name.
+BAD_SPECS = {
+    SPEC_YAML.replace("architectures: [sc, fc]\n", ""): "architectures",
+    SPEC_YAML.replace("n_trials: 2\n", ""): "n_trials",
+    SPEC_YAML.replace("values: [1.0, 2.0]", "value: [1.0, 2.0]"):
+        "sweep.values",
+    # A bare tag is not a list: iterating it would give the tags f and c.
+    SPEC_YAML.replace("architectures: [sc, fc]", "architectures: fc"):
+        "architectures",
+}
 
 
 @pytest.fixture
@@ -92,6 +104,8 @@ def test_optimize_command(tmp_path, config_file, capsys):
                                                     "n_elements: 8.9")),
     # The asymmetry penalty weight is gone; old configs must say so.
     ("optimize", "config.yaml", CONFIG_YAML + "nu: 1.0\n"),
+    *(pytest.param("bench", "spec.yaml", text, id=f"bench-{key}-{i}")
+      for i, (text, key) in enumerate(BAD_SPECS.items())),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, command, filename,
                                      text):
@@ -99,6 +113,8 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, command, filename,
     path.write_text(text)
     if command == "validate":
         argv = ["validate", "--matrix", str(path)]
+    elif command == "bench":
+        argv = ["bench", "--spec", str(path), "--out", str(tmp_path / "out")]
     else:
         argv = ["optimize", "--config", str(path), "--seed", "0"]
     assert main(argv) == 2
@@ -108,6 +124,9 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, command, filename,
     assert len(err.strip().splitlines()) == 1
     if "nu:" in text:
         assert "'nu'" in err
+    if command == "bench":
+        assert BAD_SPECS[text] in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_optimize_mmse_beam(config_file, capsys):
@@ -127,7 +146,6 @@ def test_validate_command_pass_and_fail(tmp_path, capsys):
     assert "result: pass" in out
 
     bad = ScatteringMatrix(theta=np.diag([2.0, 1.0, 1.0, 1.0]).astype(complex),
-                           architecture=Architecture.SINGLE_CONNECTED,
                            group_size=1)
     bad_path = tmp_path / "bad.txt"
     write_matrix_file(bad_path, bad)

@@ -1,9 +1,10 @@
-"""The surrogate objective as the optimizer evaluates it.
+"""The fractional-programming surrogate as the optimizer evaluates it.
 
 Auxiliaries come from ``_Workspace.stats``, per-user surrogate values from
-``fp._surrogate_terms``, and the objective from
-``_Workspace.objective``/``objective_batch``; the true rate they are compared
-with is the dense reference in ``helpers``.
+``_Workspace.surrogate`` (the one definition of the formula), and the
+objective from ``_Workspace.objective``/``objective_batch``, which sum it
+for one point and for a batch of candidates; the true rate they are
+compared with is the dense reference in ``helpers``.
 """
 
 import numpy as np
@@ -11,9 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdris import (Architecture, Beamformer, ScatteringMatrix,
-                   validate_feasibility)
-from bdris.fp import _surrogate_terms
+from bdris import Beamformer, ScatteringMatrix, validate_feasibility
 from bdris.manifold import retract_batch
 
 from helpers import (make_instance, random_aux, reference_sinr,
@@ -78,16 +77,16 @@ class TestAuxiliaryUpdates:
 class TestSurrogate:
     def test_zero_aux_gives_zero(self):
         config, channels, theta, beam = make_instance(seed=3)
-        _, _, c, _, _ = workspace_at(theta, channels, beam, config)
-        terms = _surrogate_terms(c, np.zeros(2), np.zeros(2, dtype=complex), 1.0)
+        ws, _, c, _, _ = workspace_at(theta, channels, beam, config)
+        terms = ws.surrogate(c, np.zeros(2), np.zeros(2, dtype=complex))
         assert np.allclose(terms, 0.0, atol=1e-15)
 
     def test_tight_at_optimal_aux(self):
         for seed in range(30):
             config, channels, theta, beam = make_instance(
                 seed=seed, n_users=3, n_tx=3, n_elements=6, n_groups=2)
-            _, _, c, tau, y = workspace_at(theta, channels, beam, config)
-            terms = _surrogate_terms(c, tau, y, config.noise_power)
+            ws, _, c, tau, y = workspace_at(theta, channels, beam, config)
+            terms = ws.surrogate(c, tau, y)
             rates = np.log2(1 + reference_sinr(channels, theta.theta, beam.v,
                                                config.noise_power))
             for k in range(config.n_users):
@@ -97,9 +96,9 @@ class TestSurrogate:
     @given(seed=st.integers(0, 1000), aux_seed=st.integers(0, 10**6))
     def test_minorization(self, seed, aux_seed):
         config, channels, theta, beam = make_instance(seed=seed)
-        _, _, c, _, _ = workspace_at(theta, channels, beam, config)
+        ws, _, c, _, _ = workspace_at(theta, channels, beam, config)
         tau, y = random_aux(np.random.default_rng(aux_seed), config.n_users)
-        terms = _surrogate_terms(c, tau, y, config.noise_power)
+        terms = ws.surrogate(c, tau, y)
         rates = np.log2(1 + reference_sinr(channels, theta.theta, beam.v,
                                            config.noise_power))
         assert (terms <= rates + 1e-12).all()
@@ -157,8 +156,7 @@ class TestPenalty:
         dense = np.zeros((6, 6), dtype=complex)
         dense[:3, :3], dense[3:, 3:] = stack
         expected = np.linalg.norm(dense - dense.T) ** 2
-        report = validate_feasibility(ScatteringMatrix.from_block_stack(
-            stack, architecture=Architecture.GROUP_CONNECTED))
+        report = validate_feasibility(ScatteringMatrix.from_block_stack(stack))
         assert np.sum(report.symmetry_residuals ** 2) == pytest.approx(
             expected, rel=1e-12)
         zero_tau, zero_y = np.zeros(2), np.zeros(2, dtype=complex)
@@ -175,11 +173,22 @@ class TestPenalizedObjective:
                                config.noise_power), abs=1e-10)
 
     def test_symmetric_point_ignores_nu(self):
-        config, channels, theta, beam = make_instance(seed=8)
-        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-        value = ws.objective(c, tau, y)
-        assert value == pytest.approx(
-            _surrogate_terms(c, tau, y, config.noise_power).sum(), abs=1e-12)
+        # The one surrogate formula against the optimizer docstring's
+        # expression written out user by user, at arbitrary auxiliaries.
+        config, channels, theta, beam = make_instance(seed=8, n_users=3,
+                                                      n_tx=3)
+        ws, stack, c, _, _ = workspace_at(theta, channels, beam, config)
+        tau, y = random_aux(np.random.default_rng(8), config.n_users)
+        ln2 = np.log(2.0)
+        for k, term in enumerate(ws.surrogate(c, tau, y)):
+            denom = sum(abs(c[k, i]) ** 2 for i in range(3)) + config.noise_power
+            quad = (2.0 * (np.conj(y[k]) * c[k, k]).real
+                    - abs(y[k]) ** 2 * denom)
+            expected = (np.log2(1.0 + tau[k]) - tau[k] / ln2
+                        + (1.0 + tau[k]) / ln2 * quad)
+            assert term == pytest.approx(expected, rel=1e-13, abs=1e-13)
+        assert ws.objective(c, tau, y) == pytest.approx(
+            ws.surrogate(c, tau, y).sum(), rel=0, abs=0)
 
     @pytest.mark.parametrize("dims", [(2, 4, 2), (3, 6, 1), (2, 4, 4),
                                       (4, 8, 1), (4, 64, 64), (4, 8, 4),

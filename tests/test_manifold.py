@@ -259,13 +259,3 @@ class TestRandomFeasible:
         a = random_feasible(config, seed=42)
         b = random_feasible(config, seed=42)
         assert np.array_equal(a.theta, b.theta)
-
-    def test_architecture_override_keeps_values(self):
-        from bdris import Architecture
-        config = make_config(n_elements=4, n_groups=4)
-        default = random_feasible(config, seed=1)
-        tagged = random_feasible(config, seed=1,
-                                 architecture=Architecture.GROUP_CONNECTED)
-        assert np.array_equal(default.theta, tagged.theta)
-        assert default.architecture is Architecture.SINGLE_CONNECTED
-        assert tagged.architecture is Architecture.GROUP_CONNECTED

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bdris import (Architecture, CgaSettings, ScatteringMatrix, cga_optimize,
+from bdris import (CgaSettings, ScatteringMatrix, cga_optimize,
                    init_beamformer_uniform, project_symmetric_unitary,
                    random_feasible, validate_feasibility, write_trace_csv)
 from bdris.manifold import retract_batch
@@ -25,17 +25,26 @@ def small_run(seed, tag="gc2", n_elements=4, max_iters=400, **overrides):
 
 class TestSettings:
     def test_defaults(self):
-        s = CgaSettings()
+        # SystemConfig holds the only copy of each default.
+        s = CgaSettings.from_config(make_config())
         assert (s.max_iters, s.tolerance, s.armijo_max_steps) == (8000, 1e-8, 200)
         assert (s.armijo_coeff, s.step_init, s.step_contract) == \
             (2e-11, 1.0, 0.75)
+        with pytest.raises(TypeError):
+            CgaSettings()
 
     def test_from_config(self):
-        config = make_config(epsilon=1e-6, max_iters=123, noise_power=2.0)
-        s = CgaSettings.from_config(config)
-        assert s.tolerance == 1e-6
-        assert s.max_iters == 123
-        assert s.noise_power == 2.0
+        # Overrides replace single settings; the noise power is read from
+        # the config by the workspace and nowhere else.
+        config, channels, theta, beam = make_instance(
+            seed=0, epsilon=1e-6, max_iters=123, noise_power=2.0)
+        s = CgaSettings.from_config(config, step_init=0.5)
+        assert (s.tolerance, s.max_iters, s.step_init) == (1e-6, 123, 0.5)
+        assert not hasattr(s, "noise_power")
+        with pytest.raises(TypeError):
+            CgaSettings.from_config(config, noise_power=1.0)
+        ws, *_ = workspace_at(theta, channels, beam, config)
+        assert ws.noise == 2.0
 
 
 class TestArmijo:
@@ -112,7 +121,6 @@ class TestProjection:
 
     def test_diagonal_block_projects_to_identity(self):
         theta = ScatteringMatrix(theta=np.diag([2.0, 0.5]).astype(complex),
-                                 architecture=Architecture.FULLY_CONNECTED,
                                  group_size=2)
         projected = project_symmetric_unitary(theta)
         assert np.allclose(projected.theta, np.eye(2), atol=1e-12)
@@ -122,7 +130,6 @@ class TestProjection:
         for _ in range(10):
             block = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             theta = ScatteringMatrix(theta=block,
-                                     architecture=Architecture.FULLY_CONNECTED,
                                      group_size=3)
             projected = project_symmetric_unitary(theta)
             sym = 0.5 * (block + block.T)
@@ -135,7 +142,6 @@ class TestProjection:
 
     def test_zero_block_falls_back_to_symmetric_unitary(self):
         theta = ScatteringMatrix(theta=np.zeros((3, 3), dtype=complex),
-                                 architecture=Architecture.FULLY_CONNECTED,
                                  group_size=3)
         projected = project_symmetric_unitary(theta)
         report = validate_feasibility(projected, 1e-10, 1e-10)
@@ -145,7 +151,6 @@ class TestProjection:
         # exchange matrix: symmetric, unitary, eigenvalues +1/-1, sigma = 1,1
         block = np.array([[0, 1], [1, 0]], dtype=complex)
         theta = ScatteringMatrix(theta=block,
-                                 architecture=Architecture.FULLY_CONNECTED,
                                  group_size=2)
         projected = project_symmetric_unitary(theta)
         assert np.allclose(projected.theta, block, atol=1e-9)
@@ -156,7 +161,6 @@ class TestProjection:
         block = u @ u.T  # symmetric rank one
         block[0, 1] += 0.3  # break symmetry
         theta = ScatteringMatrix(theta=block,
-                                 architecture=Architecture.FULLY_CONNECTED,
                                  group_size=3)
         projected = project_symmetric_unitary(theta)
         report = validate_feasibility(projected, 1e-9, 1e-9)
@@ -181,16 +185,13 @@ class TestProjection:
 
 class TestValidator:
     def test_identity_passes_all_architectures(self):
-        for arch, gs in [(Architecture.SINGLE_CONNECTED, 1),
-                         (Architecture.GROUP_CONNECTED, 2),
-                         (Architecture.FULLY_CONNECTED, 4)]:
+        for gs in (1, 2, 4):
             theta = ScatteringMatrix(theta=np.eye(4, dtype=complex),
-                                     architecture=arch, group_size=gs)
+                                     group_size=gs)
             assert validate_feasibility(theta).passed
 
     def test_scaled_diagonal_fails_unitarity(self):
         theta = ScatteringMatrix(theta=np.diag([2.0, 1.0]).astype(complex),
-                                 architecture=Architecture.SINGLE_CONNECTED,
                                  group_size=1)
         report = validate_feasibility(theta)
         assert not report.unitary_ok
@@ -207,7 +208,6 @@ class TestValidator:
     def test_asymmetric_block_fails_symmetry(self):
         block = np.array([[0, 1], [-1, 0]], dtype=complex)  # unitary, asymmetric
         theta = ScatteringMatrix(theta=block,
-                                 architecture=Architecture.FULLY_CONNECTED,
                                  group_size=2)
         report = validate_feasibility(theta)
         assert report.unitary_ok and not report.symmetric_ok

@@ -5,44 +5,45 @@ from bdris import (Architecture, Beamformer, ScatteringMatrix,
                    generate_channels_from_gains, init_beamformer_mmse,
                    init_beamformer_uniform, parse_architecture_tag)
 from bdris.gradient import channel_stacks
-from bdris.system import infer_architecture
 
 from helpers import make_config, make_instance, reference_sinr, workspace_at
 
 
 def identity_theta(config):
-    return ScatteringMatrix(
-        theta=np.eye(config.n_elements, dtype=complex),
-        architecture=infer_architecture(config.n_elements, config.group_size),
-        group_size=config.group_size)
+    return ScatteringMatrix(theta=np.eye(config.n_elements, dtype=complex),
+                            group_size=config.group_size)
 
 
 class TestScatteringMatrix:
     def test_rejects_off_block_entries(self):
         theta = np.ones((4, 4), dtype=complex)
         with pytest.raises(ValueError, match="off-block"):
-            ScatteringMatrix(theta=theta, architecture=Architecture.GROUP_CONNECTED,
-                             group_size=2)
+            ScatteringMatrix(theta=theta, group_size=2)
 
-    def test_tag_consistency(self):
+    def test_architecture_follows_group_size(self):
         theta = np.eye(4, dtype=complex)
-        with pytest.raises(ValueError):
-            ScatteringMatrix(theta=theta,
-                             architecture=Architecture.SINGLE_CONNECTED,
-                             group_size=2)
-        with pytest.raises(ValueError):
-            ScatteringMatrix(theta=theta,
-                             architecture=Architecture.FULLY_CONNECTED,
-                             group_size=2)
+        expected = {1: Architecture.SINGLE_CONNECTED,
+                    2: Architecture.GROUP_CONNECTED,
+                    4: Architecture.FULLY_CONNECTED}
+        for group_size, architecture in expected.items():
+            matrix = ScatteringMatrix(theta=theta, group_size=group_size)
+            assert matrix.architecture is architecture
+        with pytest.raises(ValueError, match="does not divide"):
+            ScatteringMatrix(theta=theta, group_size=3)
 
     def test_block_roundtrip(self):
         config, channels, theta, beam = make_instance(seed=0, n_elements=6,
                                                       n_groups=3)
-        rebuilt = ScatteringMatrix.from_block_stack(theta.block_stack(),
-                                                    theta.architecture)
+        rebuilt = ScatteringMatrix.from_block_stack(theta.block_stack())
         assert np.array_equal(rebuilt.theta, theta.theta)
         assert rebuilt.n_groups == 3
         assert np.array_equal(theta.block_stack()[1], theta.theta[2:4, 2:4])
+        # Blocks are copies, complex even for a real input.
+        real = ScatteringMatrix(theta=np.eye(6), group_size=3)
+        blocks = real.block_stack()
+        assert blocks.dtype == complex and np.array_equal(blocks[1], np.eye(3))
+        blocks[0] = 0.0
+        assert real.theta[0, 0] == 1.0
 
     def test_parse_tags(self):
         assert parse_architecture_tag("sc", 8) == (Architecture.SINGLE_CONNECTED, 1)
@@ -77,7 +78,6 @@ class TestEquivalentChannel:
         beam = init_beamformer_uniform(config)
         phases = np.exp(1j * np.array([0.3, -1.2]))
         theta = ScatteringMatrix(theta=np.diag(phases),
-                                 architecture=Architecture.SINGLE_CONNECTED,
                                  group_size=1)
         _, _, c, _, _ = workspace_at(theta, channels, beam, config)
         scaled = channels.h_rx @ (phases[:, None] * channels.h_tx) @ beam.v
@@ -198,7 +198,6 @@ class TestRates:
         config, channels, _, beam = make_instance(seed=16, n_elements=4,
                                                   n_groups=4)
         theta = ScatteringMatrix(theta=np.eye(4, dtype=complex),
-                                 architecture=Architecture.SINGLE_CONNECTED,
                                  group_size=1)
         ws, _, c, _, _ = workspace_at(theta, channels, beam, config)
         direct = ws.rate(channels.h_rx @ channels.h_tx @ beam.v)
