@@ -182,12 +182,16 @@ class _Workspace:
             self.users, self.streams)
 
     def stats(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """Optimal auxiliaries and true sum-rate from the signal matrix."""
+        """Optimal auxiliaries and true sum-rate from the signal matrix.
+
+        The SINR denominators sum the off-diagonal powers directly:
+        subtracting the own power from the total cancels when it dominates.
+        """
         powers = np.abs(c) ** 2
         total = powers.sum(axis=1) + self.noise
         diag = np.diagonal(c)
-        diag_power = np.abs(diag) ** 2
-        tau = diag_power / (total - diag_power)
+        np.fill_diagonal(powers, 0.0)
+        tau = np.abs(diag) ** 2 / (powers.sum(axis=1) + self.noise)
         y = diag / total
         rate = float(np.log2(1.0 + tau).sum())
         return tau, y, rate

@@ -3,8 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from bdris import (CgaSettings, ScatteringMatrix, cga_optimize,
+                   generate_channels_from_gains,
                    init_beamformer_uniform, project_symmetric_unitary,
                    random_feasible, validate_feasibility, write_trace_csv)
 from bdris.manifold import retract_batch
@@ -329,3 +332,49 @@ def test_trace_csv_roundtrip(tmp_path):
                                     "grad_norm", "beta"]
     assert len(rows) == len(trace.records)
     assert float(rows[-1]["eta"]) == trace.records[-1].true_rate
+
+
+# Link gains: exactly zero, or log-uniform from 1e-12 to 1.
+LINK_GAINS = st.one_of(st.just(0.0),
+                       st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e))
+
+
+@hypothesis_settings(deadline=None, max_examples=60)
+@given(tag=st.sampled_from(["sc", "gc2", "fc"]), gain_tx=LINK_GAINS,
+       gain_rx=LINK_GAINS, noise=st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e),
+       seed=st.integers(0, 2 ** 16))
+# Unit gains at noise 1e-12: own powers dominate each SINR denominator.
+@example(tag="fc", gain_tx=1.0, gain_rx=1.0, noise=1e-12, seed=4)
+@example(tag="sc", gain_tx=1.0, gain_rx=1.0, noise=1e-12, seed=13)
+@example(tag="gc2", gain_tx=1.0, gain_rx=1.0, noise=1e-12, seed=9)
+def test_solver_properties_over_gains_and_noise(tag, gain_tx, gain_rx, noise,
+                                                seed):
+    # Every solve returns a feasible matrix whose rate is finite, no lower
+    # than the start, and the dense reference rate at the config's noise
+    # power; zero-gain links end as stalled. Settings built from the config
+    # with an iteration override solve exactly as the overridden config.
+    config = config_for_tag(tag, n_users=2, n_tx=2, n_elements=4,
+                            noise_power=noise)
+    channels = generate_channels_from_gains(config, gain_tx, gain_rx, seed)
+    beam = init_beamformer_uniform(config)
+    theta, trace = cga_optimize(
+        channels, beam, config, seed,
+        CgaSettings.from_config(config, max_iters=30))
+
+    assert validate_feasibility(theta).passed
+    rate, initial = trace.final.projected_rate, trace.records[0].true_rate
+    assert np.isfinite(rate)
+    assert rate >= initial * (1.0 - 1e-12)
+    reference = reference_sum_rate(channels, theta.theta, beam.v,
+                                   config.noise_power)
+    if reference > 1e-6:
+        assert rate == pytest.approx(reference, rel=1e-9, abs=0)
+    if gain_tx == 0.0 or gain_rx == 0.0:
+        assert rate == 0.0
+        assert trace.final.stop_reason == "stalled"
+
+    same_theta, same_trace = cga_optimize(channels, beam,
+                                          replace(config, max_iters=30), seed)
+    assert np.array_equal(same_theta.theta, theta.theta)
+    assert same_trace.records == trace.records
+    assert same_trace.final == trace.final
