@@ -243,10 +243,11 @@ _ARMIJO_CHUNK = 16
 # The frozen-auxiliary objective sums per-user terms of size log2(1 + tau)
 # and tau / ln2 that partly cancel, at blocks that retract_batch and
 # ``_Workspace.theta`` have rounded. When the state does not move at all
-# (alpha * |xi| <= 1e-30) the batched value still exceeds f by up to 9.1
-# ulps of (|f| + those terms), 4.1 without fc at R = 64: measured over 240
+# (alpha * |xi| <= 1e-30) the batched value still exceeds f by up to 6.4
+# ulps of (|f| + those terms), 3.9 without fc: measured over 240
 # instances, sc/gc2/gc4/fc at R = 4..64, K = 4, link gains 1e-9 to 1e4 at
-# unit noise; an increase below this many such ulps is noise.
+# unit noise, at the start state and one gradient step from it; an
+# increase below this many such ulps is noise.
 _NOISE_ULPS = 16.0
 
 
