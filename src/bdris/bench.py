@@ -29,7 +29,7 @@ import yaml
 
 from .channel import ChannelSet, generate_channels
 from .config import (Geometry, SystemConfig, config_from_dict, config_to_dict,
-                     integer_field)
+                     float_field, integer_field, mapping_field)
 from .optimizer import OptimizerTrace, cga_optimize, write_trace_csv
 from .system import init_beamformer_uniform, parse_architecture_tag
 
@@ -102,7 +102,7 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"experiment spec {path} must contain a mapping")
-    config_raw = dict(raw.get("config", {}))
+    config_raw = dict(mapping_field("config", raw.get("config", {})))
     if "geometry" in raw:
         config_raw["geometry"] = raw["geometry"]
     config, geometry = config_from_dict(config_raw)
@@ -118,7 +118,7 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     if variable == "n_elements":
         values = [integer_field("n_elements", v) for v in values]
     else:
-        values = [float(v) for v in values]
+        values = [float_field("sweep.values", v) for v in values]
     architectures = _required(raw, "architectures")
     if not (isinstance(architectures, list)
             and all(isinstance(tag, str) for tag in architectures)):

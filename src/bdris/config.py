@@ -105,16 +105,34 @@ _INT_FIELDS = {"n_tx", "n_users", "n_elements", "n_groups", "max_iters",
                "armijo_max_steps"}
 
 
+def mapping_field(key: str, value) -> dict:
+    """``value`` itself if it is a mapping; anything else raises a
+    ValueError that names the key."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be a mapping, got {value!r}")
+    return value
+
+
 def _link_from_dict(raw: dict, where: str) -> LinkGeometry:
-    unknown = set(raw) - _LINK_FIELDS
+    unknown = set(mapping_field(where, raw)) - _LINK_FIELDS
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)} in {where}")
-    return LinkGeometry(**{k: float(v) for k, v in raw.items()})
+    return LinkGeometry(**{k: float_field(f"{where}.{k}", v)
+                           for k, v in raw.items()})
+
+
+def float_field(key: str, value) -> float:
+    """``value`` as a float; null, nested or non-numeric values raise a
+    ValueError that names the key."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
 
 
 def integer_field(key: str, value) -> int:
     """``value`` as an int; a non-integral number raises instead of truncating."""
-    number = float(value)
+    number = float_field(key, value)
     if not number.is_integer():
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(number)
@@ -130,13 +148,14 @@ def config_from_dict(raw: dict) -> tuple[SystemConfig, Geometry]:
     kwargs = {}
     for key, value in raw.items():
         if key not in _INT_FIELDS:
-            kwargs[key] = float(value)
+            kwargs[key] = float_field(key, value)
             continue
         kwargs[key] = integer_field(key, value)
     config = SystemConfig(**kwargs)
     if geo_raw is None:
         geometry = Geometry()
     else:
+        mapping_field("geometry", geo_raw)
         links = {}
         for name in ("bs_ris", "ris_user"):
             if name in geo_raw:

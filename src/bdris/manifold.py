@@ -4,13 +4,15 @@ The optimizer's state is a (G, R_G, R_G) stack of unitary blocks: for
 R_G > 1 the Takagi factor U_g of each scattering block Theta_g = U_g U_g^T
 (every symmetric unitary matrix has this form), for 1 x 1 blocks the unit
 scalar Theta_g itself. The primitives here act on such stacks: orthogonal
-projection onto the tangent space, a batched retraction (the exponential
-map for R_G > 1, phase normalization for 1 x 1 blocks), and a random
-feasible starting point. The real trace inner product is
-``optimizer._re_vdot``.
+projection onto the tangent space, the frame of the geodesics along a
+direction, a batched retraction (the exponential map for R_G > 1, phase
+normalization for 1 x 1 blocks), and a random feasible starting point. The
+real trace inner product is ``optimizer._re_vdot``.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,18 +39,38 @@ def unitarity_residuals(theta_stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(gram) ** 2, axis=(1, 2)))
 
 
-def retract_batch(stack: np.ndarray, direction_stack: np.ndarray,
+class Geodesic(NamedTuple):
+    """Frame of the geodesics U_g exp(alpha A_g) from one stack of unitary
+    blocks: the Hermitian generator -i A_g = V_g diag(w_g) V_g^H, stored as
+    p = U V, its eigenvalues w and vh = V^H, so that the point at step
+    alpha is p diag(exp(i alpha w)) vh."""
+
+    p: np.ndarray
+    w: np.ndarray
+    vh: np.ndarray
+
+
+def geodesic(stack: np.ndarray, direction_stack: np.ndarray) -> Geodesic:
+    """One ``eigh`` of the generators -i A_g, A_g the skew-Hermitian part of
+    U_g^H Xi_g (so a direction that is not tangent contributes only its
+    tangent part), for blocks larger than 1 x 1."""
+    lift = stack.conj().transpose(0, 2, 1) @ direction_stack
+    w, v = np.linalg.eigh(0.5j * (lift.conj().transpose(0, 2, 1) - lift))
+    return Geodesic(stack @ v, w, v.conj().transpose(0, 2, 1))
+
+
+def retract_batch(stack: np.ndarray, direction_stack: np.ndarray | Geodesic,
                   alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Retraction of many candidate steps at once.
 
     For R_G > 1 candidate m follows the geodesic of the unitary group,
-    U_g exp(alphas[m] * A_g) with A_g the skew-Hermitian part of U_g^H Xi_g
-    (so a direction that is not tangent contributes only its tangent part).
-    One ``eigh`` per call of the Hermitian generator -i A_g = V diag(w) V^H
-    gives every candidate as (U_g V) diag(exp(i alphas[m] w)) V^H, unitary
-    for every step. For 1 x 1 blocks candidate m is the phase z / |z| of the
-    moved entry z = theta + alphas[m] * xi, which is rank-deficient when
-    |z| is at most 1e-12 of max(1, largest |z| of the candidate).
+    U_g exp(alphas[m] * A_g), as (U_g V) diag(exp(i alphas[m] w)) V^H from
+    the ``geodesic`` frame of the direction: unitary for every step. The
+    frame may be passed in place of the direction, so that a caller that
+    already has it does not repeat the ``eigh``. For 1 x 1 blocks
+    candidate m is the phase z / |z| of the moved entry
+    z = theta + alphas[m] * xi, which is rank-deficient when |z| is at most
+    1e-12 of max(1, largest |z| of the candidate).
     Returns (candidates, ok) with candidates of shape (M, G, R_G, R_G) and a
     boolean validity flag per candidate; only 1 x 1 blocks can be flagged,
     and flagged candidates stay in the batch so that the others stay usable.
@@ -59,14 +81,14 @@ def retract_batch(stack: np.ndarray, direction_stack: np.ndarray,
         scale = np.maximum(mags.reshape(len(alphas), -1).max(axis=1), 1.0)
         ok = mags.reshape(len(alphas), -1).min(axis=1) > 1e-12 * scale
         return moved / np.where(mags > 0, mags, 1.0), ok
-    lift = stack.conj().transpose(0, 2, 1) @ direction_stack
-    w, v = np.linalg.eigh(0.5j * (lift.conj().transpose(0, 2, 1) - lift))
-    groups, size = v.shape[0], v.shape[-1]
+    frame = (direction_stack if isinstance(direction_stack, Geodesic)
+             else geodesic(stack, direction_stack))
+    groups, size = frame.p.shape[0], frame.p.shape[-1]
     # Built as (G, M, R_G, R_G), so that each group's M products with V^H
-    # are one tall matrix product.
-    phases = np.exp(1j * alphas[None, :, None] * w[:, None, :])  # (G, M, R_G)
-    scaled = (stack @ v)[:, None] * phases[:, :, None, :]
-    moved = scaled.reshape(groups, -1, size) @ v.conj().transpose(0, 2, 1)
+    # are one tall matrix product. phases is (G, M, R_G).
+    phases = np.exp(1j * alphas[None, :, None] * frame.w[:, None, :])
+    scaled = frame.p[:, None] * phases[:, :, None, :]
+    moved = scaled.reshape(groups, -1, size) @ frame.vh
     candidates = moved.reshape(groups, len(alphas), size, size)
     return candidates.transpose(1, 0, 2, 3), np.ones(len(alphas), dtype=bool)
 

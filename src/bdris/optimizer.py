@@ -50,11 +50,15 @@ matrix, auxiliaries, rate and surrogate in ``_Workspace``, the gradient in
 ``gradient``, and the manifold steps in ``manifold``. The signal matrix is
 linear in Theta, so ``_Workspace`` builds its channel tensor once per run
 and gets the signal matrices of a point, or of a whole chunk of line-search
-candidates, from one matrix product.
+candidates, from one matrix product. On factored blocks each line search
+rebuilds that tensor once in the eigenbasis of its geodesics, where a
+candidate's block is a phase-scaled copy of one fixed matrix, and forms
+only the step it accepts.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,8 +68,8 @@ import numpy as np
 from .channel import ChannelSet
 from .config import SystemConfig
 from .gradient import LN2, channel_stacks, factor_gradient, gradient_stack
-from .manifold import (project_stack, random_feasible, random_feasible_stack,
-                       retract_batch, unitarity_residuals)
+from .manifold import (geodesic, project_stack, random_feasible,
+                       random_feasible_stack, retract_batch, unitarity_residuals)
 from .system import Beamformer, ScatteringMatrix
 
 
@@ -147,6 +151,15 @@ def _re_vdot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(a, b)))
 
 
+def _channel_tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """t[(g, i, j), (k, l)] = a[g, k, i] * b[g, j, l]."""
+    # With a's user axis innermost, einsum writes its output in C order, so
+    # the reshape is a view instead of a strided copy (2x faster at R_G=32).
+    rows = np.ascontiguousarray(a.transpose(0, 2, 1))
+    return np.einsum("gik,gjl->gijkl", rows, b).reshape(
+        -1, a.shape[1] * b.shape[2])
+
+
 class _Workspace:
     """Precomputed channel factors and batched objective/gradient kernels.
 
@@ -156,17 +169,28 @@ class _Workspace:
     the signal matrix is linear in the flattened block stack:
     C.ravel() = theta_stack.ravel() @ t. It takes R * R_G * K^2 * 16 bytes
     (256 KiB for one 32 x 32 block and K = 4) and is built once per solve.
-    ``theta`` maps an optimizer state to its scattering blocks.
+    ``theta`` maps an optimizer state to its scattering blocks, and
+    ``in_bases`` gives the workspace of blocks written in other bases.
     """
 
     def __init__(self, channels: ChannelSet, beam: Beamformer,
                  config: SystemConfig):
         self.a, self.b = channel_stacks(channels, beam.v, config.group_size)
         self.users, self.streams = self.a.shape[1], self.b.shape[2]
-        self.t = np.einsum("gki,gjl->gijkl", self.a, self.b).reshape(
-            -1, self.users * self.streams)
+        self.t = _channel_tensor(self.a, self.b)
         self.noise = config.noise_power
         self.factored = config.group_size > 1
+        self.off_diagonal = 1.0 - np.eye(self.users, self.streams)
+
+    def in_bases(self, p: np.ndarray) -> "_Workspace":
+        """The workspace of blocks written in the bases ``p`` (G, R_G, R_G):
+        a block X_g there scores as P_g X_g P_g^T scores here, because the
+        signal matrix sum_g a_g Theta_g b_g becomes
+        sum_g (a_g P_g) X_g (P_g^T b_g)."""
+        ws = copy.copy(self)
+        ws.a, ws.b = self.a @ p, p.transpose(0, 2, 1) @ self.b
+        ws.t = _channel_tensor(ws.a, ws.b)
+        return ws
 
     def theta(self, state: np.ndarray) -> np.ndarray:
         """Scattering blocks of a state stack (..., G, R_G, R_G): U U^T of
@@ -190,8 +214,8 @@ class _Workspace:
         powers = np.abs(c) ** 2
         total = powers.sum(axis=1) + self.noise
         diag = np.diagonal(c)
-        np.fill_diagonal(powers, 0.0)
-        tau = np.abs(diag) ** 2 / (powers.sum(axis=1) + self.noise)
+        interference = (powers * self.off_diagonal).sum(axis=1)
+        tau = np.abs(diag) ** 2 / (interference + self.noise)
         y = diag / total
         rate = float(np.log2(1.0 + tau).sum())
         return tau, y, rate
@@ -241,14 +265,45 @@ class _Workspace:
 
 _ARMIJO_CHUNK = 16
 # The frozen-auxiliary objective sums per-user terms of size log2(1 + tau)
-# and tau / ln2 that partly cancel, at blocks that retract_batch and
-# ``_Workspace.theta`` have rounded. When the state does not move at all
-# (alpha * |xi| <= 1e-30) the batched value still exceeds f by up to 6.4
-# ulps of (|f| + those terms), 3.9 without fc: measured over 240
-# instances, sc/gc2/gc4/fc at R = 4..64, K = 4, link gains 1e-9 to 1e4 at
-# unit noise, at the start state and one gradient step from it; an
-# increase below this many such ulps is noise.
+# and tau / ln2 that partly cancel, at rounded blocks. When the state does
+# not move at all, the line-search scores still exceed f by up to 17.5
+# ulps of (|f| + those terms) where the largest tau exceeds 1e-12 (fc,
+# R = 64, gain 1e-3, seed 8), and by up to 22.6 at tau ~ 1e-17 (fc, R = 8,
+# gain 1e-9, seed 18); explicitly formed candidates gave 15.9 and 29.3.
+# Sweep: gc2/gc4/fc at R = 4, 8, 16, 32, 64, K = 4, unit noise, both link
+# gains 1e-9, 1e-6, 1e-3, 1, 1e2 or 1e4, ``tests/helpers`` seeds s = 0..24
+# (channels seed s, start state seed s + 1), at the start state and one
+# accepted search step from it, 16 steps alpha = 1e-30 / |xi| * 0.75^k
+# along the Riemannian gradient xi. An increase below this many such ulps
+# is noise; the floor sits below the worst of those cases.
 _NOISE_ULPS = 16.0
+
+
+def _geodesic_scores(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
+                     tau: np.ndarray, y: np.ndarray):
+    """(frame, score) of one line search on factored blocks.
+
+    Along the geodesic U_g(alpha) = P_g D(alpha) V_g^H of ``geodesic``, with
+    D(alpha) = diag(exp(i alpha w_g)), the scattering block is
+    U_g U_g^T = P_g X_g(alpha) P_g^T with X_g(alpha) = D M_g D and
+    M_g = V_g^H conj(V_g). ``score(alphas)`` gives the frozen-auxiliary
+    objective of those points from the blocks X_g alone, through the
+    workspace in the bases P_g, so no candidate factor is formed; ``frame``
+    lets ``retract_batch`` form the accepted one without a second ``eigh``.
+    """
+    frame = geodesic(state, xi_stack)
+    rotated = ws.in_bases(frame.p)
+    mixing = frame.vh @ frame.vh.transpose(0, 2, 1)
+
+    def score(alphas: np.ndarray) -> np.ndarray:
+        phases = np.exp(1j * alphas[:, None, None] * frame.w)  # (M, G, R_G)
+        # Columns first, then rows in place: about 3x faster than one
+        # expression whose first operand broadcasts along the rows.
+        blocks = mixing * phases[..., None, :]
+        blocks *= phases[..., :, None]
+        return rotated.objective_batch(blocks, tau, y)
+
+    return frame, score
 
 
 def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
@@ -264,8 +319,10 @@ def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
 
     R being the retraction ``retract_batch`` and floor the rounding noise
     of f (see ``_NOISE_ULPS``), so that an increase f cannot resolve never
-    passes, whatever the coefficient. Candidates are scored at their
-    scattering blocks ``ws.theta``.
+    passes, whatever the coefficient. Factored states are scored in the
+    eigenbasis of their geodesics (``_geodesic_scores``), and only the
+    accepted state is formed; 1 x 1 blocks, their own scattering blocks,
+    are retracted and scored as candidates.
 
     Candidate steps are evaluated in vectorized chunks but acceptance is
     still the first qualifying m. A rank-deficient retraction counts as a
@@ -277,20 +334,30 @@ def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
         return 0.0, None, f_current
     floor = _NOISE_ULPS * np.finfo(float).eps * (
         abs(f_current) + float(np.sum(np.log2(1.0 + tau) + 2.0 * tau / LN2)))
+    if ws.factored:
+        frame, score = _geodesic_scores(ws, state, xi_stack, tau, y)
     total = settings.armijo_max_steps
     for start in range(0, total, _ARMIJO_CHUNK):
         count = min(_ARMIJO_CHUNK, total - start)
         alphas = settings.step_init * settings.step_contract ** np.arange(
             start, start + count, dtype=float)
-        candidates, ok = retract_batch(state, xi_stack, alphas)
-        values = ws.objective_batch(ws.theta(candidates), tau, y)
+        if ws.factored:
+            values, ok = score(alphas), True
+        else:
+            candidates, ok = retract_batch(state, xi_stack, alphas)
+            values = ws.objective_batch(candidates, tau, y)
         demand = np.maximum(
             settings.armijo_coeff * alphas * directional_derivative, floor)
         accepted = ok & (values >= f_current + demand)
         hits = np.flatnonzero(accepted)
         if hits.size:
             first = int(hits[0])
-            return float(alphas[first]), candidates[first], float(values[first])
+            if ws.factored:
+                chosen = retract_batch(state, frame,
+                                       alphas[first:first + 1])[0][0]
+            else:
+                chosen = candidates[first]
+            return float(alphas[first]), chosen, float(values[first])
     return 0.0, None, f_current
 
 

@@ -12,8 +12,9 @@ import numpy as np
 from bdris import (SystemConfig, generate_channels_from_gains,
                    init_beamformer_uniform, parse_architecture_tag,
                    random_feasible)
-from bdris.manifold import random_feasible_stack
-from bdris.optimizer import _Workspace
+from bdris.gradient import LN2
+from bdris.manifold import random_feasible_stack, retract_batch
+from bdris.optimizer import _NOISE_ULPS, _Workspace
 
 
 def make_config(n_users=2, n_tx=2, n_elements=4, n_groups=2, noise_power=1.0,
@@ -67,6 +68,30 @@ def workspace_at(theta, channels, beam, config):
     c = ws.signal(stack)
     tau, y, _ = ws.stats(c)
     return ws, stack, c, tau, y
+
+
+def explicit_scores(ws, state, direction, alphas, tau, y) -> np.ndarray:
+    """Frozen-auxiliary objective at explicitly formed candidates: the
+    factors ``retract_batch`` forms, their blocks ``ws.theta``, scored by
+    ``objective_batch`` in the workspace's own basis."""
+    candidates, _ = retract_batch(state, direction, alphas)
+    return ws.objective_batch(ws.theta(candidates), tau, y)
+
+
+def explicit_armijo_step(ws, state, direction, tau, y, f_current,
+                         directional_derivative, settings) -> float:
+    """The step the backtracking rule of ``_armijo_stack`` accepts, found by
+    scoring every step of the grid at explicitly formed candidates; 0.0 when
+    none passes."""
+    alphas = settings.step_init * settings.step_contract ** np.arange(
+        settings.armijo_max_steps, dtype=float)
+    floor = _NOISE_ULPS * np.finfo(float).eps * (
+        abs(f_current) + float(np.sum(np.log2(1.0 + tau) + 2.0 * tau / LN2)))
+    values = explicit_scores(ws, state, direction, alphas, tau, y)
+    demand = np.maximum(
+        settings.armijo_coeff * alphas * directional_derivative, floor)
+    hits = np.flatnonzero(values >= f_current + demand)
+    return float(alphas[hits[0]]) if hits.size else 0.0
 
 
 def random_aux(rng: np.random.Generator, n_users: int):

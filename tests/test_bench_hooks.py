@@ -8,7 +8,12 @@ from the benchmark's own file, so such a change fails here instead of in a
 traced benchmark run. Only the Takagi fallback of the final projection may
 go uncalled: it runs only on degenerate blocks.
 
-The second test builds the benchmark's workloads from
+The fc-r32 and sc-r64 workloads solve one architecture each, so the second
+test traces direct solves of sc, gc2 and fc separately and computes the
+benchmark's own per-layer metrics from them: a kernel that only one
+architecture stops calling makes a metric ``absent`` there.
+
+The last test builds the benchmark's workloads from
 ``perfbench/workloads.py`` the same way, so a change to the spec loader, the
 config or the solver calls that the workloads make fails here too.
 """
@@ -61,6 +66,32 @@ def test_every_hook_resolves_and_is_called(tmp_path):
     uncalled = [name for name, _ in tracing.HOOKS
                 if name not in MAY_GO_UNCALLED and summary[name]["calls"] == 0]
     assert uncalled == []
+
+
+@pytest.mark.parametrize("tag", ["sc", "gc2", "fc"])
+def test_traced_metrics_complete(tmp_path, monkeypatch, tag):
+    # run.py imports the tracer by its plain module name.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = load_bench_module("tracer")
+    workloads = load_bench_module("workloads")
+    run = load_bench_module("run")
+
+    def direct_solves():
+        return workloads.DirectSolves(ROOT, 0, 0, tag, 8, count=1,
+                                      max_iters=3)
+
+    plain = direct_solves().run_pass(tmp_path / "plain")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = direct_solves().run_pass(tmp_path / "traced")
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    metrics = run.per_layer(tracer, [plain], [traced])
+    incomplete = {name: metric for name, metric in metrics.items()
+                  if "absent" in metric or metric["value"] is None}
+    assert incomplete == {}
 
 
 @pytest.mark.parametrize("tag", ["sc", "fc"])

@@ -47,6 +47,17 @@ BAD_SPECS = {
     # A bare tag is not a list: iterating it would give the tags f and c.
     SPEC_YAML.replace("architectures: [sc, fc]", "architectures: fc"):
         "architectures",
+    # Null and nested values name their key instead of raising TypeError.
+    SPEC_YAML.replace("n_trials: 2", "n_trials: ~"): "n_trials",
+    SPEC_YAML.replace("values: [1.0, 2.0]", "values: [~]"): "sweep.values",
+    SPEC_YAML.replace("n_tx: 2", "n_tx: [4]"): "n_tx",
+    SPEC_YAML.replace("p_max: 2.0", "p_max: {w: 2.0}"): "p_max",
+    SPEC_YAML.replace("distance_m: 1.0, exponent", "distance_m: ~, exponent"):
+        "geometry.bs_ris.distance_m",
+    SPEC_YAML.replace("seed_base: 3", "seed_base: [3]"): "seed_base",
+    SPEC_YAML.replace(
+        "bs_ris: {distance_m: 1.0, exponent: 0.0, ref_loss_db: 0.0}",
+        "bs_ris: ~"): "geometry.bs_ris",
 }
 
 

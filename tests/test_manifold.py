@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdris import random_feasible, validate_feasibility
-from bdris.manifold import (project_stack, random_feasible_stack,
+from bdris.manifold import (geodesic, project_stack, random_feasible_stack,
                             retract_batch, unitarity_residuals)
 from bdris.optimizer import _re_vdot
 
@@ -172,6 +172,15 @@ class TestExponentialMap:
         moved, _ = retract_batch(u, xi, np.array([h, -h]))
         velocity = (moved[0] - moved[1]) / (2.0 * h)
         assert np.abs(velocity - xi).max() <= 1e-6
+
+    def test_frame_in_place_of_direction(self, size):
+        # The frame of the direction gives the same candidates, bit for bit.
+        u, xi = self._point(size, seed=4)
+        alphas = np.concatenate([[0.0, 1e-6, 1.0], 0.75 ** np.arange(16.0)])
+        moved, ok = retract_batch(u, xi, alphas)
+        framed, framed_ok = retract_batch(u, geodesic(u, xi), alphas)
+        assert moved.tobytes() == framed.tobytes()
+        assert np.array_equal(ok, framed_ok)
 
     def test_uses_tangent_part(self, size):
         rng = np.random.default_rng(3)

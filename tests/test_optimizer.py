@@ -11,10 +11,11 @@ from bdris import (CgaSettings, ScatteringMatrix, cga_optimize,
                    init_beamformer_uniform, project_symmetric_unitary,
                    random_feasible, validate_feasibility, write_trace_csv)
 from bdris.manifold import retract_batch
-from bdris.optimizer import _armijo_stack, _re_vdot
+from bdris.optimizer import _armijo_stack, _geodesic_scores, _re_vdot
 
-from helpers import (config_for_tag, make_config, make_instance,
-                     reference_sum_rate, start_state, workspace_at)
+from helpers import (config_for_tag, explicit_armijo_step, explicit_scores,
+                     make_config, make_instance, reference_sum_rate,
+                     start_state, workspace_at)
 
 
 def small_run(seed, tag="gc2", n_elements=4, max_iters=400, **overrides):
@@ -114,6 +115,41 @@ class TestArmijo:
             alpha, candidate, f_new = _armijo_stack(
                 ws, stack, grad, tau, y, f0, _re_vdot(grad, grad), greedy)
             assert (alpha, candidate, f_new) == (0.0, None, f0), seed
+
+
+    def test_same_step_as_explicit_search(self):
+        # Scoring in the geodesic's eigenbasis accepts the step that scoring
+        # explicitly formed candidates accepts, at the default coefficient
+        # and at a greedy one that stalls.
+        for seed in range(50):
+            ws, stack, tau, y, f0, settings, grad = self._setup(seed)
+            dd = _re_vdot(grad, grad)
+            for coeff in (settings.armijo_coeff, 1e9):
+                search = replace(settings, armijo_coeff=coeff)
+                alpha, _, _ = _armijo_stack(ws, stack, grad, tau, y, f0, dd,
+                                            search)
+                assert alpha == explicit_armijo_step(
+                    ws, stack, grad, tau, y, f0, dd, search), (seed, coeff)
+
+
+@pytest.mark.parametrize("r", [8, 32, 64])
+@pytest.mark.parametrize("tag", ["gc2", "gc4", "fc"])
+def test_eigenbasis_scores_match_explicit_candidates(tag, r):
+    # The line search scores X(alpha) = D M D in the bases P = U V; the same
+    # steps scored at explicitly formed U(alpha) U(alpha)^T agree to 1e-12.
+    config = config_for_tag(tag, n_elements=r)
+    channels = generate_channels_from_gains(config, 1.0, 1.0, seed=r)
+    beam = init_beamformer_uniform(config)
+    ws, *_ = workspace_at(random_feasible(config, seed=r), channels, beam,
+                          config)
+    state = start_state(config, seed=r + 1)
+    c = ws.signal(ws.theta(state))
+    tau, y, _ = ws.stats(c)
+    xi = ws.riemannian_gradient(state, c, tau, y)
+    alphas = np.concatenate([[0.0, 1e-6, 1.0], 0.75 ** np.arange(200.0)])
+    _, score = _geodesic_scores(ws, state, xi, tau, y)
+    oracle = explicit_scores(ws, state, xi, alphas, tau, y)
+    np.testing.assert_allclose(score(alphas), oracle, rtol=1e-12, atol=0)
 
 
 class TestProjection:
