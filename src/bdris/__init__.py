@@ -5,14 +5,15 @@ maximize the downlink sum-rate of a multi-user MISO system. The optimizer
 runs conjugate gradient ascent on the blockwise unitary manifold against a
 fractional-programming surrogate of the sum-rate. Each block is kept
 exactly symmetric by iterating its Takagi factor U_g (Theta_g = U_g U_g^T)
-along geodesics of the unitary group.
+along geodesics of the symmetric unitary matrices, on which every line-search
+candidate is a diagonal block in known bases.
 
 Each formula has one implementation, on stacks of blocks: ``gradient``
 (channel factors, the closed-form gradient and its Takagi-factor chain
-rule), ``manifold`` (tangent projection, batched exponential-map
+rule), ``manifold`` (tangent projection, geodesic frames, batched
 retraction, random feasible points) and ``optimizer._Workspace`` (signal
-matrix, auxiliaries, sum-rate, and the per-user surrogate that the
-objective sums). Each setting has one home as well: ``SystemConfig`` holds
+matrix, the channel tensor that scores diagonal blocks, auxiliaries,
+sum-rate, and the per-user surrogate that the objective sums). Each setting has one home as well: ``SystemConfig`` holds
 the noise power and every solver default, ``CgaSettings.from_config``
 derives the solver settings from it, and a ``ScatteringMatrix`` derives its
 architecture from its group size.

@@ -8,6 +8,7 @@ two links). Both can be read from a single YAML/JSON config file, see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -50,16 +51,12 @@ class SystemConfig:
             raise ValueError(
                 f"n_elements={self.n_elements} must be divisible by "
                 f"n_groups={self.n_groups}")
-        if not self.p_max > 0:
-            raise ValueError("p_max must be positive")
-        if not self.noise_power > 0:
-            raise ValueError("noise_power must be positive")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.armijo_coeff < 0:
-            raise ValueError("armijo_coeff must be nonnegative")
-        if not self.step_init > 0:
-            raise ValueError("step_init must be positive")
+        # Comparisons with NaN are false, so these reject NaN too.
+        for name in ("p_max", "noise_power", "epsilon", "step_init"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.armijo_coeff < math.inf:
+            raise ValueError("armijo_coeff must be nonnegative and finite")
         if not 0 < self.step_contract < 1:
             raise ValueError("step_contract must lie in (0, 1)")
 
@@ -79,10 +76,12 @@ class LinkGeometry:
     ref_distance_m: float = 1.0
 
     def __post_init__(self):
-        if not self.distance_m > 0:
-            raise ValueError("distance_m must be positive")
-        if not self.ref_distance_m > 0:
-            raise ValueError("ref_distance_m must be positive")
+        for name in ("distance_m", "ref_distance_m"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("exponent", "ref_loss_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 # Desk-scale defaults chosen for numerically well-behaved experiments; they

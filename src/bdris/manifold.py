@@ -5,9 +5,10 @@ R_G > 1 the Takagi factor U_g of each scattering block Theta_g = U_g U_g^T
 (every symmetric unitary matrix has this form), for 1 x 1 blocks the unit
 scalar Theta_g itself. The primitives here act on such stacks: orthogonal
 projection onto the tangent space, the frame of the geodesics along a
-direction, a batched retraction (the exponential map for R_G > 1, phase
-normalization for 1 x 1 blocks), and a random feasible starting point. The
-real trace inner product is ``optimizer._re_vdot``.
+direction, a batched retraction (geodesics of the symmetric unitary
+matrices for R_G > 1, phase normalization for 1 x 1 blocks), and a random
+feasible starting point. The real trace inner product is
+``optimizer._re_vdot``.
 """
 
 from __future__ import annotations
@@ -40,37 +41,48 @@ def unitarity_residuals(theta_stack: np.ndarray) -> np.ndarray:
 
 
 class Geodesic(NamedTuple):
-    """Frame of the geodesics U_g exp(alpha A_g) from one stack of unitary
-    blocks: the Hermitian generator -i A_g = V_g diag(w_g) V_g^H, stored as
-    p = U V, its eigenvalues w and vh = V^H, so that the point at step
-    alpha is p diag(exp(i alpha w)) vh."""
+    """Frame of the geodesics U_g exp(i alpha S_g) from one stack of Takagi
+    factors, S_g real symmetric: its eigenvectors Q_g, stored as p = U Q and
+    vh = Q^T, and its eigenvalues w, so that the factor at step alpha is
+    p diag(exp(i alpha w)) vh and its scattering block U U^T is
+    p diag(exp(2 i alpha w)) p^T."""
 
     p: np.ndarray
     w: np.ndarray
     vh: np.ndarray
 
+    def diagonals(self, alphas: np.ndarray) -> np.ndarray:
+        """(M, G, R_G) diagonals of the scattering blocks at the steps
+        ``alphas``, written in the bases p."""
+        return np.exp(2j * alphas[:, None, None] * self.w)
+
 
 def geodesic(stack: np.ndarray, direction_stack: np.ndarray) -> Geodesic:
-    """One ``eigh`` of the generators -i A_g, A_g the skew-Hermitian part of
-    U_g^H Xi_g (so a direction that is not tangent contributes only its
-    tangent part), for blocks larger than 1 x 1."""
-    lift = stack.conj().transpose(0, 2, 1) @ direction_stack
-    w, v = np.linalg.eigh(0.5j * (lift.conj().transpose(0, 2, 1) - lift))
-    return Geodesic(stack @ v, w, v.conj().transpose(0, 2, 1))
+    """One real ``eigh`` per block of S_g = sym(Im(U_g^H Xi_g)), for blocks
+    larger than 1 x 1.
+
+    i S_g is the horizontal part of the generator skew(U_g^H Xi_g): the
+    part that moves U_g U_g^T, on U(n)/O(n), the symmetric space of
+    symmetric unitary matrices. The rest, a real antisymmetric K_g, only
+    turns the factor within its O(R_G) orbit (U K is vertical) and is
+    dropped, as is any part of Xi_g that is not tangent.
+    """
+    lift = (stack.conj().transpose(0, 2, 1) @ direction_stack).imag
+    w, q = np.linalg.eigh(0.5 * (lift + lift.transpose(0, 2, 1)))
+    return Geodesic(stack @ q, w, q.transpose(0, 2, 1))
 
 
 def retract_batch(stack: np.ndarray, direction_stack: np.ndarray | Geodesic,
                   alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Retraction of many candidate steps at once.
 
-    For R_G > 1 candidate m follows the geodesic of the unitary group,
-    U_g exp(alphas[m] * A_g), as (U_g V) diag(exp(i alphas[m] w)) V^H from
-    the ``geodesic`` frame of the direction: unitary for every step. The
-    frame may be passed in place of the direction, so that a caller that
-    already has it does not repeat the ``eigh``. For 1 x 1 blocks
-    candidate m is the phase z / |z| of the moved entry
-    z = theta + alphas[m] * xi, which is rank-deficient when |z| is at most
-    1e-12 of max(1, largest |z| of the candidate).
+    For R_G > 1 candidate m follows the geodesic of the ``geodesic`` frame
+    of the direction, U_g exp(i alphas[m] S_g) = P_g diag(exp(i alphas[m]
+    w_g)) Q_g^T: unitary for every step. The frame may be passed in place
+    of the direction, so that a caller that already has it does not repeat
+    the ``eigh``. For 1 x 1 blocks candidate m is the phase z / |z| of the
+    moved entry z = theta + alphas[m] * xi, which is rank-deficient when |z|
+    is at most 1e-12 of max(1, largest |z| of the candidate).
     Returns (candidates, ok) with candidates of shape (M, G, R_G, R_G) and a
     boolean validity flag per candidate; only 1 x 1 blocks can be flagged,
     and flagged candidates stay in the batch so that the others stay usable.
@@ -84,7 +96,7 @@ def retract_batch(stack: np.ndarray, direction_stack: np.ndarray | Geodesic,
     frame = (direction_stack if isinstance(direction_stack, Geodesic)
              else geodesic(stack, direction_stack))
     groups, size = frame.p.shape[0], frame.p.shape[-1]
-    # Built as (G, M, R_G, R_G), so that each group's M products with V^H
+    # Built as (G, M, R_G, R_G), so that each group's M products with Q^T
     # are one tall matrix product. phases is (G, M, R_G).
     phases = np.exp(1j * alphas[None, :, None] * frame.w[:, None, :])
     scaled = frame.p[:, None] * phases[:, :, None, :]

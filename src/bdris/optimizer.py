@@ -10,7 +10,7 @@ from a random symmetric unitary point and repeatedly
      being an ascent direction,
   2. picks a step by backtracking Armijo search on the surrogate objective
      (auxiliaries frozen during the search), moving the state along
-     geodesics of the unitary group,
+     geodesics of the symmetric unitary matrices,
   3. refreshes the per-user auxiliaries at the new point,
   4. recomputes the Riemannian gradient and updates the direction with a
      nonnegative Polak-Ribiere coefficient,
@@ -48,12 +48,14 @@ sum-rate at least as much.
 Every formula is implemented once, on (G, R_G, R_G) block stacks: the signal
 matrix, auxiliaries, rate and surrogate in ``_Workspace``, the gradient in
 ``gradient``, and the manifold steps in ``manifold``. The signal matrix is
-linear in Theta, so ``_Workspace`` builds its channel tensor once per run
-and gets the signal matrices of a point, or of a whole chunk of line-search
-candidates, from one matrix product. On factored blocks each line search
-rebuilds that tensor once in the eigenbasis of its geodesics, where a
-candidate's block is a phase-scaled copy of one fixed matrix, and forms
-only the step it accepts.
+linear in Theta, and the line search only ever scores blocks that are
+diagonal in a known basis: 1 x 1 blocks in the identity, and on factored
+blocks the geodesic's P_g diag(exp(2 i alpha w_g)) P_g^T in the bases P_g
+of ``manifold.geodesic``. So ``_Workspace`` holds a channel tensor with one
+row per element for those bases, and a whole chunk of candidate diagonals
+is one matrix product with it. A factored search builds that tensor once in
+its bases P_g, and forms only the factor it accepts; the search also
+returns the accepted point's signal matrix, so no iterate recomputes it.
 """
 
 from __future__ import annotations
@@ -152,25 +154,25 @@ def _re_vdot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _channel_tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """t[(g, i, j), (k, l)] = a[g, k, i] * b[g, j, l]."""
-    # With a's user axis innermost, einsum writes its output in C order, so
-    # the reshape is a view instead of a strided copy (2x faster at R_G=32).
-    rows = np.ascontiguousarray(a.transpose(0, 2, 1))
-    return np.einsum("gik,gjl->gijkl", rows, b).reshape(
-        -1, a.shape[1] * b.shape[2])
+    """t[(g, n), (k, l)] = a[g, k, n] * b[g, n, l]."""
+    # In C order the reshape is a view. einsum, not a broadcast product:
+    # numpy's complex multiply ufunc rounds some products differently, and
+    # 1 x 1 block solves change with the last bit of this tensor.
+    t = np.einsum("gkn,gnl->gnkl", a, b, order="C")
+    return t.reshape(-1, a.shape[1] * b.shape[2])
 
 
 class _Workspace:
     """Precomputed channel factors and batched objective/gradient kernels.
 
-    Besides the groupwise factors ``a``, ``b`` of ``channel_stacks`` (used
-    by the gradient) it holds the channel tensor ``t`` of shape
-    (G * R_G^2, K^2), t[(g, i, j), (k, l)] = a[g, k, i] * b[g, j, l], so that
-    the signal matrix is linear in the flattened block stack:
-    C.ravel() = theta_stack.ravel() @ t. It takes R * R_G * K^2 * 16 bytes
-    (256 KiB for one 32 x 32 block and K = 4) and is built once per solve.
-    ``theta`` maps an optimizer state to its scattering blocks, and
-    ``in_bases`` gives the workspace of blocks written in other bases.
+    Besides the groupwise factors ``a``, ``b`` of ``channel_stacks`` it
+    holds the channel tensor ``t`` of shape (R, K^2),
+    t[(g, n), (k, l)] = a[g, k, n] * b[g, n, l], so that the signal matrix of
+    diagonal blocks diag(d_g) is linear in their (G, R_G) diagonals:
+    C.ravel() = d.ravel() @ t. It takes R * K^2 * 16 bytes (8 KiB for
+    R = 32 and K = 4). ``in_bases`` gives the workspace of blocks written in
+    other bases, where a line search's candidates are diagonal, and
+    ``theta`` maps an optimizer state to its scattering blocks.
     """
 
     def __init__(self, channels: ChannelSet, beam: Beamformer,
@@ -184,9 +186,10 @@ class _Workspace:
 
     def in_bases(self, p: np.ndarray) -> "_Workspace":
         """The workspace of blocks written in the bases ``p`` (G, R_G, R_G):
-        a block X_g there scores as P_g X_g P_g^T scores here, because the
+        a diagonal X_g there scores as P_g X_g P_g^T scores here, because the
         signal matrix sum_g a_g Theta_g b_g becomes
-        sum_g (a_g P_g) X_g (P_g^T b_g)."""
+        sum_g (a_g P_g) X_g (P_g^T b_g). The gradient stays in the original
+        basis: only the line search and the start point use this one."""
         ws = copy.copy(self)
         ws.a, ws.b = self.a @ p, p.transpose(0, 2, 1) @ self.b
         ws.t = _channel_tensor(ws.a, ws.b)
@@ -200,10 +203,15 @@ class _Workspace:
         return state @ np.swapaxes(state, -1, -2)
 
     def signal(self, theta_stack: np.ndarray) -> np.ndarray:
-        """Signal matrix C = H_rx @ Theta @ H_tx @ V: the contraction of
-        ``objective_batch`` for a single point."""
-        return (theta_stack.reshape(1, -1) @ self.t).reshape(
-            self.users, self.streams)
+        """Signal matrix C = H_rx @ Theta @ H_tx @ V = sum_g a_g Theta_g b_g
+        of any block stack."""
+        return (self.a @ theta_stack @ self.b).sum(axis=0)
+
+    def signals(self, diagonals: np.ndarray) -> np.ndarray:
+        """(M, K, K) signal matrices of M stacks of diagonal blocks, given as
+        their (M, G, R_G) diagonals: one product with the channel tensor."""
+        return (diagonals.reshape(len(diagonals), -1) @ self.t).reshape(
+            -1, self.users, self.streams)
 
     def stats(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """Optimal auxiliaries and true sum-rate from the signal matrix.
@@ -236,17 +244,15 @@ class _Workspace:
         """Surrogate sum at frozen auxiliaries from the signal matrix."""
         return float(self.surrogate(c, tau, y).sum())
 
-    def objective_batch(self, theta_batch: np.ndarray, tau: np.ndarray,
+    def objective_batch(self, diagonals: np.ndarray, tau: np.ndarray,
                         y: np.ndarray) -> np.ndarray:
         """Frozen-auxiliary objective of many candidate points at once.
 
-        ``theta_batch`` has shape (M, G, R_G, R_G); returns the (M,) values
-        of ``objective`` at their signal matrices, which all come from one
-        product with the channel tensor.
+        ``diagonals`` (M, G, R_G) are those of diagonal blocks in this
+        workspace's bases; returns the (M,) values of ``objective`` at their
+        ``signals``.
         """
-        c = (theta_batch.reshape(len(theta_batch), -1) @ self.t).reshape(
-            -1, self.users, self.streams)
-        return self.surrogate(c, tau, y).sum(axis=-1)
+        return self.surrogate(self.signals(diagonals), tau, y).sum(axis=-1)
 
     def gradient(self, c: np.ndarray, tau: np.ndarray,
                  y: np.ndarray) -> np.ndarray:
@@ -266,50 +272,24 @@ class _Workspace:
 _ARMIJO_CHUNK = 16
 # The frozen-auxiliary objective sums per-user terms of size log2(1 + tau)
 # and tau / ln2 that partly cancel, at rounded blocks. When the state does
-# not move at all, the line-search scores still exceed f by up to 17.5
-# ulps of (|f| + those terms) where the largest tau exceeds 1e-12 (fc,
-# R = 64, gain 1e-3, seed 8), and by up to 22.6 at tau ~ 1e-17 (fc, R = 8,
-# gain 1e-9, seed 18); explicitly formed candidates gave 15.9 and 29.3.
-# Sweep: gc2/gc4/fc at R = 4, 8, 16, 32, 64, K = 4, unit noise, both link
-# gains 1e-9, 1e-6, 1e-3, 1, 1e2 or 1e4, ``tests/helpers`` seeds s = 0..24
-# (channels seed s, start state seed s + 1), at the start state and one
-# accepted search step from it, 16 steps alpha = 1e-30 / |xi| * 0.75^k
-# along the Riemannian gradient xi. An increase below this many such ulps
-# is noise; the floor sits below the worst of those cases.
+# not move at all, the line-search scores (diagonal phases) still exceed f
+# by up to 11.7 ulps of (|f| + those terms) where the largest tau exceeds
+# 1e-12 (fc, R = 64, gain 1e2, seed 19), and by up to 17.0 at tau ~ 4e-17
+# (fc, R = 64, gain 1e-9, seed 19); explicitly formed candidates scored
+# through ``_Workspace.signal`` gave 18.8 and 28.8. Sweep: gc2/gc4/fc at
+# R = 4, 8, 16, 32, 64, K = 4, unit noise, both link gains 1e-9, 1e-6,
+# 1e-3, 1, 1e2 or 1e4, ``tests/helpers`` seeds s = 0..24 (channels seed s,
+# start state seed s + 1), at the start state and one accepted search step
+# from it, 16 steps alpha = 1e-30 / |xi| * 0.75^k along the Riemannian
+# gradient xi. An increase below this many such ulps is noise; the floor
+# sits below the worst of those cases.
 _NOISE_ULPS = 16.0
-
-
-def _geodesic_scores(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
-                     tau: np.ndarray, y: np.ndarray):
-    """(frame, score) of one line search on factored blocks.
-
-    Along the geodesic U_g(alpha) = P_g D(alpha) V_g^H of ``geodesic``, with
-    D(alpha) = diag(exp(i alpha w_g)), the scattering block is
-    U_g U_g^T = P_g X_g(alpha) P_g^T with X_g(alpha) = D M_g D and
-    M_g = V_g^H conj(V_g). ``score(alphas)`` gives the frozen-auxiliary
-    objective of those points from the blocks X_g alone, through the
-    workspace in the bases P_g, so no candidate factor is formed; ``frame``
-    lets ``retract_batch`` form the accepted one without a second ``eigh``.
-    """
-    frame = geodesic(state, xi_stack)
-    rotated = ws.in_bases(frame.p)
-    mixing = frame.vh @ frame.vh.transpose(0, 2, 1)
-
-    def score(alphas: np.ndarray) -> np.ndarray:
-        phases = np.exp(1j * alphas[:, None, None] * frame.w)  # (M, G, R_G)
-        # Columns first, then rows in place: about 3x faster than one
-        # expression whose first operand broadcasts along the rows.
-        blocks = mixing * phases[..., None, :]
-        blocks *= phases[..., :, None]
-        return rotated.objective_batch(blocks, tau, y)
-
-    return frame, score
 
 
 def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
                   tau: np.ndarray, y: np.ndarray, f_current: float,
                   directional_derivative: float, settings: CgaSettings
-                  ) -> tuple[float, np.ndarray | None, float]:
+                  ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """Backtracking search on the frozen-auxiliary objective.
 
     Tries alpha = step_init * step_contract^m for m = 0 .. L-1 and accepts
@@ -319,33 +299,37 @@ def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
 
     R being the retraction ``retract_batch`` and floor the rounding noise
     of f (see ``_NOISE_ULPS``), so that an increase f cannot resolve never
-    passes, whatever the coefficient. Factored states are scored in the
-    eigenbasis of their geodesics (``_geodesic_scores``), and only the
-    accepted state is formed; 1 x 1 blocks, their own scattering blocks,
-    are retracted and scored as candidates.
+    passes, whatever the coefficient. ``objective_batch`` scores every
+    candidate from its diagonals on one workspace, the search's ``line``:
+    on factored blocks ``Geodesic.diagonals`` in the workspace of the bases
+    P (only the accepted factor is formed), for 1 x 1 blocks the retracted
+    candidates themselves.
 
     Candidate steps are evaluated in vectorized chunks but acceptance is
     still the first qualifying m. A rank-deficient retraction counts as a
-    failed trial (forced contraction). Returns (alpha, accepted state,
-    its objective), or (0.0, None, f_current) when no trial is accepted or
-    the directional derivative is not positive.
+    failed trial (forced contraction). Returns (alpha, accepted state, its
+    signal matrix), or (0.0, None, None) when no trial is accepted or the
+    directional derivative is not positive.
     """
     if directional_derivative <= 0 or not np.any(xi_stack):
-        return 0.0, None, f_current
+        return 0.0, None, None
     floor = _NOISE_ULPS * np.finfo(float).eps * (
         abs(f_current) + float(np.sum(np.log2(1.0 + tau) + 2.0 * tau / LN2)))
     if ws.factored:
-        frame, score = _geodesic_scores(ws, state, xi_stack, tau, y)
+        path = geodesic(state, xi_stack)
+        line = ws.in_bases(path.p)
+    else:
+        path, line = xi_stack, ws
     total = settings.armijo_max_steps
     for start in range(0, total, _ARMIJO_CHUNK):
         count = min(_ARMIJO_CHUNK, total - start)
         alphas = settings.step_init * settings.step_contract ** np.arange(
             start, start + count, dtype=float)
         if ws.factored:
-            values, ok = score(alphas), True
+            diagonals, ok = path.diagonals(alphas), True
         else:
-            candidates, ok = retract_batch(state, xi_stack, alphas)
-            values = ws.objective_batch(candidates, tau, y)
+            diagonals, ok = retract_batch(state, path, alphas)
+        values = line.objective_batch(diagonals, tau, y)
         demand = np.maximum(
             settings.armijo_coeff * alphas * directional_derivative, floor)
         accepted = ok & (values >= f_current + demand)
@@ -353,12 +337,13 @@ def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
         if hits.size:
             first = int(hits[0])
             if ws.factored:
-                chosen = retract_batch(state, frame,
+                chosen = retract_batch(state, path,
                                        alphas[first:first + 1])[0][0]
             else:
-                chosen = candidates[first]
-            return float(alphas[first]), chosen, float(values[first])
-    return 0.0, None, f_current
+                chosen = diagonals[first]
+            return (float(alphas[first]), chosen,
+                    line.signals(diagonals[first:first + 1])[0])
+    return 0.0, None, None
 
 
 def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
@@ -382,13 +367,17 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
     ws = _Workspace(channels, beam, config)
 
     if ws.factored:
-        # The same seeded draw as theta0: state @ state^T is theta0 bit for bit.
+        # The same seeded draw as theta0: state @ state^T is theta0 bit for
+        # bit, the identity in the bases of the state.
         state = random_feasible_stack(np.random.default_rng(seed),
                                       config.n_groups, config.group_size)
+        c = ws.in_bases(state).signals(np.ones((1,) + state.shape[:2]))[0]
     else:
+        # 1 x 1 blocks are their own diagonals, and score as the line search
+        # scores them: the same contraction, bit for bit.
         state = theta0.block_stack()
+        c = ws.signals(state[None])[0]
     theta_stack = ws.theta(state)
-    c = ws.signal(theta_stack)
     tau, y, eta = ws.stats(c)
     f_current = ws.objective(c, tau, y)
     riem = ws.riemannian_gradient(state, c, tau, y)
@@ -414,7 +403,7 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
             xi = riem.copy()
             directional = _re_vdot(riem, riem)
 
-        alpha, candidate, _ = _armijo_stack(
+        alpha, candidate, c_new = _armijo_stack(
             ws, state, xi, tau, y, f_current, directional, settings)
 
         if candidate is None:
@@ -429,9 +418,8 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
         stalls = 0
         denominator = _re_vdot(riem, riem)
 
-        state = candidate
+        state, c = candidate, c_new
         theta_stack = ws.theta(state)
-        c = ws.signal(theta_stack)
         tau, y, eta_new = ws.stats(c)
         f_current = ws.objective(c, tau, y)
         riem_new = ws.riemannian_gradient(state, c, tau, y)
@@ -452,16 +440,14 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
 
     theta_opt = project_symmetric_unitary(
         ScatteringMatrix.from_block_stack(theta_stack))
-    opt_stack = theta_opt.block_stack()
-    eta_post = ws.rate(ws.signal(opt_stack))
-    sym = opt_stack - opt_stack.transpose(0, 2, 1)
+    eta_post = ws.rate(ws.signal(theta_opt.block_stack()))
+    report = validate_feasibility(theta_opt)
     final = TraceFinal(
         projected_rate=eta_post,
         pre_projection_rate=eta,
         projection_rate_delta=abs(eta_post - eta),
-        symmetry_residual=float(np.sqrt(np.sum(np.abs(sym) ** 2,
-                                               axis=(1, 2))).max()),
-        unitarity_residual=float(unitarity_residuals(opt_stack).max()),
+        symmetry_residual=report.max_symmetry,
+        unitarity_residual=report.max_unitarity,
         iters_used=iters_used,
         stop_reason=stop_reason)
     trace = OptimizerTrace(records=records, final=final, seed=seed)

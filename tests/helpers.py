@@ -70,12 +70,24 @@ def workspace_at(theta, channels, beam, config):
     return ws, stack, c, tau, y
 
 
+def start_diagonals(ws, config, seed):
+    """(workspace, diagonals) on which ``objective_batch`` scores the start
+    point ``random_feasible(config, seed)`` as ``cga_optimize`` does: 1 x 1
+    blocks are their own diagonals, and larger blocks U U^T are the identity
+    in the bases of their Takagi factors U."""
+    state = start_state(config, seed)
+    if config.group_size == 1:
+        return ws, state[None]
+    return ws.in_bases(state), np.ones((1,) + state.shape[:2])
+
+
 def explicit_scores(ws, state, direction, alphas, tau, y) -> np.ndarray:
     """Frozen-auxiliary objective at explicitly formed candidates: the
-    factors ``retract_batch`` forms, their blocks ``ws.theta``, scored by
-    ``objective_batch`` in the workspace's own basis."""
+    factors ``retract_batch`` forms and their blocks ``ws.theta``, each
+    scored by ``ws.objective`` at its ``ws.signal``."""
     candidates, _ = retract_batch(state, direction, alphas)
-    return ws.objective_batch(ws.theta(candidates), tau, y)
+    return np.array([ws.objective(ws.signal(blocks), tau, y)
+                     for blocks in ws.theta(candidates)])
 
 
 def explicit_armijo_step(ws, state, direction, tau, y, f_current,

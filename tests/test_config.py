@@ -1,6 +1,7 @@
 import pytest
 
-from bdris import SystemConfig, config_from_dict, config_to_dict, load_config
+from bdris import (LinkGeometry, SystemConfig, config_from_dict,
+                   config_to_dict, load_config)
 
 from helpers import make_config
 
@@ -27,13 +28,30 @@ def test_defaults_and_group_size():
     dict(step_contract=0.0),
     dict(step_init=0.0),
     dict(max_iters=0),
+    # Non-finite floats: an infinite noise power used to end "stalled" at
+    # rate 0, an infinite tolerance "converged" after one iteration.
+    dict(noise_power=float("inf")),
+    dict(epsilon=float("inf")),
+    dict(step_init=float("inf")),
+    dict(armijo_coeff=float("nan")),
+    dict(p_max=float("inf")),
 ])
 def test_invalid_configs_rejected(overrides):
     base = dict(n_tx=4, n_users=2, n_elements=8, n_groups=4, p_max=1.0,
                 noise_power=1.0)
     base.update(overrides)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(overrides))):
         SystemConfig(**base)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("distance_m", float("inf")), ("exponent", float("nan")),
+    ("ref_loss_db", float("-inf")), ("ref_distance_m", float("inf"))])
+def test_non_finite_link_geometry_rejected(key, value):
+    link = dict(distance_m=10.0, exponent=2.0, ref_loss_db=30.0)
+    link[key] = value
+    with pytest.raises(ValueError, match=key):
+        LinkGeometry(**link)
 
 
 def test_dict_roundtrip():

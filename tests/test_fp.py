@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdris import Beamformer, ScatteringMatrix, validate_feasibility
-from bdris.manifold import retract_batch
+from bdris.manifold import geodesic, retract_batch
 
 from helpers import (make_instance, random_aux, reference_sinr,
-                     reference_sum_rate, start_state, workspace_at)
+                     reference_sum_rate, start_diagonals, start_state,
+                     workspace_at)
 
 
 def bent_stack(stack, rng, scale=0.3):
@@ -194,23 +195,32 @@ class TestPenalizedObjective:
                                       (4, 8, 1), (4, 64, 64), (4, 8, 4),
                                       (4, 8, 2), (4, 32, 1)])
     def test_batch_matches_single(self, dims):
-        # objective_batch (line search) against objective (per iterate), on
-        # the blocks of retracted candidates and on arbitrary points.
+        # objective_batch (line search) on diagonals in the bases P of a
+        # geodesic (the identity for 1 x 1 blocks) against objective (per
+        # iterate) at the explicitly formed blocks P diag(d) P^T, for the
+        # diagonals of a line search and for arbitrary ones.
         k, r, n_groups = dims
         rng = np.random.default_rng(r * 10 + n_groups)
         config, channels, theta, beam = make_instance(
             seed=r + n_groups, n_users=k, n_tx=k, n_elements=r,
             n_groups=n_groups)
-        ws, stack, _, tau, y = workspace_at(theta, channels, beam, config)
+        ws, *_, tau, y = workspace_at(theta, channels, beam, config)
         state = start_state(config, seed=r + n_groups + 1)
         direction = bent_stack(np.zeros_like(state), rng, scale=1.0)
-        candidates, _ = retract_batch(state, direction,
-                                      0.75 ** np.arange(6, dtype=float))
-        batch = np.concatenate([ws.theta(candidates),
-                                [bent_stack(stack, rng) for _ in range(3)]])
-        values = ws.objective_batch(batch, tau, y)
-        for candidate, value in zip(batch, values):
-            single = ws.objective(ws.signal(candidate), tau, y)
+        alphas = 0.75 ** np.arange(6, dtype=float)
+        if config.group_size == 1:
+            line, p = ws, np.ones_like(state)
+            diagonals = retract_batch(state, direction, alphas)[0][..., 0]
+        else:
+            frame = geodesic(state, direction)
+            line, p = ws.in_bases(frame.p), frame.p
+            diagonals = frame.diagonals(alphas)
+        arbitrary = bent_stack(np.zeros_like(diagonals[:3]), rng, scale=1.0)
+        batch = np.concatenate([diagonals, arbitrary])
+        values = line.objective_batch(batch, tau, y)
+        for diagonal, value in zip(batch, values):
+            blocks = (p * diagonal[:, None, :]) @ p.transpose(0, 2, 1)
+            single = ws.objective(ws.signal(blocks), tau, y)
             assert value == pytest.approx(single, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("tag, r, n_groups", [
@@ -219,14 +229,16 @@ class TestPenalizedObjective:
     def test_batch_at_optimal_aux_equals_rate(self, tag, r, n_groups):
         # At a feasible point and its closed-form auxiliaries the batched
         # objective is the true sum-rate, whichever contraction computes the
-        # signal matrix.
+        # signal matrix: the point's diagonals in the bases cga_optimize
+        # starts from, or its blocks.
         config, channels, theta, beam = make_instance(
             seed=r + n_groups, n_users=4, n_tx=4, n_elements=r,
             n_groups=n_groups)
-        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
+        ws, _, c, tau, y = workspace_at(theta, channels, beam, config)
         rate = reference_sum_rate(channels, theta.theta, beam.v,
                                   config.noise_power)
-        value = ws.objective_batch(stack[None], tau, y)[0]
+        line, diagonals = start_diagonals(ws, config, seed=r + n_groups + 1)
+        value = line.objective_batch(diagonals, tau, y)[0]
         assert value == pytest.approx(ws.objective(c, tau, y),
                                       rel=1e-12, abs=0)
         assert value == pytest.approx(rate, rel=1e-12, abs=0)

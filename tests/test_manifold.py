@@ -166,12 +166,17 @@ class TestExponentialMap:
         assert ok.all()
         assert max(unitarity_residuals(m).max() for m in moved) <= 1e-13
 
-    def test_velocity_at_zero_is_direction(self, size):
+    def test_velocity_at_zero_is_horizontal_part(self, size):
+        # A tangent direction is U A with A skew-Hermitian. Its horizontal
+        # part U (i Im A) moves U U^T; the vertical part U Re(A), real
+        # antisymmetric, does not, and the geodesic drops it.
         u, xi = self._point(size, seed=2)
+        horizontal = u @ (1j * (u.conj().transpose(0, 2, 1) @ xi).imag)
         h = 1e-5
         moved, _ = retract_batch(u, xi, np.array([h, -h]))
         velocity = (moved[0] - moved[1]) / (2.0 * h)
-        assert np.abs(velocity - xi).max() <= 1e-6
+        assert np.abs(velocity - horizontal).max() <= 1e-6
+        assert np.abs(xi - horizontal).max() > 1e-2
 
     def test_frame_in_place_of_direction(self, size):
         # The frame of the direction gives the same candidates, bit for bit.

@@ -10,8 +10,8 @@ from bdris import (CgaSettings, ScatteringMatrix, cga_optimize,
                    generate_channels_from_gains,
                    init_beamformer_uniform, project_symmetric_unitary,
                    random_feasible, validate_feasibility, write_trace_csv)
-from bdris.manifold import retract_batch
-from bdris.optimizer import _armijo_stack, _geodesic_scores, _re_vdot
+from bdris.manifold import geodesic, retract_batch
+from bdris.optimizer import _armijo_stack, _re_vdot
 
 from helpers import (config_for_tag, explicit_armijo_step, explicit_scores,
                      make_config, make_instance, reference_sum_rate,
@@ -69,9 +69,9 @@ class TestArmijo:
 
     def test_zero_direction_stalls(self):
         ws, stack, tau, y, f0, settings, grad = self._setup(0)
-        alpha, candidate, f_new = _armijo_stack(
+        alpha, candidate, c_new = _armijo_stack(
             ws, stack, np.zeros_like(stack), tau, y, f0, 1.0, settings)
-        assert (alpha, candidate, f_new) == (0.0, None, f0)
+        assert (alpha, candidate, c_new) == (0.0, None, None)
         # a direction that is not an ascent direction stalls as well
         alpha, candidate, _ = _armijo_stack(
             ws, stack, grad, tau, y, f0, -_re_vdot(grad, grad), settings)
@@ -81,10 +81,14 @@ class TestArmijo:
         for seed in range(5):
             ws, stack, tau, y, f0, settings, grad = self._setup(seed)
             dd = _re_vdot(grad, grad)
-            alpha, candidate, f_new = _armijo_stack(ws, stack, grad, tau, y,
+            alpha, candidate, c_new = _armijo_stack(ws, stack, grad, tau, y,
                                                     f0, dd, settings)
             assert alpha > 0
-            # direct recheck of the accepted step
+            # direct recheck of the accepted step and its signal matrix
+            explicit = ws.signal(ws.theta(candidate))
+            assert np.abs(c_new - explicit).max() <= \
+                1e-12 * np.abs(explicit).max()
+            f_new = ws.objective(c_new, tau, y)
             recheck = self._value(ws, candidate, tau, y)
             assert recheck == pytest.approx(f_new, rel=1e-12, abs=1e-12)
             assert f_new >= f0 + settings.armijo_coeff * alpha * dd - 1e-12
@@ -99,10 +103,10 @@ class TestArmijo:
     def test_zero_coeff_accepts_any_increase(self):
         ws, stack, tau, y, f0, settings, grad = self._setup(7)
         settings0 = replace(settings, armijo_coeff=0.0)
-        alpha, candidate, f_new = _armijo_stack(
+        alpha, candidate, c_new = _armijo_stack(
             ws, stack, grad, tau, y, f0, _re_vdot(grad, grad), settings0)
         assert alpha > 0
-        assert f_new >= f0
+        assert ws.objective(c_new, tau, y) >= f0
 
     def test_impossible_increase_stalls(self):
         # The last trial steps (0.75^199 ~ 1e-25) demand less than one ulp of
@@ -112,9 +116,9 @@ class TestArmijo:
         for seed in range(50):
             ws, stack, tau, y, f0, settings, grad = self._setup(seed)
             greedy = replace(settings, armijo_coeff=1e9)
-            alpha, candidate, f_new = _armijo_stack(
+            alpha, candidate, c_new = _armijo_stack(
                 ws, stack, grad, tau, y, f0, _re_vdot(grad, grad), greedy)
-            assert (alpha, candidate, f_new) == (0.0, None, f0), seed
+            assert (alpha, candidate, c_new) == (0.0, None, None), seed
 
 
     def test_same_step_as_explicit_search(self):
@@ -132,11 +136,9 @@ class TestArmijo:
                     ws, stack, grad, tau, y, f0, dd, search), (seed, coeff)
 
 
-@pytest.mark.parametrize("r", [8, 32, 64])
-@pytest.mark.parametrize("tag", ["gc2", "gc4", "fc"])
-def test_eigenbasis_scores_match_explicit_candidates(tag, r):
-    # The line search scores X(alpha) = D M D in the bases P = U V; the same
-    # steps scored at explicitly formed U(alpha) U(alpha)^T agree to 1e-12.
+def gradient_at_start(tag, r):
+    """(workspace, state, tau, y, Riemannian gradient) at the start state of
+    a connected-block instance with unit link gains."""
     config = config_for_tag(tag, n_elements=r)
     channels = generate_channels_from_gains(config, 1.0, 1.0, seed=r)
     beam = init_beamformer_uniform(config)
@@ -145,11 +147,55 @@ def test_eigenbasis_scores_match_explicit_candidates(tag, r):
     state = start_state(config, seed=r + 1)
     c = ws.signal(ws.theta(state))
     tau, y, _ = ws.stats(c)
-    xi = ws.riemannian_gradient(state, c, tau, y)
+    return ws, state, tau, y, ws.riemannian_gradient(state, c, tau, y)
+
+
+def line_scores(ws, state, direction, alphas, tau, y):
+    """The line search's scores on connected blocks: the phases of the
+    geodesic's diagonals in the workspace of its bases."""
+    frame = geodesic(state, direction)
+    return ws.in_bases(frame.p).objective_batch(frame.diagonals(alphas),
+                                                tau, y)
+
+
+@pytest.mark.parametrize("r", [8, 32, 64])
+@pytest.mark.parametrize("tag", ["gc2", "gc4", "fc"])
+def test_eigenbasis_scores_match_explicit_candidates(tag, r):
+    # The line search scores the diagonals exp(2 i alpha w) in the bases
+    # P = U Q; the same steps scored at explicitly formed U(alpha) U(alpha)^T
+    # agree to 1e-12.
+    ws, state, tau, y, xi = gradient_at_start(tag, r)
     alphas = np.concatenate([[0.0, 1e-6, 1.0], 0.75 ** np.arange(200.0)])
-    _, score = _geodesic_scores(ws, state, xi, tau, y)
     oracle = explicit_scores(ws, state, xi, alphas, tau, y)
-    np.testing.assert_allclose(score(alphas), oracle, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(line_scores(ws, state, xi, alphas, tau, y),
+                               oracle, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("r", [8, 32])
+@pytest.mark.parametrize("tag", ["gc2", "gc4", "fc"])
+def test_gradient_is_horizontal(tag, r):
+    # The generator skew(U^H xi) of the Riemannian gradient is i S with S
+    # real symmetric: its real antisymmetric (vertical) part is rounding.
+    ws, state, tau, y, xi = gradient_at_start(tag, r)
+    lift = state.conj().transpose(0, 2, 1) @ xi
+    generator = 0.5 * (lift - lift.conj().transpose(0, 2, 1))
+    assert np.linalg.norm(generator.real) <= 1e-12 * np.linalg.norm(generator)
+
+
+@pytest.mark.parametrize("tag", ["gc2", "gc4", "fc"])
+def test_vertical_direction_changes_nothing(tag):
+    # U K with K real antisymmetric only turns the Takagi factor within its
+    # O(R_G) orbit: U U^T, and so every score, stays at f(state).
+    ws, state, tau, y, _ = gradient_at_start(tag, 8)
+    rng = np.random.default_rng(11)
+    k = rng.standard_normal(state.shape)
+    vertical = state @ (k - k.transpose(0, 2, 1))
+    f0 = ws.objective(ws.signal(ws.theta(state)), tau, y)
+    alphas = np.concatenate([[1.0, 1e-6], 0.75 ** np.arange(16.0)])
+    np.testing.assert_allclose(line_scores(ws, state, vertical, alphas, tau, y),
+                               f0, rtol=1e-12, atol=0)
+    moved, _ = retract_batch(state, vertical, alphas)
+    assert np.abs(moved - state[None]).max() <= 1e-12
 
 
 class TestProjection:
