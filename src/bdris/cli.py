@@ -103,6 +103,8 @@ def cmd_optimize(args) -> int:
     print(f"iterations: {final.iters_used}")
     print(f"converged: {str(final.converged).lower()}")
     print(f"stop_reason: {final.stop_reason}")
+    print(f"grad_norm: {final.grad_norm:.3e}")
+    print(f"grad_norm_ratio: {final.grad_norm_ratio:.3e}")
     print(f"sum_rate_bits: {final.projected_rate!r}")
     print(f"pre_projection_rate_bits: {final.pre_projection_rate!r}")
     print(f"projection_rate_delta: {final.projection_rate_delta:.3e}")

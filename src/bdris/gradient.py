@@ -25,11 +25,43 @@ chain rule gives the gradient with respect to U_g in the same convention,
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .channel import ChannelSet
 
 LN2 = float(np.log(2.0))
+
+
+class Auxiliaries(NamedTuple):
+    """Frozen auxiliaries (tau, y) and the per-user coefficients that every
+    surrogate score and gradient at them uses, formed once per iterate.
+
+    The surrogate of user k is offset_k + weight_k * quad_k with
+    quad_k = 2 Re(y_conj_k c_kk) - y_power_k * total_k (see the
+    ``optimizer`` module docstring), and ``spread`` is the size of its
+    partly cancelling tau-terms, sum_k log2(1 + tau_k) + 2 tau_k / ln2.
+    """
+
+    tau: np.ndarray
+    y: np.ndarray
+    offset: np.ndarray       # log2(1 + tau) - tau / ln2
+    weight: np.ndarray       # (1 + tau) / ln2
+    y_conj: np.ndarray
+    y_power: np.ndarray      # |y|^2
+    spread: float
+
+    @classmethod
+    def of(cls, tau: np.ndarray, y: np.ndarray,
+           log_term: np.ndarray | None = None) -> "Auxiliaries":
+        """Coefficients at (tau, y); ``log_term`` is log2(1 + tau) if the
+        caller has it already."""
+        if log_term is None:
+            log_term = np.log2(1.0 + tau)
+        return cls(tau, y, log_term - tau / LN2, (1.0 + tau) / LN2,
+                   np.conj(y), np.abs(y) ** 2,
+                   float(np.sum(log_term + 2.0 * tau / LN2)))
 
 
 def channel_stacks(channels: ChannelSet, beam_v: np.ndarray,
@@ -49,13 +81,12 @@ def channel_stacks(channels: ChannelSet, beam_v: np.ndarray,
 
 
 def gradient_stack(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                   tau: np.ndarray, y: np.ndarray) -> np.ndarray:
+                   aux: Auxiliaries) -> np.ndarray:
     """Batched gradient over all blocks; see the module docstring."""
-    weights = (1.0 + tau) / LN2
     b_conj_t = b.conj().transpose(0, 2, 1)              # (G, K, R_G)
-    t1 = y[None, :, None] * b_conj_t
-    t2 = (np.abs(y) ** 2)[None, :, None] * (c @ b_conj_t)
-    weighted = weights[None, :, None] * (t1 - t2)
+    t1 = aux.y[None, :, None] * b_conj_t
+    t2 = aux.y_power[None, :, None] * (c @ b_conj_t)
+    weighted = aux.weight[None, :, None] * (t1 - t2)
     return 2.0 * (a.conj().transpose(0, 2, 1) @ weighted)
 
 

@@ -36,7 +36,9 @@ def unitarity_residuals(theta_stack: np.ndarray) -> np.ndarray:
     """Per-block Frobenius norm of T T^H - I."""
     rg = theta_stack.shape[-1]
     gram = theta_stack @ theta_stack.conj().transpose(0, 2, 1)
-    gram = gram - np.eye(rg)
+    # In place on the diagonals: every (rg + 1)-th entry of each fresh,
+    # C-ordered block.
+    gram.reshape(len(gram), -1)[:, ::rg + 1] -= 1.0
     return np.sqrt(np.sum(np.abs(gram) ** 2, axis=(1, 2)))
 
 
@@ -88,11 +90,13 @@ def retract_batch(stack: np.ndarray, direction_stack: np.ndarray | Geodesic,
     and flagged candidates stay in the batch so that the others stay usable.
     """
     if stack.shape[-1] == 1:
-        moved = stack[None] + alphas[:, None, None, None] * direction_stack[None]
+        # On (M, G) arrays of the entries; returned as (M, G, 1, 1) views.
+        moved = (stack.reshape(1, -1)
+                 + alphas[:, None] * direction_stack.reshape(1, -1))
         mags = np.abs(moved)
-        scale = np.maximum(mags.reshape(len(alphas), -1).max(axis=1), 1.0)
-        ok = mags.reshape(len(alphas), -1).min(axis=1) > 1e-12 * scale
-        return moved / np.where(mags > 0, mags, 1.0), ok
+        ok = mags.min(axis=1) > 1e-12 * np.maximum(mags.max(axis=1), 1.0)
+        phases = moved / np.where(mags > 0, mags, 1.0)
+        return phases[:, :, None, None], ok
     frame = (direction_stack if isinstance(direction_stack, Geodesic)
              else geodesic(stack, direction_stack))
     groups, size = frame.p.shape[0], frame.p.shape[-1]

@@ -56,12 +56,17 @@ row per element for those bases, and a whole chunk of candidate diagonals
 is one matrix product with it. A factored search builds that tensor once in
 its bases P_g, and forms only the factor it accepts; the search also
 returns the accepted point's signal matrix, so no iterate recomputes it.
+The auxiliaries of one iterate come with their per-user coefficients
+(``gradient.Auxiliaries``), formed once from the rate's own log2(1 + tau)
+and shared by the objective, every line-search score and the gradient.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
+import functools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,7 +74,7 @@ import numpy as np
 
 from .channel import ChannelSet
 from .config import SystemConfig
-from .gradient import LN2, channel_stacks, factor_gradient, gradient_stack
+from .gradient import Auxiliaries, channel_stacks, factor_gradient, gradient_stack
 from .manifold import (geodesic, project_stack, random_feasible,
                        random_feasible_stack, retract_batch, unitarity_residuals)
 from .system import Beamformer, ScatteringMatrix
@@ -113,6 +118,7 @@ class IterationRecord:
     grad_norm: float         # Riemannian gradient norm
     beta: float              # direction-update coefficient
     unitarity_residual: float
+    armijo_trials: int       # step sizes the line search scored
 
 
 @dataclass(frozen=True)
@@ -123,7 +129,9 @@ class TraceFinal:
     symmetry_residual: float
     unitarity_residual: float
     iters_used: int
-    stop_reason: str         # "tolerance", "max_iters" or "stalled"
+    stop_reason: str         # "tolerance", "max_iters", "stalled" or "nonfinite"
+    grad_norm: float         # Riemannian gradient norm at the last iterate
+    grad_norm_ratio: float   # grad_norm over its value at the start point
 
     @property
     def converged(self) -> bool:
@@ -140,13 +148,16 @@ class OptimizerTrace:
 
 
 def write_trace_csv(trace: OptimizerTrace, path: str | Path) -> None:
-    """One line per iteration: iter, eta, eta_breve, alpha, grad_norm, beta."""
+    """One line per iteration: iter, eta, eta_breve, alpha, grad_norm, beta,
+    armijo_trials."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "eta", "eta_breve", "alpha", "grad_norm", "beta"])
+        writer.writerow(["iter", "eta", "eta_breve", "alpha", "grad_norm", "beta",
+                         "armijo_trials"])
         for rec in trace.records:
             writer.writerow([rec.iter, repr(rec.true_rate), repr(rec.surrogate),
-                             repr(rec.step), repr(rec.grad_norm), repr(rec.beta)])
+                             repr(rec.step), repr(rec.grad_norm), repr(rec.beta),
+                             rec.armijo_trials])
 
 
 def _re_vdot(a: np.ndarray, b: np.ndarray) -> float:
@@ -213,11 +224,15 @@ class _Workspace:
         return (diagonals.reshape(len(diagonals), -1) @ self.t).reshape(
             -1, self.users, self.streams)
 
-    def stats(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """Optimal auxiliaries and true sum-rate from the signal matrix.
+    def stats(self, c: np.ndarray) -> tuple[Auxiliaries, float, np.ndarray]:
+        """Optimal auxiliaries, true sum-rate and the (K,) totals
+        sum_i |c_ki|^2 + n0 at the signal matrix ``c``.
 
-        The SINR denominators sum the off-diagonal powers directly:
-        subtracting the own power from the total cancels when it dominates.
+        The auxiliaries come with their coefficients (``Auxiliaries``), which
+        reuse the rate's log2(1 + tau); passing the totals to ``objective``
+        at the same ``c`` saves recomputing them. The SINR denominators sum
+        the off-diagonal powers directly: subtracting the own power from the
+        total cancels when it dominates.
         """
         powers = np.abs(c) ** 2
         total = powers.sum(axis=1) + self.noise
@@ -225,51 +240,57 @@ class _Workspace:
         interference = (powers * self.off_diagonal).sum(axis=1)
         tau = np.abs(diag) ** 2 / (interference + self.noise)
         y = diag / total
-        rate = float(np.log2(1.0 + tau).sum())
-        return tau, y, rate
+        log_term = np.log2(1.0 + tau)
+        return Auxiliaries.of(tau, y, log_term), float(log_term.sum()), total
 
     def rate(self, c: np.ndarray) -> float:
-        return self.stats(c)[2]
+        return self.stats(c)[1]
 
-    def surrogate(self, c: np.ndarray, tau: np.ndarray,
-                  y: np.ndarray) -> np.ndarray:
+    def surrogate(self, c: np.ndarray, aux: Auxiliaries,
+                  total: np.ndarray | None = None) -> np.ndarray:
         """Per-user surrogate values (see the module docstring) of signal
-        matrices ``c`` of shape (..., K, K) at frozen auxiliaries."""
-        total = (np.abs(c) ** 2).sum(axis=-1) + self.noise
-        quad = (2.0 * np.real(np.conj(y) * np.diagonal(c, axis1=-2, axis2=-1))
-                - np.abs(y) ** 2 * total)
-        return np.log2(1.0 + tau) - tau / LN2 + (1.0 + tau) / LN2 * quad
+        matrices ``c`` of shape (..., K, K) at frozen auxiliaries; ``total``
+        are their sum_i |c_ki|^2 + n0 if the caller has them."""
+        if total is None:
+            total = (np.abs(c) ** 2).sum(axis=-1) + self.noise
+        quad = (2.0 * np.real(aux.y_conj * np.diagonal(c, axis1=-2, axis2=-1))
+                - aux.y_power * total)
+        return aux.offset + aux.weight * quad
 
-    def objective(self, c: np.ndarray, tau: np.ndarray, y: np.ndarray) -> float:
+    def objective(self, c: np.ndarray, aux: Auxiliaries,
+                  total: np.ndarray | None = None) -> float:
         """Surrogate sum at frozen auxiliaries from the signal matrix."""
-        return float(self.surrogate(c, tau, y).sum())
+        return float(self.surrogate(c, aux, total).sum())
 
-    def objective_batch(self, diagonals: np.ndarray, tau: np.ndarray,
-                        y: np.ndarray) -> np.ndarray:
+    def objective_batch(self, diagonals: np.ndarray,
+                        aux: Auxiliaries) -> np.ndarray:
         """Frozen-auxiliary objective of many candidate points at once.
 
         ``diagonals`` (M, G, R_G) are those of diagonal blocks in this
         workspace's bases; returns the (M,) values of ``objective`` at their
         ``signals``.
         """
-        return self.surrogate(self.signals(diagonals), tau, y).sum(axis=-1)
+        return self.surrogate(self.signals(diagonals), aux).sum(axis=-1)
 
-    def gradient(self, c: np.ndarray, tau: np.ndarray,
-                 y: np.ndarray) -> np.ndarray:
+    def gradient(self, c: np.ndarray, aux: Auxiliaries) -> np.ndarray:
         """Gradient of the objective with respect to the scattering blocks."""
-        return gradient_stack(self.a, self.b, c, tau, y)
+        return gradient_stack(self.a, self.b, c, aux)
 
     def riemannian_gradient(self, state: np.ndarray, c: np.ndarray,
-                            tau: np.ndarray, y: np.ndarray) -> np.ndarray:
+                            aux: Auxiliaries) -> np.ndarray:
         """Gradient with respect to the state, projected onto its tangent
         space."""
-        grad = self.gradient(c, tau, y)
+        grad = self.gradient(c, aux)
         if self.factored:
             grad = factor_gradient(grad, state)
         return project_stack(grad, state)
 
 
-_ARMIJO_CHUNK = 16
+# Step sizes scored per call of ``objective_batch``. The width only groups
+# the scoring: the accepted step is the first that passes at any width.
+# Searches accept at index 16 to 31 about 95% of the time (desk-regime
+# sc R = 64 and cdf-r8 solves), so at 32 most take one chunk.
+_ARMIJO_CHUNK = 32
 # The frozen-auxiliary objective sums per-user terms of size log2(1 + tau)
 # and tau / ln2 that partly cancel, at rounded blocks. When the state does
 # not move at all, the line-search scores (diagonal phases) still exceed f
@@ -286,10 +307,29 @@ _ARMIJO_CHUNK = 16
 _NOISE_ULPS = 16.0
 
 
+@functools.lru_cache(maxsize=16)
+def _step_grid(settings: CgaSettings) -> tuple[np.ndarray, np.ndarray]:
+    """The trial steps alpha_m = step_init * step_contract^m,
+    m = 0 .. armijo_max_steps - 1, and coeff * alpha_m, read-only."""
+    alphas = settings.step_init * settings.step_contract ** np.arange(
+        settings.armijo_max_steps, dtype=float)
+    slopes = settings.armijo_coeff * alphas
+    alphas.flags.writeable = slopes.flags.writeable = False
+    return alphas, slopes
+
+
+def _finite(rate: float, grad_sq: float) -> bool:
+    return math.isfinite(rate) and math.isfinite(grad_sq)
+
+
+def _norm(square: float) -> float:
+    return math.sqrt(max(square, 0.0))
+
+
 def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
-                  tau: np.ndarray, y: np.ndarray, f_current: float,
+                  aux: Auxiliaries, f_current: float,
                   directional_derivative: float, settings: CgaSettings
-                  ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+                  ) -> tuple[float, np.ndarray | None, np.ndarray | None, int]:
     """Backtracking search on the frozen-auxiliary objective.
 
     Tries alpha = step_init * step_contract^m for m = 0 .. L-1 and accepts
@@ -305,35 +345,34 @@ def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
     P (only the accepted factor is formed), for 1 x 1 blocks the retracted
     candidates themselves.
 
-    Candidate steps are evaluated in vectorized chunks but acceptance is
+    The steps are scored in chunks of ``_ARMIJO_CHUNK``, one
+    ``objective_batch`` call each, until a chunk holds a passing step. The
+    chunk width only groups the scoring and never changes the step: every
+    candidate's score is computed on its own, and the accepted step is
     still the first qualifying m. A rank-deficient retraction counts as a
     failed trial (forced contraction). Returns (alpha, accepted state, its
-    signal matrix), or (0.0, None, None) when no trial is accepted or the
-    directional derivative is not positive.
+    signal matrix, step sizes scored), or (0.0, None, None, trials) when no
+    trial is accepted or the directional derivative is not positive.
     """
     if directional_derivative <= 0 or not np.any(xi_stack):
-        return 0.0, None, None
-    floor = _NOISE_ULPS * np.finfo(float).eps * (
-        abs(f_current) + float(np.sum(np.log2(1.0 + tau) + 2.0 * tau / LN2)))
+        return 0.0, None, None, 0
+    floor = _NOISE_ULPS * np.finfo(float).eps * (abs(f_current) + aux.spread)
     if ws.factored:
         path = geodesic(state, xi_stack)
         line = ws.in_bases(path.p)
     else:
         path, line = xi_stack, ws
-    total = settings.armijo_max_steps
-    for start in range(0, total, _ARMIJO_CHUNK):
-        count = min(_ARMIJO_CHUNK, total - start)
-        alphas = settings.step_init * settings.step_contract ** np.arange(
-            start, start + count, dtype=float)
+    grid, slopes = _step_grid(settings)
+    for start in range(0, len(grid), _ARMIJO_CHUNK):
+        alphas = grid[start:start + _ARMIJO_CHUNK]
         if ws.factored:
             diagonals, ok = path.diagonals(alphas), True
         else:
             diagonals, ok = retract_batch(state, path, alphas)
-        values = line.objective_batch(diagonals, tau, y)
+        values = line.objective_batch(diagonals, aux)
         demand = np.maximum(
-            settings.armijo_coeff * alphas * directional_derivative, floor)
-        accepted = ok & (values >= f_current + demand)
-        hits = np.flatnonzero(accepted)
+            slopes[start:start + _ARMIJO_CHUNK] * directional_derivative, floor)
+        hits = np.flatnonzero(ok & (values >= f_current + demand))
         if hits.size:
             first = int(hits[0])
             if ws.factored:
@@ -342,8 +381,9 @@ def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
             else:
                 chosen = diagonals[first]
             return (float(alphas[first]), chosen,
-                    line.signals(diagonals[first:first + 1])[0])
-    return 0.0, None, None
+                    line.signals(diagonals[first:first + 1])[0],
+                    start + len(alphas))
+    return 0.0, None, None, len(grid)
 
 
 def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
@@ -359,7 +399,9 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
     second consecutive stall resets the direction to the gradient, and a
     third terminates the run with ``converged=False``. ``final.stop_reason``
     says which exit ended the run: ``"tolerance"`` (converged),
-    ``"max_iters"`` or ``"stalled"``.
+    ``"max_iters"``, ``"stalled"``, or ``"nonfinite"`` when the rate or the
+    squared gradient norm is not finite at the start point or after a step
+    (the run then stops at that point).
     """
     if settings is None:
         settings = CgaSettings.from_config(config)
@@ -378,54 +420,56 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
         state = theta0.block_stack()
         c = ws.signals(state[None])[0]
     theta_stack = ws.theta(state)
-    tau, y, eta = ws.stats(c)
-    f_current = ws.objective(c, tau, y)
-    riem = ws.riemannian_gradient(state, c, tau, y)
+    aux, eta, total = ws.stats(c)
+    f_current = ws.objective(c, aux, total)
+    riem = ws.riemannian_gradient(state, c, aux)
+    riem_sq = _re_vdot(riem, riem)
+    start_norm = _norm(riem_sq)
     xi = riem.copy()
 
-    def record(i: int, step: float, beta: float) -> IterationRecord:
+    def record(i: int, step: float, beta: float,
+               trials: int) -> IterationRecord:
         """Record of the current iterate, reached by ``step``."""
         return IterationRecord(
             iter=i, true_rate=eta, surrogate=f_current, step=step,
-            grad_norm=float(np.sqrt(max(_re_vdot(riem, riem), 0.0))),
-            beta=beta,
-            unitarity_residual=float(unitarity_residuals(theta_stack).max()))
+            grad_norm=_norm(riem_sq), beta=beta,
+            unitarity_residual=float(unitarity_residuals(theta_stack).max()),
+            armijo_trials=trials)
 
-    records = [record(0, 0.0, 0.0)]
+    records = [record(0, 0.0, 0.0, 0)]
 
-    stop_reason = "max_iters"
+    stop_reason = None if _finite(eta, riem_sq) else "nonfinite"
     stalls = 0
     iters_used = 0
-    for i in range(1, settings.max_iters + 1):
-        iters_used = i
+    while stop_reason is None and iters_used < settings.max_iters:
+        iters_used += 1
         directional = _re_vdot(riem, xi)
         if directional <= 0:
             xi = riem.copy()
-            directional = _re_vdot(riem, riem)
+            directional = riem_sq
 
-        alpha, candidate, c_new = _armijo_stack(
-            ws, state, xi, tau, y, f_current, directional, settings)
+        alpha, candidate, c_new, trials = _armijo_stack(
+            ws, state, xi, aux, f_current, directional, settings)
 
         if candidate is None:
             stalls += 1
-            records.append(record(i, 0.0, 0.0))
+            records.append(record(iters_used, 0.0, 0.0, trials))
             if stalls >= 3:
                 stop_reason = "stalled"
-                break
-            if stalls == 2:
+            elif stalls == 2:
                 xi = riem.copy()
             continue
         stalls = 0
-        denominator = _re_vdot(riem, riem)
 
         state, c = candidate, c_new
         theta_stack = ws.theta(state)
-        tau, y, eta_new = ws.stats(c)
-        f_current = ws.objective(c, tau, y)
-        riem_new = ws.riemannian_gradient(state, c, tau, y)
+        aux, eta_new, total = ws.stats(c)
+        f_current = ws.objective(c, aux, total)
+        riem_new = ws.riemannian_gradient(state, c, aux)
 
-        if denominator > 1e-300:
-            beta = max(0.0, _re_vdot(riem_new, riem_new - riem) / denominator)
+        # The Polak-Ribiere denominator is <r, r> of the previous gradient.
+        if riem_sq > 1e-300:
+            beta = max(0.0, _re_vdot(riem_new, riem_new - riem) / riem_sq)
         else:
             beta = 0.0
         xi = riem_new + beta * project_stack(xi, state)
@@ -433,11 +477,14 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
         rate_change = abs(eta_new - eta)
         eta = eta_new
         riem = riem_new
-        records.append(record(i, alpha, beta))
-        if rate_change < settings.tolerance:
+        riem_sq = _re_vdot(riem, riem)
+        records.append(record(iters_used, alpha, beta, trials))
+        if not _finite(eta, riem_sq):
+            stop_reason = "nonfinite"
+        elif rate_change < settings.tolerance:
             stop_reason = "tolerance"
-            break
 
+    grad_norm = _norm(riem_sq)
     theta_opt = project_symmetric_unitary(
         ScatteringMatrix.from_block_stack(theta_stack))
     eta_post = ws.rate(ws.signal(theta_opt.block_stack()))
@@ -449,7 +496,10 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
         symmetry_residual=report.max_symmetry,
         unitarity_residual=report.max_unitarity,
         iters_used=iters_used,
-        stop_reason=stop_reason)
+        stop_reason=stop_reason or "max_iters",
+        grad_norm=grad_norm,
+        # A zero start gradient leaves the start stationary: the ratio is 0.
+        grad_norm_ratio=grad_norm / start_norm if start_norm != 0.0 else 0.0)
     trace = OptimizerTrace(records=records, final=final, seed=seed)
     return theta_opt, trace
 

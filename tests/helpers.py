@@ -12,7 +12,7 @@ import numpy as np
 from bdris import (SystemConfig, generate_channels_from_gains,
                    init_beamformer_uniform, parse_architecture_tag,
                    random_feasible)
-from bdris.gradient import LN2
+from bdris.gradient import LN2, Auxiliaries
 from bdris.manifold import random_feasible_stack, retract_batch
 from bdris.optimizer import _NOISE_ULPS, _Workspace
 
@@ -58,16 +58,17 @@ def start_state(config, seed) -> np.ndarray:
 
 
 def workspace_at(theta, channels, beam, config):
-    """(workspace, block stack, signal matrix, tau, y) at the given point.
+    """(workspace, block stack, signal matrix, auxiliaries) at the given
+    point.
 
-    The workspace is the one ``cga_optimize`` builds; tau and y are its
-    closed-form optimal auxiliaries at theta.
+    The workspace is the one ``cga_optimize`` builds; the auxiliaries are
+    its closed-form optimal (tau, y) at theta, with their coefficients.
     """
     ws = _Workspace(channels, beam, config)
     stack = theta.block_stack()
     c = ws.signal(stack)
-    tau, y, _ = ws.stats(c)
-    return ws, stack, c, tau, y
+    aux, _, _ = ws.stats(c)
+    return ws, stack, c, aux
 
 
 def start_diagonals(ws, config, seed):
@@ -81,36 +82,42 @@ def start_diagonals(ws, config, seed):
     return ws.in_bases(state), np.ones((1,) + state.shape[:2])
 
 
-def explicit_scores(ws, state, direction, alphas, tau, y) -> np.ndarray:
+def explicit_scores(ws, state, direction, alphas, aux) -> np.ndarray:
     """Frozen-auxiliary objective at explicitly formed candidates: the
     factors ``retract_batch`` forms and their blocks ``ws.theta``, each
     scored by ``ws.objective`` at its ``ws.signal``."""
     candidates, _ = retract_batch(state, direction, alphas)
-    return np.array([ws.objective(ws.signal(blocks), tau, y)
+    return np.array([ws.objective(ws.signal(blocks), aux)
                      for blocks in ws.theta(candidates)])
 
 
-def explicit_armijo_step(ws, state, direction, tau, y, f_current,
+def explicit_armijo_step(ws, state, direction, aux, f_current,
                          directional_derivative, settings) -> float:
     """The step the backtracking rule of ``_armijo_stack`` accepts, found by
     scoring every step of the grid at explicitly formed candidates; 0.0 when
     none passes."""
     alphas = settings.step_init * settings.step_contract ** np.arange(
         settings.armijo_max_steps, dtype=float)
+    tau = aux.tau
     floor = _NOISE_ULPS * np.finfo(float).eps * (
         abs(f_current) + float(np.sum(np.log2(1.0 + tau) + 2.0 * tau / LN2)))
-    values = explicit_scores(ws, state, direction, alphas, tau, y)
+    values = explicit_scores(ws, state, direction, alphas, aux)
     demand = np.maximum(
         settings.armijo_coeff * alphas * directional_derivative, floor)
     hits = np.flatnonzero(values >= f_current + demand)
     return float(alphas[hits[0]]) if hits.size else 0.0
 
 
-def random_aux(rng: np.random.Generator, n_users: int):
+def random_aux(rng: np.random.Generator, n_users: int) -> Auxiliaries:
     """Arbitrary feasible auxiliaries (tau >= 0, y complex)."""
     tau = rng.uniform(0.0, 5.0, n_users)
     y = rng.standard_normal(n_users) + 1j * rng.standard_normal(n_users)
-    return tau, y * rng.uniform(0.0, 1.0)
+    return Auxiliaries.of(tau, y * rng.uniform(0.0, 1.0))
+
+
+def zero_aux(n_users: int) -> Auxiliaries:
+    """tau = 0 and y = 0, at which the surrogate and its gradient vanish."""
+    return Auxiliaries.of(np.zeros(n_users), np.zeros(n_users, dtype=complex))
 
 
 def reference_sinr(channels, theta: np.ndarray, v: np.ndarray,

@@ -80,10 +80,10 @@ def test_c1_gradient_correctness():
         config, channels, theta, beam = make_instance(
             seed=7000 + index, n_users=k, n_tx=k, n_elements=r,
             n_groups=r // group_size)
-        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-        cf = ws.gradient(c, tau, y)
+        ws, stack, c, aux = workspace_at(theta, channels, beam, config)
+        cf = ws.gradient(c, aux)
         fd = central_difference_gradient(
-            lambda s: ws.objective(ws.signal(s), tau, y), stack, step=1e-6)
+            lambda s: ws.objective(ws.signal(s), aux), stack, step=1e-6)
         num = max(np.linalg.norm(a - b) for a, b in zip(cf, fd))
         den = max(np.linalg.norm(a) for a in cf)
         worst = max(worst, num / den)
@@ -120,8 +120,8 @@ def test_c3_surrogate_tightness():
         k, n, r, g = dims
         config, channels, theta, beam = make_instance(
             seed=3000 + seed, n_users=k, n_tx=n, n_elements=r, n_groups=g)
-        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-        gap = abs(ws.objective(c, tau, y)
+        ws, stack, c, aux = workspace_at(theta, channels, beam, config)
+        gap = abs(ws.objective(c, aux)
                   - reference_sum_rate(channels, theta.theta, beam.v,
                                        config.noise_power))
         worst = max(worst, gap)

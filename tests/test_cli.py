@@ -103,9 +103,10 @@ def test_optimize_command(tmp_path, config_file, capsys):
     assert "sum_rate_bits:" in out
     assert "architecture: fully-connected" in out
     assert "stop_reason: " in out
+    assert "grad_norm: " in out and "grad_norm_ratio: " in out
     assert trace.exists()
     header = trace.read_text().splitlines()[0]
-    assert header == "iter,eta,eta_breve,alpha,grad_norm,beta"
+    assert header == "iter,eta,eta_breve,alpha,grad_norm,beta,armijo_trials"
     assert matrix.exists()
 
 

@@ -17,7 +17,7 @@ from bdris.manifold import geodesic, retract_batch
 
 from helpers import (make_instance, random_aux, reference_sinr,
                      reference_sum_rate, start_diagonals, start_state,
-                     workspace_at)
+                     workspace_at, zero_aux)
 
 
 def bent_stack(stack, rng, scale=0.3):
@@ -29,65 +29,65 @@ class TestAuxiliaryUpdates:
     def test_tau_zero_beam(self):
         config, channels, theta, beam = make_instance(seed=0)
         beam0 = Beamformer(v=np.zeros_like(beam.v), power_budget=beam.power_budget)
-        _, _, _, tau, y = workspace_at(theta, channels, beam0, config)
-        assert np.all(tau == 0.0)
-        assert np.all(y == 0.0)
+        _, _, _, aux = workspace_at(theta, channels, beam0, config)
+        assert np.all(aux.tau == 0.0)
+        assert np.all(aux.y == 0.0)
 
     def test_tau_unit_when_signal_equals_noise(self):
         config, channels, theta, beam = make_instance(
             seed=0, n_users=1, n_tx=1, n_elements=1, n_groups=1, p_max=1.0)
         ws, *_ = workspace_at(theta, channels, beam, config)
         # |c|^2 = |2 * 0.5|^2 = 1 = noise power
-        tau, _, _ = ws.stats(np.array([[2.0 * 0.5 + 0j]]))
-        assert tau[0] == pytest.approx(1.0, rel=1e-14)
+        aux, _, _ = ws.stats(np.array([[2.0 * 0.5 + 0j]]))
+        assert aux.tau[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_tau_equals_sinr(self):
         config, channels, theta, beam = make_instance(seed=1)
-        _, _, _, tau, _ = workspace_at(theta, channels, beam, config)
+        _, _, _, aux = workspace_at(theta, channels, beam, config)
         expected = reference_sinr(channels, theta.theta, beam.v,
                                   config.noise_power)
         for k in range(config.n_users):
-            assert tau[k] == pytest.approx(expected[k], rel=1e-13)
+            assert aux.tau[k] == pytest.approx(expected[k], rel=1e-13)
 
     def test_y_single_user_half(self):
         config, channels, theta, beam = make_instance(
             seed=0, n_users=1, n_tx=1, n_elements=1, n_groups=1, p_max=1.0)
         ws, *_ = workspace_at(theta, channels, beam, config)
-        _, y, _ = ws.stats(np.array([[1.0 + 0j]]))
-        assert y[0] == pytest.approx(0.5, rel=1e-14)
+        aux, _, _ = ws.stats(np.array([[1.0 + 0j]]))
+        assert aux.y[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_y_scalar_oracle_includes_own_stream(self):
         config, channels, theta, beam = make_instance(seed=2)
-        _, _, _, _, y = workspace_at(theta, channels, beam, config)
+        _, _, _, aux = workspace_at(theta, channels, beam, config)
         e = channels.h_rx @ theta.theta @ channels.h_tx
         for k in range(config.n_users):
             c = [e[k] @ beam.v[:, i] for i in range(config.n_users)]
             denom = sum(abs(ci) ** 2 for ci in c) + config.noise_power
-            assert y[k] == pytest.approx(c[k] / denom, rel=1e-13)
+            assert aux.y[k] == pytest.approx(c[k] / denom, rel=1e-13)
 
     def test_tau_must_be_nonnegative(self):
         # The closed-form multipliers are SINRs, never negative, including
         # the zero-signal case.
         for seed in range(10):
             config, channels, theta, beam = make_instance(seed=seed)
-            ws, _, c, tau, _ = workspace_at(theta, channels, beam, config)
-            assert (tau >= 0).all()
-        assert (ws.stats(np.zeros_like(c))[0] == 0).all()
+            ws, _, c, aux = workspace_at(theta, channels, beam, config)
+            assert (aux.tau >= 0).all()
+        assert (ws.stats(np.zeros_like(c))[0].tau == 0).all()
 
 
 class TestSurrogate:
     def test_zero_aux_gives_zero(self):
         config, channels, theta, beam = make_instance(seed=3)
-        ws, _, c, _, _ = workspace_at(theta, channels, beam, config)
-        terms = ws.surrogate(c, np.zeros(2), np.zeros(2, dtype=complex))
+        ws, _, c, _ = workspace_at(theta, channels, beam, config)
+        terms = ws.surrogate(c, zero_aux(2))
         assert np.allclose(terms, 0.0, atol=1e-15)
 
     def test_tight_at_optimal_aux(self):
         for seed in range(30):
             config, channels, theta, beam = make_instance(
                 seed=seed, n_users=3, n_tx=3, n_elements=6, n_groups=2)
-            ws, _, c, tau, y = workspace_at(theta, channels, beam, config)
-            terms = ws.surrogate(c, tau, y)
+            ws, _, c, aux = workspace_at(theta, channels, beam, config)
+            terms = ws.surrogate(c, aux)
             rates = np.log2(1 + reference_sinr(channels, theta.theta, beam.v,
                                                config.noise_power))
             for k in range(config.n_users):
@@ -97,9 +97,9 @@ class TestSurrogate:
     @given(seed=st.integers(0, 1000), aux_seed=st.integers(0, 10**6))
     def test_minorization(self, seed, aux_seed):
         config, channels, theta, beam = make_instance(seed=seed)
-        ws, _, c, _, _ = workspace_at(theta, channels, beam, config)
-        tau, y = random_aux(np.random.default_rng(aux_seed), config.n_users)
-        terms = ws.surrogate(c, tau, y)
+        ws, _, c, _ = workspace_at(theta, channels, beam, config)
+        aux = random_aux(np.random.default_rng(aux_seed), config.n_users)
+        terms = ws.surrogate(c, aux)
         rates = np.log2(1 + reference_sinr(channels, theta.theta, beam.v,
                                            config.noise_power))
         assert (terms <= rates + 1e-12).all()
@@ -108,9 +108,9 @@ class TestSurrogate:
         rng = np.random.default_rng(99)
         for seed in range(20):
             config, channels, theta, beam = make_instance(seed=seed)
-            ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-            before = ws.objective(c, *random_aux(rng, config.n_users))
-            after = ws.objective(c, tau, y)
+            ws, stack, c, aux = workspace_at(theta, channels, beam, config)
+            before = ws.objective(c, random_aux(rng, config.n_users))
+            after = ws.objective(c, aux)
             assert after >= before - 1e-12
 
 
@@ -152,7 +152,7 @@ class TestPenalty:
         rng = np.random.default_rng(6)
         config, channels, theta, beam = make_instance(
             seed=6, n_elements=6, n_groups=2)
-        ws, _, _, _, _ = workspace_at(theta, channels, beam, config)
+        ws, _, _, _ = workspace_at(theta, channels, beam, config)
         stack = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
         dense = np.zeros((6, 6), dtype=complex)
         dense[:3, :3], dense[3:, 3:] = stack
@@ -160,15 +160,14 @@ class TestPenalty:
         report = validate_feasibility(ScatteringMatrix.from_block_stack(stack))
         assert np.sum(report.symmetry_residuals ** 2) == pytest.approx(
             expected, rel=1e-12)
-        zero_tau, zero_y = np.zeros(2), np.zeros(2, dtype=complex)
-        assert ws.objective(ws.signal(stack), zero_tau, zero_y) == 0.0
+        assert ws.objective(ws.signal(stack), zero_aux(2)) == 0.0
 
 
 class TestPenalizedObjective:
     def test_equals_sum_rate_at_optimal_aux_without_penalty(self):
         config, channels, theta, beam = make_instance(seed=7)
-        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-        value = ws.objective(c, tau, y)
+        ws, stack, c, aux = workspace_at(theta, channels, beam, config)
+        value = ws.objective(c, aux)
         assert value == pytest.approx(
             reference_sum_rate(channels, theta.theta, beam.v,
                                config.noise_power), abs=1e-10)
@@ -178,18 +177,19 @@ class TestPenalizedObjective:
         # expression written out user by user, at arbitrary auxiliaries.
         config, channels, theta, beam = make_instance(seed=8, n_users=3,
                                                       n_tx=3)
-        ws, stack, c, _, _ = workspace_at(theta, channels, beam, config)
-        tau, y = random_aux(np.random.default_rng(8), config.n_users)
+        ws, stack, c, _ = workspace_at(theta, channels, beam, config)
+        aux = random_aux(np.random.default_rng(8), config.n_users)
+        tau, y = aux.tau, aux.y
         ln2 = np.log(2.0)
-        for k, term in enumerate(ws.surrogate(c, tau, y)):
+        for k, term in enumerate(ws.surrogate(c, aux)):
             denom = sum(abs(c[k, i]) ** 2 for i in range(3)) + config.noise_power
             quad = (2.0 * (np.conj(y[k]) * c[k, k]).real
                     - abs(y[k]) ** 2 * denom)
             expected = (np.log2(1.0 + tau[k]) - tau[k] / ln2
                         + (1.0 + tau[k]) / ln2 * quad)
             assert term == pytest.approx(expected, rel=1e-13, abs=1e-13)
-        assert ws.objective(c, tau, y) == pytest.approx(
-            ws.surrogate(c, tau, y).sum(), rel=0, abs=0)
+        assert ws.objective(c, aux) == pytest.approx(
+            ws.surrogate(c, aux).sum(), rel=0, abs=0)
 
     @pytest.mark.parametrize("dims", [(2, 4, 2), (3, 6, 1), (2, 4, 4),
                                       (4, 8, 1), (4, 64, 64), (4, 8, 4),
@@ -204,7 +204,7 @@ class TestPenalizedObjective:
         config, channels, theta, beam = make_instance(
             seed=r + n_groups, n_users=k, n_tx=k, n_elements=r,
             n_groups=n_groups)
-        ws, *_, tau, y = workspace_at(theta, channels, beam, config)
+        ws, *_, aux = workspace_at(theta, channels, beam, config)
         state = start_state(config, seed=r + n_groups + 1)
         direction = bent_stack(np.zeros_like(state), rng, scale=1.0)
         alphas = 0.75 ** np.arange(6, dtype=float)
@@ -217,10 +217,10 @@ class TestPenalizedObjective:
             diagonals = frame.diagonals(alphas)
         arbitrary = bent_stack(np.zeros_like(diagonals[:3]), rng, scale=1.0)
         batch = np.concatenate([diagonals, arbitrary])
-        values = line.objective_batch(batch, tau, y)
+        values = line.objective_batch(batch, aux)
         for diagonal, value in zip(batch, values):
             blocks = (p * diagonal[:, None, :]) @ p.transpose(0, 2, 1)
-            single = ws.objective(ws.signal(blocks), tau, y)
+            single = ws.objective(ws.signal(blocks), aux)
             assert value == pytest.approx(single, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("tag, r, n_groups", [
@@ -234,12 +234,12 @@ class TestPenalizedObjective:
         config, channels, theta, beam = make_instance(
             seed=r + n_groups, n_users=4, n_tx=4, n_elements=r,
             n_groups=n_groups)
-        ws, _, c, tau, y = workspace_at(theta, channels, beam, config)
+        ws, _, c, aux = workspace_at(theta, channels, beam, config)
         rate = reference_sum_rate(channels, theta.theta, beam.v,
                                   config.noise_power)
         line, diagonals = start_diagonals(ws, config, seed=r + n_groups + 1)
-        value = line.objective_batch(diagonals, tau, y)[0]
-        assert value == pytest.approx(ws.objective(c, tau, y),
+        value = line.objective_batch(diagonals, aux)[0]
+        assert value == pytest.approx(ws.objective(c, aux),
                                       rel=1e-12, abs=0)
         assert value == pytest.approx(rate, rel=1e-12, abs=0)
 
@@ -252,8 +252,8 @@ def test_tightness_invariant_many_instances():
         k, n, r, g = dims
         config, channels, theta, beam = make_instance(
             seed=seed, n_users=k, n_tx=n, n_elements=r, n_groups=g)
-        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-        gap = abs(ws.objective(c, tau, y)
+        ws, stack, c, aux = workspace_at(theta, channels, beam, config)
+        gap = abs(ws.objective(c, aux)
                   - reference_sum_rate(channels, theta.theta, beam.v,
                                        config.noise_power))
         assert gap <= 1e-10

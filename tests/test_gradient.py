@@ -14,7 +14,7 @@ from bdris import Beamformer
 from bdris.gradient import factor_gradient
 
 from helpers import (central_difference_gradient, make_instance, start_state,
-                     workspace_at)
+                     workspace_at, zero_aux)
 
 
 def rel_error(closed_form: np.ndarray, reference: np.ndarray) -> float:
@@ -28,17 +28,17 @@ def bent_copy(stack, rng, scale=0.2):
                             + 1j * rng.standard_normal(stack.shape))
 
 
-def fd_of_objective(ws, stack, tau, y, step):
+def fd_of_objective(ws, stack, aux, step):
     """Central differences of the frozen-auxiliary objective at ``stack``."""
     return central_difference_gradient(
-        lambda s: ws.objective(ws.signal(s), tau, y), stack, step)
+        lambda s: ws.objective(ws.signal(s), aux), stack, step)
 
 
 class TestClosedForm:
     def test_zero_aux_symmetric_point_gives_zero(self):
         config, channels, theta, beam = make_instance(seed=0)
-        ws, stack, c, _, _ = workspace_at(theta, channels, beam, config)
-        grad = ws.gradient(c, np.zeros(2), np.zeros(2, dtype=complex))
+        ws, stack, c, _ = workspace_at(theta, channels, beam, config)
+        grad = ws.gradient(c, zero_aux(2))
         assert np.allclose(grad, 0, atol=1e-14)
 
     def test_zero_aux_reduces_to_penalty_gradient(self):
@@ -46,18 +46,17 @@ class TestClosedForm:
         # gradient at any point, symmetric or not.
         rng = np.random.default_rng(1)
         config, channels, theta, beam = make_instance(seed=1)
-        ws, stack, _, _, _ = workspace_at(theta, channels, beam, config)
+        ws, stack, _, _ = workspace_at(theta, channels, beam, config)
         bent = bent_copy(stack, rng)
-        grad = ws.gradient(ws.signal(bent), np.zeros(2),
-                           np.zeros(2, dtype=complex))
+        grad = ws.gradient(ws.signal(bent), zero_aux(2))
         assert np.array_equal(grad, np.zeros_like(bent))
 
     def test_matches_finite_differences(self):
         config, channels, theta, beam = make_instance(seed=2, n_elements=4,
                                                       n_groups=2)
-        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-        cf = ws.gradient(c, tau, y)
-        fd = fd_of_objective(ws, stack, tau, y, step=1e-6)
+        ws, stack, c, aux = workspace_at(theta, channels, beam, config)
+        cf = ws.gradient(c, aux)
+        fd = fd_of_objective(ws, stack, aux, step=1e-6)
         assert rel_error(cf, fd) <= 1e-6
 
     def test_oracle_agreement_across_architectures(self):
@@ -68,9 +67,9 @@ class TestClosedForm:
             config, channels, theta, beam = make_instance(
                 seed=31 * seed_base, n_users=k, n_tx=k, n_elements=r,
                 n_groups=r // group_size)
-            ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-            cf = ws.gradient(c, tau, y)
-            fd = fd_of_objective(ws, stack, tau, y, step=1e-6)
+            ws, stack, c, aux = workspace_at(theta, channels, beam, config)
+            cf = ws.gradient(c, aux)
+            fd = fd_of_objective(ws, stack, aux, step=1e-6)
             assert rel_error(cf, fd) <= 1e-6
             count += 1
         assert count >= 20
@@ -78,16 +77,16 @@ class TestClosedForm:
     def test_directional_derivative_consistency(self):
         rng = np.random.default_rng(3)
         config, channels, theta, beam = make_instance(seed=3)
-        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-        grad = ws.gradient(c, tau, y)
+        ws, stack, c, aux = workspace_at(theta, channels, beam, config)
+        grad = ws.gradient(c, aux)
         direction = rng.standard_normal(grad.shape) \
             + 1j * rng.standard_normal(grad.shape)
         predicted = float(np.real(np.vdot(grad, direction)))
-        f0 = ws.objective(c, tau, y)
+        f0 = ws.objective(c, aux)
         errors = []
         for t in (1e-4, 5e-5):
             moved = stack + t * direction
-            f1 = ws.objective(ws.signal(moved), tau, y)
+            f1 = ws.objective(ws.signal(moved), aux)
             errors.append(abs((f1 - f0) - t * predicted))
         # first-order term dominates, remainder shrinks ~quadratically
         assert errors[0] <= 1e-5
@@ -101,9 +100,9 @@ class TestDiagonalBeamFastPath:
         config, channels, theta, beam = make_instance(
             seed=5, n_users=1, n_tx=1, n_elements=2, n_groups=1, p_max=1.0)
         assert np.array_equal(beam.v, np.eye(1))
-        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-        cf = ws.gradient(c, tau, y)
-        fd = fd_of_objective(ws, stack, tau, y, step=1e-6)
+        ws, stack, c, aux = workspace_at(theta, channels, beam, config)
+        cf = ws.gradient(c, aux)
+        fd = fd_of_objective(ws, stack, aux, step=1e-6)
         assert rel_error(cf, fd) <= 1e-6
 
     def test_zero_power_leaves_penalty_term(self):
@@ -112,11 +111,11 @@ class TestDiagonalBeamFastPath:
         rng = np.random.default_rng(6)
         config, channels, theta, beam = make_instance(seed=6)
         beam0 = Beamformer(v=np.zeros_like(beam.v), power_budget=beam.power_budget)
-        ws, stack, _, _, _ = workspace_at(theta, channels, beam0, config)
+        ws, stack, _, _ = workspace_at(theta, channels, beam0, config)
         bent = bent_copy(stack, rng)
         c = ws.signal(bent)
-        tau, y, _ = ws.stats(c)
-        assert np.array_equal(ws.gradient(c, tau, y), np.zeros_like(bent))
+        aux, _, _ = ws.stats(c)
+        assert np.array_equal(ws.gradient(c, aux), np.zeros_like(bent))
 
 
 class TestFiniteDifferenceOracle:
@@ -137,9 +136,9 @@ class TestFiniteDifferenceOracle:
         # The frozen-auxiliary objective is quadratic in every coordinate, so
         # central differences carry no truncation error even at coarse steps.
         config, channels, theta, beam = make_instance(seed=9)
-        ws, stack, c, tau, y = workspace_at(theta, channels, beam, config)
-        cf = ws.gradient(c, tau, y)
-        fd = fd_of_objective(ws, stack, tau, y, step=1e-2)
+        ws, stack, c, aux = workspace_at(theta, channels, beam, config)
+        cf = ws.gradient(c, aux)
+        fd = fd_of_objective(ws, stack, aux, step=1e-2)
         assert max(np.linalg.norm(a - b) for a, b in zip(cf, fd)) <= 1e-10
 
     def test_second_order_accuracy_on_cubic(self):
@@ -178,9 +177,9 @@ class TestFiniteDifferenceOracle:
 
     def test_rejects_nonpositive_step(self):
         config, channels, theta, beam = make_instance(seed=11)
-        ws, stack, _, tau, y = workspace_at(theta, channels, beam, config)
+        ws, stack, _, aux = workspace_at(theta, channels, beam, config)
         with pytest.raises(ValueError):
-            fd_of_objective(ws, stack, tau, y, 0.0)
+            fd_of_objective(ws, stack, aux, 0.0)
 
 
 class TestTakagiFactor:
@@ -193,11 +192,11 @@ class TestTakagiFactor:
             config, channels, theta, beam = make_instance(
                 seed=40 + seed, n_users=4, n_tx=4, n_elements=8,
                 n_groups=n_groups)
-            ws, _, c, tau, y = workspace_at(theta, channels, beam, config)
+            ws, _, c, aux = workspace_at(theta, channels, beam, config)
             u = start_state(config, seed=41 + seed)
             assert np.array_equal(ws.theta(u), theta.block_stack())
-            cf = factor_gradient(ws.gradient(c, tau, y), u)
+            cf = factor_gradient(ws.gradient(c, aux), u)
             fd = central_difference_gradient(
-                lambda s: ws.objective(ws.signal(ws.theta(s)), tau, y), u,
+                lambda s: ws.objective(ws.signal(ws.theta(s)), aux), u,
                 step=1e-6)
             assert rel_error(cf, fd) <= 1e-6

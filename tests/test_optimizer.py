@@ -1,4 +1,5 @@
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,9 @@ from bdris import (CgaSettings, ScatteringMatrix, cga_optimize,
                    init_beamformer_uniform, project_symmetric_unitary,
                    random_feasible, validate_feasibility, write_trace_csv)
 from bdris.manifold import geodesic, retract_batch
-from bdris.optimizer import _armijo_stack, _re_vdot
+from bdris import optimizer
+from bdris.gradient import LN2
+from bdris.optimizer import _armijo_stack, _re_vdot, _step_grid, _Workspace
 
 from helpers import (config_for_tag, explicit_armijo_step, explicit_scores,
                      make_config, make_instance, reference_sum_rate,
@@ -57,56 +60,56 @@ class TestArmijo:
 
     def _setup(self, seed):
         config, channels, theta, beam = make_instance(seed=seed)
-        ws, _, c, tau, y = workspace_at(theta, channels, beam, config)
+        ws, _, c, aux = workspace_at(theta, channels, beam, config)
         state = start_state(config, seed + 1)
         settings = CgaSettings.from_config(config)
-        grad = ws.riemannian_gradient(state, c, tau, y)
-        f0 = ws.objective(c, tau, y)
-        return ws, state, tau, y, f0, settings, grad
+        grad = ws.riemannian_gradient(state, c, aux)
+        f0 = ws.objective(c, aux)
+        return ws, state, aux, f0, settings, grad
 
-    def _value(self, ws, state, tau, y):
-        return ws.objective(ws.signal(ws.theta(state)), tau, y)
+    def _value(self, ws, state, aux):
+        return ws.objective(ws.signal(ws.theta(state)), aux)
 
     def test_zero_direction_stalls(self):
-        ws, stack, tau, y, f0, settings, grad = self._setup(0)
-        alpha, candidate, c_new = _armijo_stack(
-            ws, stack, np.zeros_like(stack), tau, y, f0, 1.0, settings)
-        assert (alpha, candidate, c_new) == (0.0, None, None)
+        ws, stack, aux, f0, settings, grad = self._setup(0)
+        alpha, candidate, c_new, trials = _armijo_stack(
+            ws, stack, np.zeros_like(stack), aux, f0, 1.0, settings)
+        assert (alpha, candidate, c_new, trials) == (0.0, None, None, 0)
         # a direction that is not an ascent direction stalls as well
-        alpha, candidate, _ = _armijo_stack(
-            ws, stack, grad, tau, y, f0, -_re_vdot(grad, grad), settings)
-        assert (alpha, candidate) == (0.0, None)
+        alpha, candidate, _, trials = _armijo_stack(
+            ws, stack, grad, aux, f0, -_re_vdot(grad, grad), settings)
+        assert (alpha, candidate, trials) == (0.0, None, 0)
 
     def test_accepted_step_satisfies_inequality(self):
         for seed in range(5):
-            ws, stack, tau, y, f0, settings, grad = self._setup(seed)
+            ws, stack, aux, f0, settings, grad = self._setup(seed)
             dd = _re_vdot(grad, grad)
-            alpha, candidate, c_new = _armijo_stack(ws, stack, grad, tau, y,
-                                                    f0, dd, settings)
+            alpha, candidate, c_new, _ = _armijo_stack(ws, stack, grad, aux,
+                                                       f0, dd, settings)
             assert alpha > 0
             # direct recheck of the accepted step and its signal matrix
             explicit = ws.signal(ws.theta(candidate))
             assert np.abs(c_new - explicit).max() <= \
                 1e-12 * np.abs(explicit).max()
-            f_new = ws.objective(c_new, tau, y)
-            recheck = self._value(ws, candidate, tau, y)
+            f_new = ws.objective(c_new, aux)
+            recheck = self._value(ws, candidate, aux)
             assert recheck == pytest.approx(f_new, rel=1e-12, abs=1e-12)
             assert f_new >= f0 + settings.armijo_coeff * alpha * dd - 1e-12
             # the step is the first in the contraction schedule that passes
             previous = alpha / settings.step_contract
             if previous <= settings.step_init * (1 + 1e-12):
                 trial, ok = retract_batch(stack, grad, np.array([previous]))
-                f_prev = self._value(ws, trial[0], tau, y)
+                f_prev = self._value(ws, trial[0], aux)
                 assert not ok[0] or \
                     f_prev < f0 + settings.armijo_coeff * previous * dd
 
     def test_zero_coeff_accepts_any_increase(self):
-        ws, stack, tau, y, f0, settings, grad = self._setup(7)
+        ws, stack, aux, f0, settings, grad = self._setup(7)
         settings0 = replace(settings, armijo_coeff=0.0)
-        alpha, candidate, c_new = _armijo_stack(
-            ws, stack, grad, tau, y, f0, _re_vdot(grad, grad), settings0)
+        alpha, candidate, c_new, _ = _armijo_stack(
+            ws, stack, grad, aux, f0, _re_vdot(grad, grad), settings0)
         assert alpha > 0
-        assert ws.objective(c_new, tau, y) >= f0
+        assert ws.objective(c_new, aux) >= f0
 
     def test_impossible_increase_stalls(self):
         # The last trial steps (0.75^199 ~ 1e-25) demand less than one ulp of
@@ -114,11 +117,12 @@ class TestArmijo:
         # to the rounding of its exponential map, and that rounding must not
         # pass as an increase.
         for seed in range(50):
-            ws, stack, tau, y, f0, settings, grad = self._setup(seed)
+            ws, stack, aux, f0, settings, grad = self._setup(seed)
             greedy = replace(settings, armijo_coeff=1e9)
-            alpha, candidate, c_new = _armijo_stack(
-                ws, stack, grad, tau, y, f0, _re_vdot(grad, grad), greedy)
+            alpha, candidate, c_new, trials = _armijo_stack(
+                ws, stack, grad, aux, f0, _re_vdot(grad, grad), greedy)
             assert (alpha, candidate, c_new) == (0.0, None, None), seed
+            assert trials == settings.armijo_max_steps, seed
 
 
     def test_same_step_as_explicit_search(self):
@@ -126,18 +130,136 @@ class TestArmijo:
         # explicitly formed candidates accepts, at the default coefficient
         # and at a greedy one that stalls.
         for seed in range(50):
-            ws, stack, tau, y, f0, settings, grad = self._setup(seed)
+            ws, stack, aux, f0, settings, grad = self._setup(seed)
             dd = _re_vdot(grad, grad)
             for coeff in (settings.armijo_coeff, 1e9):
                 search = replace(settings, armijo_coeff=coeff)
-                alpha, _, _ = _armijo_stack(ws, stack, grad, tau, y, f0, dd,
-                                            search)
+                alpha, _, _, _ = _armijo_stack(ws, stack, grad, aux, f0, dd,
+                                               search)
                 assert alpha == explicit_armijo_step(
-                    ws, stack, grad, tau, y, f0, dd, search), (seed, coeff)
+                    ws, stack, grad, aux, f0, dd, search), (seed, coeff)
+
+
+class TestArmijoSingleConnected:
+    """``_armijo_stack`` on 1 x 1 blocks, which score their phase-normalized
+    candidates directly, against the explicit oracle of ``helpers``."""
+
+    def _setup(self, seed, **overrides):
+        config, channels, theta, beam = make_instance(
+            seed=seed, n_elements=8, n_groups=8)
+        ws, _, c, aux = workspace_at(theta, channels, beam, config)
+        state = start_state(config, seed + 1)
+        grad = ws.riemannian_gradient(state, c, aux)
+        settings = CgaSettings.from_config(config, **overrides)
+        return (ws, state, aux, ws.objective(c, aux), _re_vdot(grad, grad),
+                settings, grad)
+
+    def test_same_step_as_explicit_search(self):
+        # At the default coefficient, and at a greedy one that stalls after
+        # scoring every step of the grid.
+        for seed in range(25):
+            ws, state, aux, f0, dd, settings, grad = self._setup(seed)
+            for coeff in (settings.armijo_coeff, 1e9):
+                search = replace(settings, armijo_coeff=coeff)
+                alpha, candidate, _, trials = _armijo_stack(
+                    ws, state, grad, aux, f0, dd, search)
+                assert alpha == explicit_armijo_step(
+                    ws, state, grad, aux, f0, dd, search), (seed, coeff)
+                if coeff == 1e9:
+                    assert (alpha, candidate) == (0.0, None), seed
+                    assert trials == settings.armijo_max_steps, seed
+
+    @pytest.mark.parametrize("index", [0, 31, 32, 63])
+    def test_accepts_at_chunk_edges(self, index):
+        # At coefficient 0.5 the passing steps are the small ones. The first
+        # of them on a grid from 1e12 (where no step passes), put at
+        # ``index`` of the search's own grid, is the step both searches
+        # accept: at the first and last entry of a chunk and across a
+        # chunk boundary.
+        for seed in range(25):
+            ws, state, aux, f0, dd, settings, grad = self._setup(
+                seed, armijo_coeff=0.5)
+            first = explicit_armijo_step(ws, state, grad, aux, f0, dd,
+                                         replace(settings, step_init=1e12))
+            search = replace(settings, step_init=first
+                             / settings.step_contract ** index)
+            alpha, candidate, c_new, trials = _armijo_stack(
+                ws, state, grad, aux, f0, dd, search)
+            grid = _step_grid(search)[0]
+            assert alpha == grid[index], seed
+            assert alpha == explicit_armijo_step(ws, state, grad, aux, f0,
+                                                 dd, search), seed
+            chunk = optimizer._ARMIJO_CHUNK
+            assert trials == (index // chunk + 1) * chunk, seed
+            explicit = ws.signal(candidate)
+            assert np.abs(c_new - explicit).max() <= \
+                1e-12 * np.abs(explicit).max()
+
+
+def test_step_grid_matches_per_chunk_powers():
+    # The grid built once per settings holds, bit for bit, the steps that
+    # a chunk of any width starting anywhere computes on its own.
+    settings = CgaSettings.from_config(make_config())
+    alphas, slopes = _step_grid(settings)
+    assert _step_grid(settings) is _step_grid(replace(settings))
+    for width in (1, 7, 16, 32):
+        for start in range(0, settings.armijo_max_steps, width):
+            count = min(width, settings.armijo_max_steps - start)
+            chunk = settings.step_init * settings.step_contract ** np.arange(
+                start, start + count, dtype=float)
+            assert np.array_equal(alphas[start:start + count], chunk)
+            assert np.array_equal(slopes[start:start + count],
+                                  settings.armijo_coeff * chunk)
+
+
+@pytest.mark.parametrize("tag", ["sc", "gc2", "fc"])
+def test_chunk_width_changes_no_result(tag, monkeypatch):
+    # Chunks 16 and 32 wide score the same steps and accept the same one:
+    # every record but the count of step sizes scored is equal.
+    runs = {}
+    for width in (16, 32):
+        monkeypatch.setattr(optimizer, "_ARMIJO_CHUNK", width)
+        runs[width] = [small_run(seed=seed, tag=tag, n_elements=8)[0]
+                       for seed in range(3)]
+    for (theta16, trace16), (theta32, trace32) in zip(runs[16], runs[32]):
+        assert np.array_equal(theta16.theta, theta32.theta)
+        assert trace16.final == trace32.final
+        assert [replace(r, armijo_trials=0) for r in trace16.records] == \
+            [replace(r, armijo_trials=0) for r in trace32.records]
+
+
+@pytest.mark.parametrize("tag", ["sc", "gc2", "fc"])
+def test_coefficients_reproduce_surrogate_sum(tag):
+    # The per-iterate coefficients of ``stats``, with and without its
+    # totals, and the batched scores give exactly the sum of the surrogate
+    # formula written out from (tau, y).
+    def reference(c, tau, y, noise):
+        total = (np.abs(c) ** 2).sum(axis=-1) + noise
+        quad = (2.0 * np.real(np.conj(y) * np.diagonal(c, axis1=-2, axis2=-1))
+                - np.abs(y) ** 2 * total)
+        return (np.log2(1.0 + tau) - tau / LN2
+                + (1.0 + tau) / LN2 * quad).sum(axis=-1)
+
+    for seed in range(10):
+        config = config_for_tag(tag, n_elements=8)
+        channels = generate_channels_from_gains(config, 1.0, 1.0, seed=seed)
+        ws = _Workspace(channels, init_beamformer_uniform(config), config)
+        state = start_state(config, seed)
+        c = ws.signal(ws.theta(state))
+        aux, rate, total = ws.stats(c)
+        assert ws.objective(c, aux, total) == reference(c, aux.tau, aux.y,
+                                                         ws.noise)
+        assert ws.objective(c, aux) == reference(c, aux.tau, aux.y, ws.noise)
+        diagonals = np.exp(1j * np.random.default_rng(seed).uniform(
+            0.0, 2.0 * np.pi, (5,) + state.shape[:2]))
+        assert np.array_equal(
+            ws.objective_batch(diagonals, aux),
+            reference(ws.signals(diagonals), aux.tau, aux.y, ws.noise))
+        assert rate == float(np.log2(1.0 + aux.tau).sum())
 
 
 def gradient_at_start(tag, r):
-    """(workspace, state, tau, y, Riemannian gradient) at the start state of
+    """(workspace, state, auxiliaries, Riemannian gradient) at the start state of
     a connected-block instance with unit link gains."""
     config = config_for_tag(tag, n_elements=r)
     channels = generate_channels_from_gains(config, 1.0, 1.0, seed=r)
@@ -146,16 +268,16 @@ def gradient_at_start(tag, r):
                           config)
     state = start_state(config, seed=r + 1)
     c = ws.signal(ws.theta(state))
-    tau, y, _ = ws.stats(c)
-    return ws, state, tau, y, ws.riemannian_gradient(state, c, tau, y)
+    aux, _, _ = ws.stats(c)
+    return ws, state, aux, ws.riemannian_gradient(state, c, aux)
 
 
-def line_scores(ws, state, direction, alphas, tau, y):
+def line_scores(ws, state, direction, alphas, aux):
     """The line search's scores on connected blocks: the phases of the
     geodesic's diagonals in the workspace of its bases."""
     frame = geodesic(state, direction)
     return ws.in_bases(frame.p).objective_batch(frame.diagonals(alphas),
-                                                tau, y)
+                                                aux)
 
 
 @pytest.mark.parametrize("r", [8, 32, 64])
@@ -164,10 +286,10 @@ def test_eigenbasis_scores_match_explicit_candidates(tag, r):
     # The line search scores the diagonals exp(2 i alpha w) in the bases
     # P = U Q; the same steps scored at explicitly formed U(alpha) U(alpha)^T
     # agree to 1e-12.
-    ws, state, tau, y, xi = gradient_at_start(tag, r)
+    ws, state, aux, xi = gradient_at_start(tag, r)
     alphas = np.concatenate([[0.0, 1e-6, 1.0], 0.75 ** np.arange(200.0)])
-    oracle = explicit_scores(ws, state, xi, alphas, tau, y)
-    np.testing.assert_allclose(line_scores(ws, state, xi, alphas, tau, y),
+    oracle = explicit_scores(ws, state, xi, alphas, aux)
+    np.testing.assert_allclose(line_scores(ws, state, xi, alphas, aux),
                                oracle, rtol=1e-12, atol=0)
 
 
@@ -176,7 +298,7 @@ def test_eigenbasis_scores_match_explicit_candidates(tag, r):
 def test_gradient_is_horizontal(tag, r):
     # The generator skew(U^H xi) of the Riemannian gradient is i S with S
     # real symmetric: its real antisymmetric (vertical) part is rounding.
-    ws, state, tau, y, xi = gradient_at_start(tag, r)
+    ws, state, aux, xi = gradient_at_start(tag, r)
     lift = state.conj().transpose(0, 2, 1) @ xi
     generator = 0.5 * (lift - lift.conj().transpose(0, 2, 1))
     assert np.linalg.norm(generator.real) <= 1e-12 * np.linalg.norm(generator)
@@ -186,13 +308,13 @@ def test_gradient_is_horizontal(tag, r):
 def test_vertical_direction_changes_nothing(tag):
     # U K with K real antisymmetric only turns the Takagi factor within its
     # O(R_G) orbit: U U^T, and so every score, stays at f(state).
-    ws, state, tau, y, _ = gradient_at_start(tag, 8)
+    ws, state, aux, _ = gradient_at_start(tag, 8)
     rng = np.random.default_rng(11)
     k = rng.standard_normal(state.shape)
     vertical = state @ (k - k.transpose(0, 2, 1))
-    f0 = ws.objective(ws.signal(ws.theta(state)), tau, y)
+    f0 = ws.objective(ws.signal(ws.theta(state)), aux)
     alphas = np.concatenate([[1.0, 1e-6], 0.75 ** np.arange(16.0)])
-    np.testing.assert_allclose(line_scores(ws, state, vertical, alphas, tau, y),
+    np.testing.assert_allclose(line_scores(ws, state, vertical, alphas, aux),
                                f0, rtol=1e-12, atol=0)
     moved, _ = retract_batch(state, vertical, alphas)
     assert np.abs(moved - state[None]).max() <= 1e-12
@@ -404,6 +526,67 @@ class TestCgaRun:
             assert all(r.step == 0.0 for r in trace.records[1:]), seed
 
 
+class TestObservability:
+    def test_armijo_trials_count_the_chunks_scored(self):
+        (_, trace), config, *_ = small_run(seed=1, tag="sc", n_elements=8)
+        settings = CgaSettings.from_config(config)
+        chunk = optimizer._ARMIJO_CHUNK
+        assert trace.records[0].armijo_trials == 0
+        for rec in trace.records[1:]:
+            if rec.step == 0.0:
+                assert rec.armijo_trials in (0, settings.armijo_max_steps)
+                continue
+            index = round(math.log(rec.step / settings.step_init)
+                          / math.log(settings.step_contract))
+            assert rec.armijo_trials == min(
+                (index // chunk + 1) * chunk, settings.armijo_max_steps)
+
+    def test_final_gradient_norm(self):
+        for tag in ("sc", "gc2", "fc"):
+            (_, trace), *_ = small_run(seed=2, tag=tag)
+            final = trace.final
+            assert final.grad_norm == trace.records[-1].grad_norm
+            assert final.grad_norm_ratio == (final.grad_norm
+                                             / trace.records[0].grad_norm)
+
+    @pytest.mark.parametrize("tag", ["sc", "gc2", "fc"])
+    def test_overflowing_powers_stop_as_nonfinite(self, tag):
+        # Finite channels whose signal powers |c|^2 overflow: the rate at the
+        # start point is NaN, and the run says so instead of returning it
+        # silently.
+        config = config_for_tag(tag, n_users=2, n_tx=2, n_elements=4)
+        channels = generate_channels_from_gains(config, 1e300, 1e300, seed=0)
+        assert np.isfinite(channels.h_tx).all()
+        with np.errstate(all="ignore"):
+            theta, trace = cga_optimize(channels,
+                                        init_beamformer_uniform(config),
+                                        config, seed=0)
+        assert trace.final.stop_reason == "nonfinite"
+        assert not trace.final.converged
+        assert trace.final.iters_used == 0
+        assert len(trace.records) == 1
+        assert not math.isfinite(trace.records[0].true_rate)
+        assert validate_feasibility(theta).passed
+
+    def test_nonfinite_rate_after_a_step_stops(self, monkeypatch):
+        # The third call of ``stats`` (after the second accepted step)
+        # reports a NaN rate: the run stops there with its reason.
+        stats = _Workspace.stats
+        calls = []
+
+        def failing_stats(ws, c):
+            aux, rate, total = stats(ws, c)
+            calls.append(rate)
+            return aux, (math.nan if len(calls) >= 3 else rate), total
+
+        monkeypatch.setattr(_Workspace, "stats", failing_stats)
+        (_, trace), *_ = small_run(seed=0, tag="gc2")
+        assert trace.final.stop_reason == "nonfinite"
+        assert trace.final.iters_used == 2
+        assert [math.isfinite(r.true_rate) for r in trace.records] == [
+            True, True, False]
+
+
 def test_trace_csv_roundtrip(tmp_path):
     (theta, trace), *_ = small_run(seed=2, max_iters=50)
     path = tmp_path / "trace.csv"
@@ -411,7 +594,7 @@ def test_trace_csv_roundtrip(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0].keys()) == ["iter", "eta", "eta_breve", "alpha",
-                                    "grad_norm", "beta"]
+                                    "grad_norm", "beta", "armijo_trials"]
     assert len(rows) == len(trace.records)
     assert float(rows[-1]["eta"]) == trace.records[-1].true_rate
 

@@ -62,15 +62,15 @@ class TestEquivalentChannel:
 
     def test_identity_scattering(self):
         config, channels, _, beam = make_instance(seed=1)
-        ws, _, c, _, _ = workspace_at(identity_theta(config), channels, beam,
-                                      config)
+        ws, _, c, _ = workspace_at(identity_theta(config), channels, beam,
+                                   config)
         assert np.allclose(c, channels.h_rx @ channels.h_tx @ beam.v,
                            atol=1e-13)
 
     def test_matches_dense_triple_product(self):
         config, channels, theta, beam = make_instance(seed=2, n_elements=4,
                                                       n_groups=2)
-        _, _, c, _, _ = workspace_at(theta, channels, beam, config)
+        _, _, c, _ = workspace_at(theta, channels, beam, config)
         dense = channels.h_rx @ theta.theta @ channels.h_tx @ beam.v
         assert np.allclose(c, dense, atol=1e-12)
 
@@ -81,14 +81,14 @@ class TestEquivalentChannel:
         phases = np.exp(1j * np.array([0.3, -1.2]))
         theta = ScatteringMatrix(theta=np.diag(phases),
                                  group_size=1)
-        _, _, c, _, _ = workspace_at(theta, channels, beam, config)
+        _, _, c, _ = workspace_at(theta, channels, beam, config)
         scaled = channels.h_rx @ (phases[:, None] * channels.h_tx) @ beam.v
         assert np.allclose(c, scaled, atol=1e-13)
 
     def test_linear_in_theta(self):
         config, channels, theta_a, beam = make_instance(seed=3)
         _, _, theta_b, _ = make_instance(seed=4)
-        ws, stack_a, c_a, _, _ = workspace_at(theta_a, channels, beam, config)
+        ws, stack_a, c_a, _ = workspace_at(theta_a, channels, beam, config)
         stack_b = theta_b.block_stack()
         assert np.allclose(ws.signal(stack_a + stack_b),
                            c_a + ws.signal(stack_b), atol=1e-12)
@@ -145,41 +145,41 @@ class TestRates:
                                                       n_tx=1, n_elements=2,
                                                       n_groups=1,
                                                       noise_power=0.5)
-        _, _, _, tau, _ = workspace_at(theta, channels, beam, config)
+        _, _, _, aux = workspace_at(theta, channels, beam, config)
         e = channels.h_rx @ theta.theta @ channels.h_tx
         expected = abs(e[0] @ beam.v[:, 0]) ** 2 / 0.5
-        assert tau[0] == pytest.approx(expected, rel=1e-12)
+        assert aux.tau[0] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_beam_column(self):
         config, channels, theta, beam = make_instance(seed=11)
         v = beam.v.copy()
         v[:, 0] = 0
         beam2 = Beamformer(v=v, power_budget=beam.power_budget)
-        _, _, _, tau, _ = workspace_at(theta, channels, beam2, config)
-        assert tau[0] == 0.0
+        _, _, _, aux = workspace_at(theta, channels, beam2, config)
+        assert aux.tau[0] == 0.0
 
     def test_two_user_scalar_oracle(self):
         config, channels, theta, beam = make_instance(seed=12)
-        _, _, _, tau, _ = workspace_at(theta, channels, beam, config)
+        _, _, _, aux = workspace_at(theta, channels, beam, config)
         e = channels.h_rx @ theta.theta @ channels.h_tx
         n0 = config.noise_power
         for k in range(2):
             c = [e[k] @ beam.v[:, i] for i in range(2)]
             expected = abs(c[k]) ** 2 / (abs(c[1 - k]) ** 2 + n0)
-            assert tau[k] == pytest.approx(expected, rel=1e-12)
-        assert np.allclose(tau, reference_sinr(channels, theta.theta, beam.v,
+            assert aux.tau[k] == pytest.approx(expected, rel=1e-12)
+        assert np.allclose(aux.tau, reference_sinr(channels, theta.theta, beam.v,
                                                n0), rtol=1e-12)
 
     def test_sinr_phase_invariance(self):
         config, channels, theta, beam = make_instance(seed=13)
-        ws, _, c, tau, _ = workspace_at(theta, channels, beam, config)
+        ws, _, c, aux = workspace_at(theta, channels, beam, config)
         rotated, _, _ = ws.stats(np.exp(1j * 0.7) * c)
-        assert np.allclose(rotated, tau, rtol=1e-12)
+        assert np.allclose(rotated.tau, aux.tau, rtol=1e-12)
 
     def test_sum_rate_zero_when_no_signal(self):
         config, channels, theta, beam = make_instance(seed=14)
         beam0 = Beamformer(v=np.zeros_like(beam.v), power_budget=beam.power_budget)
-        ws, _, c, _, _ = workspace_at(theta, channels, beam0, config)
+        ws, _, c, _ = workspace_at(theta, channels, beam0, config)
         assert ws.rate(c) == 0.0
 
     def test_sum_rate_unit_sinr(self):
@@ -190,18 +190,18 @@ class TestRates:
 
     def test_sum_rate_matches_per_user_sum(self):
         config, channels, theta, beam = make_instance(seed=15)
-        ws, _, c, tau, _ = workspace_at(theta, channels, beam, config)
+        ws, _, c, aux = workspace_at(theta, channels, beam, config)
         total = sum(np.log2(1 + t) for t in reference_sinr(
             channels, theta.theta, beam.v, config.noise_power))
         assert ws.rate(c) == pytest.approx(total, rel=1e-12)
-        assert ws.rate(c) == pytest.approx(np.log2(1 + tau).sum(), rel=1e-15)
+        assert ws.rate(c) == pytest.approx(np.log2(1 + aux.tau).sum(), rel=1e-15)
 
     def test_zero_phase_single_connected_equals_direct_product(self):
         config, channels, _, beam = make_instance(seed=16, n_elements=4,
                                                   n_groups=4)
         theta = ScatteringMatrix(theta=np.eye(4, dtype=complex),
                                  group_size=1)
-        ws, _, c, _, _ = workspace_at(theta, channels, beam, config)
+        ws, _, c, _ = workspace_at(theta, channels, beam, config)
         direct = ws.rate(channels.h_rx @ channels.h_tx @ beam.v)
         assert ws.rate(c) == pytest.approx(direct, rel=1e-12)
 
