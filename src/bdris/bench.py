@@ -29,11 +29,14 @@ import yaml
 
 from .channel import ChannelSet, generate_channels
 from .config import (Geometry, SystemConfig, config_from_dict, config_to_dict,
-                     float_field, integer_field, mapping_field)
+                     float_field, integer_field, mapping_field,
+                     reject_unknown_keys)
 from .optimizer import OptimizerTrace, cga_optimize, write_trace_csv
 from .system import init_beamformer_uniform, parse_architecture_tag
 
 SWEEP_VARIABLES = ("n_elements", "p_max")
+_SPEC_KEYS = ("config", "geometry", "architectures", "sweep", "n_trials",
+              "seed_base", "output_dir")
 
 
 @dataclass(frozen=True)
@@ -95,13 +98,14 @@ def _required(raw: dict, key: str, where: str = ""):
 def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     """Read an experiment spec file (YAML/JSON).
 
-    ``architectures`` (a list of tags) and ``n_trials`` are required; a
-    missing ``sweep`` runs the config's element count.
+    ``architectures`` (a list of tags) and ``n_trials`` are required and
+    unknown keys rejected; a missing ``sweep`` runs the config's elements.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"experiment spec {path} must contain a mapping")
+    reject_unknown_keys("experiment spec", raw, _SPEC_KEYS)
     config_raw = dict(mapping_field("config", raw.get("config", {})))
     if "geometry" in raw:
         config_raw["geometry"] = raw["geometry"]
@@ -109,10 +113,9 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     sweep = raw.get("sweep")
     if sweep is None:
         sweep = {"variable": "n_elements", "values": [config.n_elements]}
-    if not isinstance(sweep, dict):
-        raise ValueError(f"sweep must be a mapping, got {sweep!r}")
-    variable = _required(sweep, "variable", "sweep.")
+    variable = _required(mapping_field("sweep", sweep), "variable", "sweep.")
     values = _required(sweep, "values", "sweep.")
+    reject_unknown_keys("sweep", sweep, ("variable", "values"))
     if not isinstance(values, list):
         raise ValueError(f"sweep.values must be a list, got {values!r}")
     if variable == "n_elements":

@@ -8,11 +8,17 @@ two links). Both can be read from a single YAML/JSON config file, see
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import yaml
+
+
+# Field name -> resolved annotation of a dataclass, in declaration order.
+_field_types = functools.cache(get_type_hints)
 
 
 @dataclass(frozen=True)
@@ -39,10 +45,9 @@ class SystemConfig:
     step_contract: float = 0.75    # line-search contraction factor
 
     def __post_init__(self):
-        for name in ("n_tx", "n_users", "n_elements", "n_groups", "max_iters",
-                     "armijo_max_steps"):
+        for name, kind in _field_types(SystemConfig).items():
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if kind is int and (not isinstance(value, int) or value < 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.n_tx < self.n_users:
             raise ValueError(
@@ -98,12 +103,6 @@ class Geometry:
     ris_user: LinkGeometry = DEFAULT_RIS_USER
 
 
-_CONFIG_FIELDS = {f.name for f in fields(SystemConfig)}
-_LINK_FIELDS = {f.name for f in fields(LinkGeometry)}
-_INT_FIELDS = {"n_tx", "n_users", "n_elements", "n_groups", "max_iters",
-               "armijo_max_steps"}
-
-
 def mapping_field(key: str, value) -> dict:
     """``value`` itself if it is a mapping; anything else raises a
     ValueError that names the key."""
@@ -112,12 +111,11 @@ def mapping_field(key: str, value) -> dict:
     return value
 
 
-def _link_from_dict(raw: dict, where: str) -> LinkGeometry:
-    unknown = set(mapping_field(where, raw)) - _LINK_FIELDS
+def reject_unknown_keys(where: str, raw, allowed) -> None:
+    """Raise a ValueError unless ``raw`` is a mapping with keys in ``allowed``."""
+    unknown = set(mapping_field(where, raw)) - set(allowed)
     if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)} in {where}")
-    return LinkGeometry(**{k: float_field(f"{where}.{k}", v)
-                           for k, v in raw.items()})
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
 
 
 def float_field(key: str, value) -> float:
@@ -137,44 +135,43 @@ def integer_field(key: str, value) -> int:
     return int(number)
 
 
-def config_from_dict(raw: dict) -> tuple[SystemConfig, Geometry]:
-    """Build (SystemConfig, Geometry) from a parsed key-value tree."""
-    raw = dict(raw)
-    geo_raw = raw.pop("geometry", None)
-    unknown = set(raw) - _CONFIG_FIELDS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+def _from_mapping(cls, raw, where: str):
+    """Dataclass ``cls`` from the tree ``raw``, each value read as its field
+    is annotated (int, float or a nested dataclass); a ValueError names each
+    unknown, missing or unreadable key, dotted under ``where``."""
+    types = _field_types(cls)
+    reject_unknown_keys(where, raw, types)
+    missing = [f.name for f in fields(cls)
+               if f.name not in raw and f.default is MISSING]
+    if missing:
+        raise ValueError(f"{where} is missing {', '.join(missing)}")
     kwargs = {}
     for key, value in raw.items():
-        if key not in _INT_FIELDS:
-            kwargs[key] = float_field(key, value)
-            continue
-        kwargs[key] = integer_field(key, value)
-    config = SystemConfig(**kwargs)
-    if geo_raw is None:
-        geometry = Geometry()
-    else:
-        mapping_field("geometry", geo_raw)
-        links = {}
-        for name in ("bs_ris", "ris_user"):
-            if name in geo_raw:
-                links[name] = _link_from_dict(geo_raw[name], f"geometry.{name}")
-        extra = set(geo_raw) - {"bs_ris", "ris_user"}
-        if extra:
-            raise ValueError(f"unknown geometry keys: {sorted(extra)}")
-        geometry = Geometry(**links)
-    return config, geometry
+        kind, name = types[key], f"{where}.{key}"
+        if is_dataclass(kind):
+            kwargs[key] = _from_mapping(kind, value, name)
+        elif kind is int:
+            kwargs[key] = integer_field(name, value)
+        else:
+            kwargs[key] = float_field(name, value)
+    return cls(**kwargs)
+
+
+def config_from_dict(raw: dict) -> tuple[SystemConfig, Geometry]:
+    """Build (SystemConfig, Geometry) from a parsed key-value tree: the
+    config's fields plus an optional ``geometry`` mapping."""
+    raw = dict(raw)
+    geometry = raw.pop("geometry", None)
+    return (_from_mapping(SystemConfig, raw, "config"),
+            _from_mapping(Geometry, {} if geometry is None else geometry,
+                          "geometry"))
 
 
 def config_to_dict(config: SystemConfig, geometry: Geometry | None = None) -> dict:
     """Inverse of :func:`config_from_dict`, suitable for YAML/JSON dumping."""
-    out = {f.name: getattr(config, f.name) for f in fields(SystemConfig)}
+    out = asdict(config)
     if geometry is not None:
-        out["geometry"] = {
-            name: {f.name: getattr(getattr(geometry, name), f.name)
-                   for f in fields(LinkGeometry)}
-            for name in ("bs_ris", "ris_user")
-        }
+        out["geometry"] = asdict(geometry)
     return out
 
 
@@ -182,6 +179,4 @@ def load_config(path: str | Path) -> tuple[SystemConfig, Geometry]:
     """Read a config file (YAML, or JSON which parses as YAML)."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"config file {path} must contain a mapping")
-    return config_from_dict(raw)
+    return config_from_dict(mapping_field(f"config file {path}", raw))

@@ -386,6 +386,7 @@ def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
     return 0.0, None, None, len(grid)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
                  seed: int, settings: CgaSettings | None = None
                  ) -> tuple[ScatteringMatrix, OptimizerTrace]:
@@ -395,13 +396,13 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
     the per-iteration trace. The convergence test compares consecutive true
     sum-rates; line searches accept on the surrogate. Iterations whose line
     search stalls leave the iterate unchanged and do not trigger the
-    convergence test: one stall retries with the refreshed direction, a
-    second consecutive stall resets the direction to the gradient, and a
-    third terminates the run with ``converged=False``. ``final.stop_reason``
-    says which exit ended the run: ``"tolerance"`` (converged),
-    ``"max_iters"``, ``"stalled"``, or ``"nonfinite"`` when the rate or the
-    squared gradient norm is not finite at the start point or after a step
-    (the run then stops at that point).
+    convergence test: a stall along a conjugate direction restarts along
+    the gradient, and a stall along the gradient terminates the run with
+    ``converged=False``. ``final.stop_reason`` says which exit ended the
+    run: ``"tolerance"`` (converged), ``"max_iters"``, ``"stalled"``, or
+    ``"nonfinite"`` when the rate or the squared gradient norm is not finite
+    at the start point or after a step (the run then stops at that point);
+    overflow inside numpy raises no warning, only this stop reason.
     """
     if settings is None:
         settings = CgaSettings.from_config(config)
@@ -439,27 +440,24 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
     records = [record(0, 0.0, 0.0, 0)]
 
     stop_reason = None if _finite(eta, riem_sq) else "nonfinite"
-    stalls = 0
+    along_gradient = True  # xi is the Riemannian gradient itself
     iters_used = 0
     while stop_reason is None and iters_used < settings.max_iters:
         iters_used += 1
         directional = _re_vdot(riem, xi)
         if directional <= 0:
-            xi = riem.copy()
-            directional = riem_sq
+            xi, along_gradient, directional = riem.copy(), True, riem_sq
 
         alpha, candidate, c_new, trials = _armijo_stack(
             ws, state, xi, aux, f_current, directional, settings)
 
         if candidate is None:
-            stalls += 1
+            # Nothing moved, so repeating this search would only fail again.
             records.append(record(iters_used, 0.0, 0.0, trials))
-            if stalls >= 3:
+            if along_gradient:
                 stop_reason = "stalled"
-            elif stalls == 2:
-                xi = riem.copy()
+            xi, along_gradient = riem.copy(), True
             continue
-        stalls = 0
 
         state, c = candidate, c_new
         theta_stack = ws.theta(state)
@@ -473,6 +471,7 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
         else:
             beta = 0.0
         xi = riem_new + beta * project_stack(xi, state)
+        along_gradient = beta == 0.0
 
         rate_change = abs(eta_new - eta)
         eta = eta_new

@@ -156,10 +156,9 @@ def test_c4_monotone_ascent(trace_bundle):
     assert final_ok, "final rate fell below the initial rate"
     assert per_step_ok, (
         f"raw sum-rate dipped {worst_dip:+.3e} per step at {worst_run}; "
-        "accepted steps ascend rate - nu*penalty (verified monotone in the "
-        "optimizer tests), and the raw rate dips exactly when the asymmetry "
-        "penalty decreases, so this clause cannot hold for multi-element "
-        "groups with nu > 0")
+        "accepted steps raise the frozen-auxiliary surrogate, which is a "
+        "lower bound of the sum-rate tight at the refreshed auxiliaries, so "
+        "a dip means a step passed the Armijo test without a real increase")
 
 
 def test_c5_architecture_ordering(ordering_table):

@@ -58,6 +58,15 @@ BAD_SPECS = {
     SPEC_YAML.replace(
         "bs_ris: {distance_m: 1.0, exponent: 0.0, ref_loss_db: 0.0}",
         "bs_ris: ~"): "geometry.bs_ris",
+    # Unknown keys used to be ignored: seed_bas loaded with seed_base 0.
+    SPEC_YAML.replace("seed_base: 3", "seed_bas: 7"): "seed_bas",
+    SPEC_YAML.replace("values: [1.0, 2.0]}", "values: [1.0], step: 2}"):
+        "'step'",
+    # Missing keys used to end in a TypeError traceback.
+    SPEC_YAML.replace("  n_groups: 2\n", ""): "config is missing n_groups",
+    SPEC_YAML.replace("bs_ris: {distance_m: 1.0, exponent: 0.0,",
+                      "bs_ris: {distance_m: 1.0,"):
+        "geometry.bs_ris is missing exponent",
 }
 
 

@@ -164,7 +164,7 @@ class TestPenalty:
 
 
 class TestPenalizedObjective:
-    def test_equals_sum_rate_at_optimal_aux_without_penalty(self):
+    def test_equals_sum_rate_at_optimal_aux(self):
         config, channels, theta, beam = make_instance(seed=7)
         ws, stack, c, aux = workspace_at(theta, channels, beam, config)
         value = ws.objective(c, aux)
@@ -172,7 +172,7 @@ class TestPenalizedObjective:
             reference_sum_rate(channels, theta.theta, beam.v,
                                config.noise_power), abs=1e-10)
 
-    def test_symmetric_point_ignores_nu(self):
+    def test_matches_per_user_formula(self):
         # The one surrogate formula against the optimizer docstring's
         # expression written out user by user, at arbitrary auxiliaries.
         config, channels, theta, beam = make_instance(seed=8, n_users=3,

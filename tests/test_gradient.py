@@ -41,7 +41,7 @@ class TestClosedForm:
         grad = ws.gradient(c, zero_aux(2))
         assert np.allclose(grad, 0, atol=1e-14)
 
-    def test_zero_aux_reduces_to_penalty_gradient(self):
+    def test_zero_aux_gives_zero_gradient(self):
         # There is no penalty term any more: zero auxiliaries leave a zero
         # gradient at any point, symmetric or not.
         rng = np.random.default_rng(1)
@@ -105,7 +105,7 @@ class TestDiagonalBeamFastPath:
         fd = fd_of_objective(ws, stack, aux, step=1e-6)
         assert rel_error(cf, fd) <= 1e-6
 
-    def test_zero_power_leaves_penalty_term(self):
+    def test_zero_power_gives_zero_gradient(self):
         # A zero-power beamformer gives zero auxiliaries at every point, and
         # with no penalty term the gradient there is zero.
         rng = np.random.default_rng(6)
@@ -159,7 +159,7 @@ class TestFiniteDifferenceOracle:
         ratio = errors[0] / errors[1]
         assert 3.0 <= ratio <= 5.0  # ~4x for halved step
 
-    def test_penalty_only_objective(self):
+    def test_asymmetry_quadratic_objective(self):
         # An asymmetry penalty -nu ||X - X^T||_F^2, whose ascent gradient is
         # -4 nu (X - X^T).
         rng = np.random.default_rng(10)

@@ -1,6 +1,8 @@
 import csv
 import math
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +10,10 @@ from hypothesis import example, given, settings as hypothesis_settings
 from hypothesis import strategies as st
 
 from bdris import (CgaSettings, ScatteringMatrix, cga_optimize,
-                   generate_channels_from_gains,
-                   init_beamformer_uniform, project_symmetric_unitary,
-                   random_feasible, validate_feasibility, write_trace_csv)
+                   generate_channels, generate_channels_from_gains,
+                   init_beamformer_uniform, load_config,
+                   project_symmetric_unitary, random_feasible,
+                   validate_feasibility, write_trace_csv)
 from bdris.manifold import geodesic, retract_batch
 from bdris import optimizer
 from bdris.gradient import LN2
@@ -465,7 +468,7 @@ class TestCgaRun:
             assert (np.diff(rates) >= -1e-9).all()
             assert trace.final.projection_rate_delta <= 1e-9
 
-    def test_true_rate_monotone_without_penalty(self):
+    def test_true_rate_monotone_for_connected_blocks(self):
         # Every iterate is exactly symmetric, so nothing trades rate for
         # symmetry: the raw sum-rate is monotone for connected blocks too.
         for seed in range(3):
@@ -473,7 +476,7 @@ class TestCgaRun:
             rates = np.array([r.true_rate for r in trace.records])
             assert (np.diff(rates) >= -1e-9).all()
 
-    def test_penalized_true_rate_monotone_with_penalty(self):
+    def test_surrogate_equals_rate_and_both_ascend(self):
         # There is no penalty: at refreshed auxiliaries the recorded
         # surrogate is the sum-rate itself, and both ascend.
         for seed in range(3):
@@ -522,8 +525,34 @@ class TestCgaRun:
                                         settings=settings)
             assert not trace.final.converged, seed
             assert trace.final.stop_reason == "stalled", seed
-            assert trace.final.iters_used == 3, seed  # three consecutive stalls
+            # The first search goes along the gradient, so its stall ends the
+            # run: repeating it on the unchanged iterate would stall again.
+            assert trace.final.iters_used == 1, seed
             assert all(r.step == 0.0 for r in trace.records[1:]), seed
+
+    def test_no_search_repeats_on_identical_inputs(self, monkeypatch):
+        # Desk sc at R = 64, seed 1: a stalled conjugate search used to be
+        # retried on the unchanged iterate and direction, and stalled again.
+        config, geometry = load_config(
+            Path(__file__).resolve().parent.parent / "configs" / "desk.yaml")
+        base = replace(config, n_elements=64, n_groups=1)
+        config = replace(base, n_groups=64)
+        channels = generate_channels(base, geometry, 1)
+        inputs, stalls = [], []
+
+        def recording_search(ws, state, xi, aux, f, directional, settings):
+            inputs.append((state.tobytes(), xi.tobytes(), f, directional))
+            result = _armijo_stack(ws, state, xi, aux, f, directional,
+                                   settings)
+            stalls.append(result[1] is None)
+            return result
+
+        monkeypatch.setattr(optimizer, "_armijo_stack", recording_search)
+        _, trace = cga_optimize(channels, init_beamformer_uniform(base),
+                                config, seed=1)
+        assert any(stalls[:-1])  # a stall the run recovered from
+        assert all(a != b for a, b in zip(inputs, inputs[1:]))
+        assert trace.final.iters_used == len(inputs)
 
 
 class TestObservability:
@@ -557,7 +586,8 @@ class TestObservability:
         config = config_for_tag(tag, n_users=2, n_tx=2, n_elements=4)
         channels = generate_channels_from_gains(config, 1e300, 1e300, seed=0)
         assert np.isfinite(channels.h_tx).all()
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # only the stop reason reports it
             theta, trace = cga_optimize(channels,
                                         init_beamformer_uniform(config),
                                         config, seed=0)
