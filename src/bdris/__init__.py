@@ -13,10 +13,10 @@ Each formula has one implementation, on stacks of blocks: ``gradient``
 rule), ``manifold`` (tangent projection, geodesic frames, batched
 retraction, random feasible points) and ``optimizer._Workspace`` (signal
 matrix, the channel tensor that scores diagonal blocks, auxiliaries,
-sum-rate, and the per-user surrogate that the objective sums). Each setting has one home as well: ``SystemConfig`` holds
-the noise power and every solver default, ``CgaSettings.from_config``
-derives the solver settings from it, and a ``ScatteringMatrix`` derives its
-architecture from its group size.
+sum-rate, and the per-user surrogate that the objective sums). Each
+setting has one home as well: ``SystemConfig`` holds the system, its noise
+power and the iteration cap, ``CgaSettings`` the line-search settings, and
+a ``ScatteringMatrix`` derives its architecture from its group size.
 
 The public API is the config and channel types, the beamformer
 initializers, ``cga_optimize`` with its trace types, the feasibility check,

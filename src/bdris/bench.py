@@ -20,7 +20,7 @@ import json
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,7 +31,8 @@ from .channel import ChannelSet, generate_channels
 from .config import (Geometry, SystemConfig, config_from_dict, config_to_dict,
                      float_field, integer_field, mapping_field,
                      reject_unknown_keys)
-from .optimizer import OptimizerTrace, cga_optimize, write_trace_csv
+from .optimizer import (CgaSettings, OptimizerTrace, cga_optimize,
+                        write_trace_csv)
 from .system import init_beamformer_uniform, parse_architecture_tag
 
 SWEEP_VARIABLES = ("n_elements", "p_max")
@@ -119,7 +120,7 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     if not isinstance(values, list):
         raise ValueError(f"sweep.values must be a list, got {values!r}")
     if variable == "n_elements":
-        values = [integer_field("n_elements", v) for v in values]
+        values = [integer_field("sweep.values", v) for v in values]
     else:
         values = [float_field("sweep.values", v) for v in values]
     architectures = _required(raw, "architectures")
@@ -315,6 +316,7 @@ def manifest_with_spec(spec: ExperimentSpec) -> dict:
     """Spec echo for inclusion in run metadata."""
     return {
         "config": config_to_dict(spec.config, spec.geometry),
+        "solver": asdict(CgaSettings.from_config(spec.config)),
         "architectures": list(spec.architectures),
         "sweep": {"variable": spec.sweep_variable,
                   "values": list(spec.sweep_values)},

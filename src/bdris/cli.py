@@ -24,7 +24,8 @@ from .bench import (ExperimentSpec, ResultTable, _run_cell, emit_outputs,
 from .channel import generate_channels
 from .config import load_config
 from .manifold import random_feasible
-from .optimizer import cga_optimize, validate_feasibility, write_trace_csv
+from .optimizer import (TOL_SYMMETRY, TOL_UNITARY, cga_optimize,
+                        validate_feasibility, write_trace_csv)
 from .system import (ScatteringMatrix, block_mask, init_beamformer_mmse,
                      init_beamformer_uniform, parse_architecture_tag)
 
@@ -233,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check a stored matrix")
     p_val.add_argument("--matrix", required=True)
-    p_val.add_argument("--tol-unitary", type=float, default=1e-8)
-    p_val.add_argument("--tol-symmetry", type=float, default=1e-6)
+    p_val.add_argument("--tol-unitary", type=float, default=TOL_UNITARY)
+    p_val.add_argument("--tol-symmetry", type=float, default=TOL_SYMMETRY)
     p_val.set_defaults(func=cmd_validate)
     return parser
 

@@ -1,8 +1,8 @@
 """System configuration, link geometry, and config-file loading.
 
 A run is fully described by a :class:`SystemConfig` (dimensions, power/noise,
-solver hyperparameters) plus a :class:`Geometry` (pathloss parameters for the
-two links). Both can be read from a single YAML/JSON config file, see
+iteration cap) plus a :class:`Geometry` (pathloss parameters for the two
+links). Both can be read from a single YAML/JSON config file, see
 :func:`load_config`.
 """
 
@@ -21,14 +21,26 @@ import yaml
 _field_types = functools.cache(get_type_hints)
 
 
+def check_fields(obj, positive=()) -> None:
+    """Raise a ValueError that names the first int field of the dataclass
+    ``obj`` that is not a positive integer, or the first field named in
+    ``positive`` that is not positive and finite."""
+    for name, kind in _field_types(type(obj)).items():
+        value = getattr(obj, name)
+        if kind is int and (not isinstance(value, int) or value < 1):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    # Comparisons with NaN are false, so this rejects NaN too.
+    for name in positive:
+        if not 0 < getattr(obj, name) < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
-    """Dimensions, power budget, noise power, and solver hyperparameters.
+    """Dimensions, power budget, noise power, and the iteration cap.
 
-    Solver defaults: tolerance 1e-8, at most 8000 conjugate-gradient
-    iterations, at most 200 Armijo trials per search with sufficient-increase
-    coefficient 2e-11, initial step 1 contracted by 0.75. Reciprocity needs
-    no setting: the optimizer keeps every block exactly symmetric.
+    The line-search settings live in ``optimizer.CgaSettings``. Reciprocity
+    needs no setting: the optimizer keeps every block exactly symmetric.
     """
 
     n_tx: int                      # BS transmit antennas N
@@ -37,18 +49,10 @@ class SystemConfig:
     n_groups: int                  # element groups G (group size R/G)
     p_max: float                   # transmit power budget, linear W
     noise_power: float             # receiver noise power, linear W
-    epsilon: float = 1e-8          # convergence tolerance on the sum-rate
     max_iters: int = 8000          # conjugate-gradient iteration cap
-    armijo_max_steps: int = 200    # line-search trial cap
-    armijo_coeff: float = 2e-11    # sufficient-increase coefficient
-    step_init: float = 1.0         # initial line-search step
-    step_contract: float = 0.75    # line-search contraction factor
 
     def __post_init__(self):
-        for name, kind in _field_types(SystemConfig).items():
-            value = getattr(self, name)
-            if kind is int and (not isinstance(value, int) or value < 1):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        check_fields(self, positive=("p_max", "noise_power"))
         if self.n_tx < self.n_users:
             raise ValueError(
                 f"n_tx={self.n_tx} must be at least n_users={self.n_users}")
@@ -56,14 +60,6 @@ class SystemConfig:
             raise ValueError(
                 f"n_elements={self.n_elements} must be divisible by "
                 f"n_groups={self.n_groups}")
-        # Comparisons with NaN are false, so these reject NaN too.
-        for name in ("p_max", "noise_power", "epsilon", "step_init"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 0 <= self.armijo_coeff < math.inf:
-            raise ValueError("armijo_coeff must be nonnegative and finite")
-        if not 0 < self.step_contract < 1:
-            raise ValueError("step_contract must lie in (0, 1)")
 
     @property
     def group_size(self) -> int:
@@ -81,9 +77,7 @@ class LinkGeometry:
     ref_distance_m: float = 1.0
 
     def __post_init__(self):
-        for name in ("distance_m", "ref_distance_m"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        check_fields(self, positive=("distance_m", "ref_distance_m"))
         for name in ("exponent", "ref_loss_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

@@ -73,7 +73,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelSet
-from .config import SystemConfig
+from .config import SystemConfig, check_fields
 from .gradient import Auxiliaries, channel_stacks, factor_gradient, gradient_stack
 from .manifold import (geodesic, project_stack, random_feasible,
                        random_feasible_stack, retract_batch, unitarity_residuals)
@@ -84,29 +84,27 @@ from .system import Beamformer, ScatteringMatrix
 class CgaSettings:
     """Solver hyperparameters for one optimization run.
 
-    Build them with ``from_config``: the config holds the defaults, and the
-    noise power stays there too, since it belongs to the system.
+    Build them with ``from_config``, which takes the iteration cap from the
+    config; the noise power stays there too, since it belongs to the system.
     """
 
-    max_iters: int
-    tolerance: float
-    armijo_max_steps: int
-    armijo_coeff: float
-    step_init: float
-    step_contract: float
+    max_iters: int                 # conjugate-gradient iteration cap
+    tolerance: float = 1e-8        # convergence tolerance on the sum-rate
+    armijo_max_steps: int = 200    # line-search trial cap
+    armijo_coeff: float = 2e-11    # sufficient-increase coefficient
+    step_init: float = 1.0         # initial line-search step
+    step_contract: float = 0.75    # line-search contraction factor
+
+    def __post_init__(self):
+        check_fields(self, positive=("tolerance", "step_init"))
+        if not 0 <= self.armijo_coeff < math.inf:
+            raise ValueError("armijo_coeff must be nonnegative and finite")
+        if not 0 < self.step_contract < 1:
+            raise ValueError("step_contract must lie in (0, 1)")
 
     @classmethod
     def from_config(cls, config: SystemConfig, **overrides) -> "CgaSettings":
-        kwargs = dict(
-            max_iters=config.max_iters,
-            tolerance=config.epsilon,
-            armijo_max_steps=config.armijo_max_steps,
-            armijo_coeff=config.armijo_coeff,
-            step_init=config.step_init,
-            step_contract=config.step_contract,
-        )
-        kwargs.update(overrides)
-        return cls(**kwargs)
+        return cls(**{"max_iters": config.max_iters, **overrides})
 
 
 @dataclass(frozen=True)
@@ -590,8 +588,13 @@ class FeasibilityReport:
     passed: bool
 
 
-def validate_feasibility(theta: ScatteringMatrix, tol_unitary: float = 1e-8,
-                         tol_symmetry: float = 1e-6) -> FeasibilityReport:
+# Default tolerances of ``validate_feasibility`` and ``bdris validate``.
+TOL_UNITARY = 1e-8
+TOL_SYMMETRY = 1e-6
+
+
+def validate_feasibility(theta: ScatteringMatrix, tol_unitary: float = TOL_UNITARY,
+                         tol_symmetry: float = TOL_SYMMETRY) -> FeasibilityReport:
     """Check blockwise unitarity and symmetry against tolerances.
 
     For single-connected matrices (group size 1) additionally checks unit

@@ -67,6 +67,9 @@ BAD_SPECS = {
     SPEC_YAML.replace("bs_ris: {distance_m: 1.0, exponent: 0.0,",
                       "bs_ris: {distance_m: 1.0,"):
         "geometry.bs_ris is missing exponent",
+    # A bad n_elements sweep value used to be named n_elements.
+    SPEC_YAML.replace("variable: p_max, values: [1.0, 2.0]",
+                      "variable: n_elements, values: [4.5]"): "sweep.values",
 }
 
 
@@ -123,8 +126,10 @@ def test_optimize_command(tmp_path, config_file, capsys):
     ("validate", "header.txt", "4 0\n"),
     ("optimize", "config.yaml", CONFIG_YAML.replace("n_elements: 4",
                                                     "n_elements: 8.9")),
-    # The asymmetry penalty weight is gone; old configs must say so.
+    # The asymmetry penalty weight is gone, and the line-search settings
+    # are set through CgaSettings; old configs must say so.
     ("optimize", "config.yaml", CONFIG_YAML + "nu: 1.0\n"),
+    ("optimize", "config.yaml", CONFIG_YAML + "armijo_coeff: 1.0e-9\n"),
     *(pytest.param("bench", "spec.yaml", text, id=f"bench-{key}-{i}")
       for i, (text, key) in enumerate(BAD_SPECS.items())),
 ])
@@ -143,8 +148,9 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, command, filename,
     assert "Traceback" not in err
     assert err.startswith(f"bdris {command}: error: ")
     assert len(err.strip().splitlines()) == 1
-    if "nu:" in text:
-        assert "'nu'" in err
+    for key in ("nu", "armijo_coeff"):
+        if f"\n{key}:" in text:
+            assert f"unknown config keys: ['{key}']" in err
     if command == "bench":
         assert BAD_SPECS[text] in err
         assert not (tmp_path / "out").exists()

@@ -1,20 +1,19 @@
+from pathlib import Path
+
 import pytest
 
-from bdris import (LinkGeometry, SystemConfig, config_from_dict,
-                   config_to_dict, load_config)
+from bdris import (CgaSettings, LinkGeometry, SystemConfig, config_from_dict,
+                   config_to_dict, load_config, load_experiment_spec)
 
 from helpers import make_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_defaults_and_group_size():
     config = make_config(n_elements=8, n_groups=4)
     assert config.group_size == 2
-    assert config.epsilon == 1e-8
     assert config.max_iters == 8000
-    assert config.armijo_max_steps == 200
-    assert config.armijo_coeff == 2e-11
-    assert config.step_init == 1.0
-    assert config.step_contract == 0.75
 
 
 @pytest.mark.parametrize("overrides", [
@@ -22,19 +21,19 @@ def test_defaults_and_group_size():
     dict(n_tx=2, n_users=3),              # fewer antennas than users
     dict(p_max=0.0),
     dict(noise_power=0.0),
-    dict(armijo_coeff=-1.0),
-    dict(epsilon=0.0),
-    dict(step_contract=1.0),
-    dict(step_contract=0.0),
-    dict(step_init=0.0),
     dict(max_iters=0),
     # Non-finite floats: an infinite noise power used to end "stalled" at
-    # rate 0, an infinite tolerance "converged" after one iteration.
+    # rate 0.
     dict(noise_power=float("inf")),
-    dict(epsilon=float("inf")),
-    dict(step_init=float("inf")),
-    dict(armijo_coeff=float("nan")),
     dict(p_max=float("inf")),
+    dict(n_tx=0),
+    dict(n_users=0),
+    dict(n_elements=0),
+    dict(n_groups=0),
+    dict(max_iters=2.5),
+    dict(p_max=-1.0),
+    dict(p_max=float("nan")),
+    dict(noise_power=float("nan")),
 ])
 def test_invalid_configs_rejected(overrides):
     base = dict(n_tx=4, n_users=2, n_elements=8, n_groups=4, p_max=1.0,
@@ -55,9 +54,11 @@ def test_non_finite_link_geometry_rejected(key, value):
 
 
 def test_dict_roundtrip():
-    config = make_config(n_elements=8, n_groups=2, epsilon=1e-6)
+    config = make_config(n_elements=8, n_groups=2, max_iters=123)
     rebuilt, geometry = config_from_dict(config_to_dict(config))
     assert rebuilt == config
+    assert (CgaSettings.from_config(rebuilt, tolerance=1e-6)
+            == CgaSettings(max_iters=123, tolerance=1e-6))
 
 
 @pytest.mark.parametrize("key, value", [("n_elements", 8.9), ("n_groups", 2.5),
@@ -105,3 +106,17 @@ def test_load_config_rejects_non_mapping(tmp_path):
     path.write_text("- 1\n- 2\n")
     with pytest.raises(ValueError, match="mapping"):
         load_config(path)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")),
+                         ids=lambda path: path.name)
+def test_shipped_configs_load(path):
+    if path.name.startswith("bench_"):
+        config = load_experiment_spec(path).config
+    else:
+        config, _ = load_config(path)
+    # desk.yaml used to restate these line-search settings; they are the
+    # defaults, so every shipped config solves as before.
+    assert CgaSettings.from_config(config) == CgaSettings(
+        max_iters=2000, tolerance=1e-8, armijo_max_steps=200,
+        armijo_coeff=2e-11, step_init=1.0, step_contract=0.75)

@@ -114,7 +114,7 @@ class TestSurrogate:
             assert after >= before - 1e-12
 
 
-class TestPenalty:
+class TestAsymmetryResidual:
     """The asymmetry ||Theta_g - Theta_g^T||_F that the objective used to
     penalize, as ``validate_feasibility`` measures it. The optimizer has no
     penalty: every state it visits maps to exactly symmetric blocks."""
@@ -163,7 +163,7 @@ class TestPenalty:
         assert ws.objective(ws.signal(stack), zero_aux(2)) == 0.0
 
 
-class TestPenalizedObjective:
+class TestObjective:
     def test_equals_sum_rate_at_optimal_aux(self):
         config, channels, theta, beam = make_instance(seed=7)
         ws, stack, c, aux = workspace_at(theta, channels, beam, config)

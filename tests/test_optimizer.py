@@ -35,7 +35,8 @@ def small_run(seed, tag="gc2", n_elements=4, max_iters=400, **overrides):
 
 class TestSettings:
     def test_defaults(self):
-        # SystemConfig holds the only copy of each default.
+        # SystemConfig holds the iteration cap, CgaSettings the only copy of
+        # each line-search default.
         s = CgaSettings.from_config(make_config())
         assert (s.max_iters, s.tolerance, s.armijo_max_steps) == (8000, 1e-8, 200)
         assert (s.armijo_coeff, s.step_init, s.step_contract) == \
@@ -47,14 +48,31 @@ class TestSettings:
         # Overrides replace single settings; the noise power is read from
         # the config by the workspace and nowhere else.
         config, channels, theta, beam = make_instance(
-            seed=0, epsilon=1e-6, max_iters=123, noise_power=2.0)
-        s = CgaSettings.from_config(config, step_init=0.5)
+            seed=0, max_iters=123, noise_power=2.0)
+        s = CgaSettings.from_config(config, tolerance=1e-6, step_init=0.5)
         assert (s.tolerance, s.max_iters, s.step_init) == (1e-6, 123, 0.5)
         assert not hasattr(s, "noise_power")
         with pytest.raises(TypeError):
             CgaSettings.from_config(config, noise_power=1.0)
         ws, *_ = workspace_at(theta, channels, beam, config)
         assert ws.noise == 2.0
+
+    @pytest.mark.parametrize("key, value", [
+        ("armijo_coeff", -1.0), ("armijo_coeff", float("nan")),
+        ("tolerance", 0.0), ("tolerance", float("inf")),
+        ("step_contract", 1.0), ("step_contract", 0.0),
+        ("step_init", 0.0), ("step_init", float("inf")),
+        # These used to solve through from_config without an error;
+        # max_iters=2.5 ran 3 iterations.
+        ("step_contract", 1.5), ("armijo_max_steps", 0),
+        ("step_init", float("nan")), ("armijo_coeff", -5.0),
+        ("max_iters", 0), ("tolerance", -1.0), ("max_iters", 2.5),
+    ])
+    def test_invalid_values_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            CgaSettings(**{"max_iters": 10, key: value})
+        with pytest.raises(ValueError, match=key):
+            CgaSettings.from_config(make_config(), **{key: value})
 
 
 class TestArmijo:
