@@ -19,7 +19,6 @@ import hashlib
 import json
 import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -214,6 +213,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     if workers <= 1:
         outcomes = list(map(_cell_rows, jobs))
     else:
+        # Imported here: it adds about 19 ms to ``import bdris``.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_cell_rows, jobs))
     table = ResultTable()

@@ -24,14 +24,17 @@ _field_types = functools.cache(get_type_hints)
 def check_fields(obj, positive=()) -> None:
     """Raise a ValueError that names the first int field of the dataclass
     ``obj`` that is not a positive integer, or the first field named in
-    ``positive`` that is not positive and finite."""
+    ``positive`` that is not positive and finite. A bool is neither: it
+    is an int to Python, but ``True`` is no iteration cap."""
     for name, kind in _field_types(type(obj)).items():
         value = getattr(obj, name)
-        if kind is int and (not isinstance(value, int) or value < 1):
+        if kind is int and (not isinstance(value, int)
+                            or isinstance(value, bool) or value < 1):
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
     # Comparisons with NaN are false, so this rejects NaN too.
     for name in positive:
-        if not 0 < getattr(obj, name) < math.inf:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite")
 
 
@@ -113,8 +116,11 @@ def reject_unknown_keys(where: str, raw, allowed) -> None:
 
 
 def float_field(key: str, value) -> float:
-    """``value`` as a float; null, nested or non-numeric values raise a
-    ValueError that names the key."""
+    """``value`` as a float; null, nested, boolean or non-numeric values
+    raise a ValueError that names the key (YAML reads ``true`` as a bool,
+    which ``float`` would take for 1.0)."""
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -122,7 +128,8 @@ def float_field(key: str, value) -> float:
 
 
 def integer_field(key: str, value) -> int:
-    """``value`` as an int; a non-integral number raises instead of truncating."""
+    """``value`` as an int; a non-integral number or a bool raises instead
+    of truncating."""
     number = float_field(key, value)
     if not number.is_integer():
         raise ValueError(f"{key} must be an integer, got {value!r}")

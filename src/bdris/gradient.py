@@ -39,16 +39,18 @@ class Auxiliaries(NamedTuple):
     surrogate score and gradient at them uses, formed once per iterate.
 
     The surrogate of user k is offset_k + weight_k * quad_k with
-    quad_k = 2 Re(y_conj_k c_kk) - y_power_k * total_k (see the
+    quad_k = Re(y_conj2_k c_kk) - y_power_k * total_k (see the
     ``optimizer`` module docstring), and ``spread`` is the size of its
     partly cancelling tau-terms, sum_k log2(1 + tau_k) + 2 tau_k / ln2.
+    ``y_conj2`` holds 2 conj(y): doubling is exact in floating point, so
+    Re(y_conj2 c) has the bits of 2 Re(conj(y) c) with one product fewer.
     """
 
     tau: np.ndarray
     y: np.ndarray
     offset: np.ndarray       # log2(1 + tau) - tau / ln2
     weight: np.ndarray       # (1 + tau) / ln2
-    y_conj: np.ndarray
+    y_conj2: np.ndarray      # 2 conj(y)
     y_power: np.ndarray      # |y|^2
     spread: float
 
@@ -59,9 +61,10 @@ class Auxiliaries(NamedTuple):
         caller has it already."""
         if log_term is None:
             log_term = np.log2(1.0 + tau)
-        return cls(tau, y, log_term - tau / LN2, (1.0 + tau) / LN2,
-                   np.conj(y), np.abs(y) ** 2,
-                   float(np.sum(log_term + 2.0 * tau / LN2)))
+        scaled = tau / LN2
+        return cls(tau, y, log_term - scaled, (1.0 + tau) / LN2,
+                   2.0 * y.conj(), np.abs(y) ** 2,
+                   float((log_term + 2.0 * scaled).sum()))
 
 
 def channel_stacks(channels: ChannelSet, beam_v: np.ndarray,
@@ -80,14 +83,18 @@ def channel_stacks(channels: ChannelSet, beam_v: np.ndarray,
     return a, b
 
 
-def gradient_stack(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+def gradient_stack(a_h: np.ndarray, b_h: np.ndarray, c: np.ndarray,
                    aux: Auxiliaries) -> np.ndarray:
-    """Batched gradient over all blocks; see the module docstring."""
-    b_conj_t = b.conj().transpose(0, 2, 1)              # (G, K, R_G)
-    t1 = aux.y[None, :, None] * b_conj_t
-    t2 = aux.y_power[None, :, None] * (c @ b_conj_t)
-    weighted = aux.weight[None, :, None] * (t1 - t2)
-    return 2.0 * (a.conj().transpose(0, 2, 1) @ weighted)
+    """Batched gradient over all blocks; see the module docstring.
+
+    Takes the conjugate transposes a_h[g] = a[g]^H (R_G, K) and
+    b_h[g] = b[g]^H (K, R_G) of the ``channel_stacks`` factors, which stay
+    fixed for a whole solve.
+    """
+    t1 = aux.y[:, None] * b_h
+    t2 = aux.y_power[:, None] * (c @ b_h)
+    weighted = aux.weight[:, None] * (t1 - t2)
+    return 2.0 * (a_h @ weighted)
 
 
 def factor_gradient(grad_stack: np.ndarray, u_stack: np.ndarray) -> np.ndarray:

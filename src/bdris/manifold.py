@@ -39,7 +39,7 @@ def unitarity_residuals(theta_stack: np.ndarray) -> np.ndarray:
     # In place on the diagonals: every (rg + 1)-th entry of each fresh,
     # C-ordered block.
     gram.reshape(len(gram), -1)[:, ::rg + 1] -= 1.0
-    return np.sqrt(np.sum(np.abs(gram) ** 2, axis=(1, 2)))
+    return np.sqrt((np.abs(gram) ** 2).sum(axis=(1, 2)))
 
 
 class Geodesic(NamedTuple):
@@ -74,6 +74,14 @@ def geodesic(stack: np.ndarray, direction_stack: np.ndarray) -> Geodesic:
     return Geodesic(stack @ q, w, q.transpose(0, 2, 1))
 
 
+def _pairs(entries: np.ndarray) -> np.ndarray:
+    """The (re, im) pairs of a (G, 1, 1) stack as a (G, 2) real array: a
+    view of a contiguous complex128 stack, else of a complex128 copy, so
+    real and complex64 stacks are read by value."""
+    flat = np.ascontiguousarray(entries, dtype=complex)
+    return flat.view(float).reshape(-1, 2)
+
+
 def retract_batch(stack: np.ndarray, direction_stack: np.ndarray | Geodesic,
                   alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Retraction of many candidate steps at once.
@@ -88,15 +96,30 @@ def retract_batch(stack: np.ndarray, direction_stack: np.ndarray | Geodesic,
     Returns (candidates, ok) with candidates of shape (M, G, R_G, R_G) and a
     boolean validity flag per candidate; only 1 x 1 blocks can be flagged,
     and flagged candidates stay in the batch so that the others stay usable.
+
+    The 1 x 1 branch works in real arithmetic on the (re, im) pairs: one
+    real product alpha * xi and one sum form z, and the phase is z times
+    1 / |z|, with |z| = 0 taken as 1. Both give the bits of the complex
+    operations (a real alpha cast to complex, complex division by the real
+    |z|). The per-candidate rank test runs only when one test over the
+    whole batch fails, min |z| > 1e-12 max(1, max |z|). For a tangent
+    direction at unit entries, Re(conj(theta) xi) = 0, so
+    |z|^2 = 1 + alpha^2 |xi|^2 >= 1 and that test always passes.
     """
     if stack.shape[-1] == 1:
         # On (M, G) arrays of the entries; returned as (M, G, 1, 1) views.
-        moved = (stack.reshape(1, -1)
-                 + alphas[:, None] * direction_stack.reshape(1, -1))
+        moved = np.empty((len(alphas), stack.shape[0]), dtype=complex)
+        pairs = moved.view(float).reshape(len(alphas), -1, 2)
+        np.multiply(alphas[:, None, None], _pairs(direction_stack), out=pairs)
+        pairs += _pairs(stack)
         mags = np.abs(moved)
-        ok = mags.min(axis=1) > 1e-12 * np.maximum(mags.max(axis=1), 1.0)
-        phases = moved / np.where(mags > 0, mags, 1.0)
-        return phases[:, :, None, None], ok
+        if mags.min() > 1e-12 * max(mags.max(), 1.0):
+            ok = np.ones(len(alphas), dtype=bool)
+        else:
+            ok = mags.min(axis=1) > 1e-12 * np.maximum(mags.max(axis=1), 1.0)
+            mags = np.where(mags > 0, mags, 1.0)
+        pairs *= (1.0 / mags)[:, :, None]
+        return moved[:, :, None, None], ok
     frame = (direction_stack if isinstance(direction_stack, Geodesic)
              else geodesic(stack, direction_stack))
     groups, size = frame.p.shape[0], frame.p.shape[-1]

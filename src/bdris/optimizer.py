@@ -159,7 +159,7 @@ def write_trace_csv(trace: OptimizerTrace, path: str | Path) -> None:
 
 
 def _re_vdot(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.real(np.vdot(a, b)))
+    return float(np.vdot(a, b).real)
 
 
 def _channel_tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,8 +174,10 @@ def _channel_tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _Workspace:
     """Precomputed channel factors and batched objective/gradient kernels.
 
-    Besides the groupwise factors ``a``, ``b`` of ``channel_stacks`` it
-    holds the channel tensor ``t`` of shape (R, K^2),
+    Besides the groupwise factors ``a``, ``b`` of ``channel_stacks`` and
+    their conjugate transposes ``a_h``, ``b_h`` (the gradient's factors,
+    formed once per solve) it holds the channel tensor ``t`` of shape
+    (R, K^2),
     t[(g, n), (k, l)] = a[g, k, n] * b[g, n, l], so that the signal matrix of
     diagonal blocks diag(d_g) is linear in their (G, R_G) diagonals:
     C.ravel() = d.ravel() @ t. It takes R * K^2 * 16 bytes (8 KiB for
@@ -187,6 +189,8 @@ class _Workspace:
     def __init__(self, channels: ChannelSet, beam: Beamformer,
                  config: SystemConfig):
         self.a, self.b = channel_stacks(channels, beam.v, config.group_size)
+        self.a_h = self.a.conj().transpose(0, 2, 1)
+        self.b_h = self.b.conj().transpose(0, 2, 1)
         self.users, self.streams = self.a.shape[1], self.b.shape[2]
         self.t = _channel_tensor(self.a, self.b)
         self.noise = config.noise_power
@@ -198,9 +202,11 @@ class _Workspace:
         a diagonal X_g there scores as P_g X_g P_g^T scores here, because the
         signal matrix sum_g a_g Theta_g b_g becomes
         sum_g (a_g P_g) X_g (P_g^T b_g). The gradient stays in the original
-        basis: only the line search and the start point use this one."""
+        basis: only the line search and the start point use this one, so
+        it holds no conjugate factors."""
         ws = copy.copy(self)
         ws.a, ws.b = self.a @ p, p.transpose(0, 2, 1) @ self.b
+        ws.a_h = ws.b_h = None
         ws.t = _channel_tensor(ws.a, ws.b)
         return ws
 
@@ -234,10 +240,9 @@ class _Workspace:
         """
         powers = np.abs(c) ** 2
         total = powers.sum(axis=1) + self.noise
-        diag = np.diagonal(c)
         interference = (powers * self.off_diagonal).sum(axis=1)
-        tau = np.abs(diag) ** 2 / (interference + self.noise)
-        y = diag / total
+        tau = powers.diagonal() / (interference + self.noise)
+        y = c.diagonal() / total
         log_term = np.log2(1.0 + tau)
         return Auxiliaries.of(tau, y, log_term), float(log_term.sum()), total
 
@@ -251,7 +256,7 @@ class _Workspace:
         are their sum_i |c_ki|^2 + n0 if the caller has them."""
         if total is None:
             total = (np.abs(c) ** 2).sum(axis=-1) + self.noise
-        quad = (2.0 * np.real(aux.y_conj * np.diagonal(c, axis1=-2, axis2=-1))
+        quad = ((aux.y_conj2 * c.diagonal(axis1=-2, axis2=-1)).real
                 - aux.y_power * total)
         return aux.offset + aux.weight * quad
 
@@ -272,7 +277,7 @@ class _Workspace:
 
     def gradient(self, c: np.ndarray, aux: Auxiliaries) -> np.ndarray:
         """Gradient of the objective with respect to the scattering blocks."""
-        return gradient_stack(self.a, self.b, c, aux)
+        return gradient_stack(self.a_h, self.b_h, c, aux)
 
     def riemannian_gradient(self, state: np.ndarray, c: np.ndarray,
                             aux: Auxiliaries) -> np.ndarray:
@@ -303,6 +308,7 @@ _ARMIJO_CHUNK = 32
 # gradient xi. An increase below this many such ulps is noise; the floor
 # sits below the worst of those cases.
 _NOISE_ULPS = 16.0
+_NOISE_FLOOR = _NOISE_ULPS * np.finfo(float).eps
 
 
 @functools.lru_cache(maxsize=16)
@@ -352,9 +358,9 @@ def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
     signal matrix, step sizes scored), or (0.0, None, None, trials) when no
     trial is accepted or the directional derivative is not positive.
     """
-    if directional_derivative <= 0 or not np.any(xi_stack):
+    if directional_derivative <= 0 or not xi_stack.any():
         return 0.0, None, None, 0
-    floor = _NOISE_ULPS * np.finfo(float).eps * (abs(f_current) + aux.spread)
+    floor = _NOISE_FLOOR * (abs(f_current) + aux.spread)
     if ws.factored:
         path = geodesic(state, xi_stack)
         line = ws.in_bases(path.p)
@@ -370,7 +376,7 @@ def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
         values = line.objective_batch(diagonals, aux)
         demand = np.maximum(
             slopes[start:start + _ARMIJO_CHUNK] * directional_derivative, floor)
-        hits = np.flatnonzero(ok & (values >= f_current + demand))
+        hits = (ok & (values >= f_current + demand)).nonzero()[0]
         if hits.size:
             first = int(hits[0])
             if ws.factored:

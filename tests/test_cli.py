@@ -70,6 +70,9 @@ BAD_SPECS = {
     # A bad n_elements sweep value used to be named n_elements.
     SPEC_YAML.replace("variable: p_max, values: [1.0, 2.0]",
                       "variable: n_elements, values: [4.5]"): "sweep.values",
+    # YAML booleans are not numbers: float(True) would read them as 1.
+    SPEC_YAML.replace("n_trials: 2", "n_trials: true"): "n_trials",
+    SPEC_YAML.replace("values: [1.0, 2.0]", "values: [true]"): "sweep.values",
 }
 
 
@@ -130,6 +133,11 @@ def test_optimize_command(tmp_path, config_file, capsys):
     # are set through CgaSettings; old configs must say so.
     ("optimize", "config.yaml", CONFIG_YAML + "nu: 1.0\n"),
     ("optimize", "config.yaml", CONFIG_YAML + "armijo_coeff: 1.0e-9\n"),
+    # ``max_iters: true`` used to load as a 1-iteration cap.
+    ("optimize", "config.yaml", CONFIG_YAML.replace("max_iters: 60",
+                                                    "max_iters: true")),
+    ("optimize", "config.yaml", CONFIG_YAML.replace("p_max: 2.0",
+                                                    "p_max: true")),
     *(pytest.param("bench", "spec.yaml", text, id=f"bench-{key}-{i}")
       for i, (text, key) in enumerate(BAD_SPECS.items())),
 ])

@@ -34,6 +34,10 @@ def test_defaults_and_group_size():
     dict(p_max=-1.0),
     dict(p_max=float("nan")),
     dict(noise_power=float("nan")),
+    # A bool is an int to Python; True used to pass as a 1-iteration cap.
+    dict(max_iters=True),
+    dict(n_users=True),
+    dict(p_max=True),
 ])
 def test_invalid_configs_rejected(overrides):
     base = dict(n_tx=4, n_users=2, n_elements=8, n_groups=4, p_max=1.0,

@@ -125,6 +125,52 @@ class TestRetract:
         assert ok.all()
         assert np.abs(moved - expected).max() <= 1e-15
 
+    @pytest.mark.parametrize("case", ["tangent", "general", "near_zero",
+                                      "zero_entry"])
+    def test_scalar_blocks_bit_for_bit(self, case):
+        # The 1 x 1 branch works on real (re, im) pairs and tests the rank of
+        # the whole batch first; it must still give the bits of the complex
+        # formula z / |z| and the per-candidate ok rule. A tangent or general
+        # direction takes the one-test path; an entry within 1e-12 of zero,
+        # or exactly zero, takes the per-candidate fallback.
+        rng = np.random.default_rng(8)
+        stack = random_feasible_stack(rng, 64, 1)
+        direction = random_blocks(rng, 64, 1)
+        alphas = np.concatenate([[0.0, 10.0, 1.0], 0.75 ** np.arange(29.0)])
+        if case == "tangent":
+            direction = project_stack(direction, stack)
+        elif case == "near_zero":
+            direction[5] = -(1.0 + 1e-13) * stack[5]
+        elif case == "zero_entry":
+            direction[5] = -stack[5]
+        moved, ok = retract_batch(stack, direction, alphas)
+        z = stack.reshape(1, -1) + alphas[:, None] * direction.reshape(1, -1)
+        mags = np.abs(z)
+        assert moved.shape == (len(alphas), 64, 1, 1)
+        assert np.array_equal(moved[:, :, 0, 0],
+                              z / np.where(mags > 0, mags, 1.0))
+        assert np.array_equal(
+            ok, mags.min(axis=1) > 1e-12 * np.maximum(mags.max(axis=1), 1.0))
+        assert ok.all() == (case in ("tangent", "general"))
+
+    @pytest.mark.parametrize("groups", [2, 5])
+    def test_scalar_blocks_read_any_dtype_by_value(self, groups):
+        # Real and complex64 stacks and directions are promoted like the
+        # complex formula promotes them, also for two groups, where a
+        # (1, 2) reading of raw memory would still broadcast.
+        rng = np.random.default_rng(9)
+        stack = random_feasible_stack(rng, groups, 1)
+        direction = rng.standard_normal((groups, 1, 1))
+        alphas = np.array([0.0, 0.5, 2.0])
+        for theta, xi in ((stack.astype(np.complex64), direction),
+                          (stack.real.copy(), direction.astype(np.float32))):
+            moved, ok = retract_batch(theta, xi, alphas)
+            z = (theta.reshape(1, -1).astype(complex)
+                 + alphas[:, None] * xi.reshape(1, -1).astype(float))
+            assert moved.shape == (len(alphas), groups, 1, 1)
+            assert np.array_equal(moved[:, :, 0, 0], z / np.abs(z))
+            assert ok.all()
+
     def test_rank_deficient_target_raises(self):
         # Rank-deficient candidates are flagged, not raised, so the other
         # candidates of the batch stay usable; for 1 x 1 blocks that is a

@@ -67,6 +67,8 @@ class TestSettings:
         ("step_contract", 1.5), ("armijo_max_steps", 0),
         ("step_init", float("nan")), ("armijo_coeff", -5.0),
         ("max_iters", 0), ("tolerance", -1.0), ("max_iters", 2.5),
+        # Booleans are ints to Python; these used to solve.
+        ("max_iters", True), ("armijo_max_steps", True), ("step_init", True),
     ])
     def test_invalid_values_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -277,6 +279,28 @@ def test_coefficients_reproduce_surrogate_sum(tag):
             ws.objective_batch(diagonals, aux),
             reference(ws.signals(diagonals), aux.tau, aux.y, ws.noise))
         assert rate == float(np.log2(1.0 + aux.tau).sum())
+
+
+@pytest.mark.parametrize("tag", ["sc", "gc2", "fc"])
+def test_gradient_reproduces_closed_form(tag):
+    # ``_Workspace.gradient`` (conjugate factors formed once per solve) has
+    # exactly the bits of the closed form written out from a.conj() and
+    # b.conj(): a reassociation that would move 1 x 1 iterates fails here.
+    def reference(a, b, c, tau, y):
+        b_h = b.conj().transpose(0, 2, 1)
+        weight = ((1.0 + tau) / LN2)[None, :, None]
+        inner = (y[None, :, None] * b_h
+                 - (np.abs(y) ** 2)[None, :, None] * (c @ b_h))
+        return 2.0 * (a.conj().transpose(0, 2, 1) @ (weight * inner))
+
+    for seed in range(10):
+        config = config_for_tag(tag, n_elements=8)
+        channels = generate_channels_from_gains(config, 1.0, 1.0, seed=seed)
+        ws = _Workspace(channels, init_beamformer_uniform(config), config)
+        c = ws.signal(ws.theta(start_state(config, seed)))
+        aux = ws.stats(c)[0]
+        assert np.array_equal(ws.gradient(c, aux),
+                              reference(ws.a, ws.b, c, aux.tau, aux.y))
 
 
 def gradient_at_start(tag, r):
