@@ -204,13 +204,17 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     """Run the full (sweep value, trial, architecture) grid.
 
     Cells are independent jobs; seeds derive from trial indices, so the table
-    does not depend on ``workers``. Architecture/value combinations that do
-    not divide evenly are reported in ``table.skipped`` and the run continues.
+    does not depend on ``workers``, a positive integer (1 runs the cells in
+    this process). Architecture/value combinations that do not divide
+    evenly are reported in ``table.skipped`` and the run continues.
     """
+    if (isinstance(workers, bool) or not isinstance(workers, int)
+            or workers < 1):
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     jobs = [(spec, value, trial)
             for value in spec.sweep_values
             for trial in range(spec.n_trials)]
-    if workers <= 1:
+    if workers == 1:
         outcomes = list(map(_cell_rows, jobs))
     else:
         # Imported here: it adds about 19 ms to ``import bdris``.

@@ -56,13 +56,16 @@ class Auxiliaries(NamedTuple):
 
     @classmethod
     def of(cls, tau: np.ndarray, y: np.ndarray,
-           log_term: np.ndarray | None = None) -> "Auxiliaries":
-        """Coefficients at (tau, y); ``log_term`` is log2(1 + tau) if the
-        caller has it already."""
+           log_term: np.ndarray | None = None,
+           one_plus: np.ndarray | None = None) -> "Auxiliaries":
+        """Coefficients at (tau, y); ``log_term`` is log2(1 + tau) and
+        ``one_plus`` is 1 + tau, if the caller has them already."""
+        if one_plus is None:
+            one_plus = 1.0 + tau
         if log_term is None:
-            log_term = np.log2(1.0 + tau)
+            log_term = np.log2(one_plus)
         scaled = tau / LN2
-        return cls(tau, y, log_term - scaled, (1.0 + tau) / LN2,
+        return cls(tau, y, log_term - scaled, one_plus / LN2,
                    2.0 * y.conj(), np.abs(y) ** 2,
                    float((log_term + 2.0 * scaled).sum()))
 

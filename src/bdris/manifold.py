@@ -97,6 +97,10 @@ def retract_batch(stack: np.ndarray, direction_stack: np.ndarray | Geodesic,
     boolean validity flag per candidate; only 1 x 1 blocks can be flagged,
     and flagged candidates stay in the batch so that the others stay usable.
 
+    For R_G > 1 the candidates are (P_g diag(exp(i alphas[m] w_g))) @ Q_g^T:
+    one phase array, one elementwise product and one matrix product, each
+    broadcast over the M steps and already in the returned order.
+
     The 1 x 1 branch works in real arithmetic on the (re, im) pairs: one
     real product alpha * xi and one sum form z, and the phase is z times
     1 / |z|, with |z| = 0 taken as 1. Both give the bits of the complex
@@ -122,14 +126,9 @@ def retract_batch(stack: np.ndarray, direction_stack: np.ndarray | Geodesic,
         return moved[:, :, None, None], ok
     frame = (direction_stack if isinstance(direction_stack, Geodesic)
              else geodesic(stack, direction_stack))
-    groups, size = frame.p.shape[0], frame.p.shape[-1]
-    # Built as (G, M, R_G, R_G), so that each group's M products with Q^T
-    # are one tall matrix product. phases is (G, M, R_G).
-    phases = np.exp(1j * alphas[None, :, None] * frame.w[:, None, :])
-    scaled = frame.p[:, None] * phases[:, :, None, :]
-    moved = scaled.reshape(groups, -1, size) @ frame.vh
-    candidates = moved.reshape(groups, len(alphas), size, size)
-    return candidates.transpose(1, 0, 2, 3), np.ones(len(alphas), dtype=bool)
+    phases = np.exp(1j * alphas[:, None, None] * frame.w)  # (M, G, R_G)
+    moved = (frame.p * phases[:, :, None, :]) @ frame.vh
+    return moved, np.ones(len(alphas), dtype=bool)
 
 
 def random_feasible_stack(rng: np.random.Generator, n_groups: int,

@@ -121,6 +121,13 @@ class TestRunExperiment:
                             r.sum_rate_bits) for r in t.rows]
         assert strip(serial) == strip(parallel)
 
+    @pytest.mark.parametrize("workers", [0, -2, True])
+    def test_workers_must_be_positive_integer(self, workers):
+        # Counts below 1 used to run serially without a word, and True ran
+        # as 1.
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(tiny_spec(), workers=workers)
+
     def test_channels_shared_within_cell(self):
         spec = tiny_spec(n_trials=2, architectures=("sc", "gc2", "fc"),
                          values=(1.0,))

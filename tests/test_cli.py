@@ -140,15 +140,20 @@ def test_optimize_command(tmp_path, config_file, capsys):
                                                     "p_max: true")),
     *(pytest.param("bench", "spec.yaml", text, id=f"bench-{key}-{i}")
       for i, (text, key) in enumerate(BAD_SPECS.items())),
+    # A valid spec with a worker count below 1 used to run serially.
+    *(pytest.param(f"bench --workers {count}", "spec.yaml", SPEC_YAML,
+                   id=f"bench-workers-{count}") for count in ("-2", "0")),
 ])
 def test_bad_input_is_one_line_error(tmp_path, capsys, command, filename,
                                      text):
     path = tmp_path / filename
     path.write_text(text)
+    command, *options = command.split()
     if command == "validate":
         argv = ["validate", "--matrix", str(path)]
     elif command == "bench":
-        argv = ["bench", "--spec", str(path), "--out", str(tmp_path / "out")]
+        argv = ["bench", "--spec", str(path), "--out", str(tmp_path / "out"),
+                *options]
     else:
         argv = ["optimize", "--config", str(path), "--seed", "0"]
     assert main(argv) == 2
@@ -160,7 +165,7 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, command, filename,
         if f"\n{key}:" in text:
             assert f"unknown config keys: ['{key}']" in err
     if command == "bench":
-        assert BAD_SPECS[text] in err
+        assert (BAD_SPECS[text] if text in BAD_SPECS else "workers") in err
         assert not (tmp_path / "out").exists()
 
 

@@ -14,7 +14,7 @@ from bdris import (CgaSettings, ScatteringMatrix, cga_optimize,
                    init_beamformer_uniform, load_config,
                    project_symmetric_unitary, random_feasible,
                    validate_feasibility, write_trace_csv)
-from bdris.manifold import geodesic, retract_batch
+from bdris.manifold import geodesic, retract_batch, unitarity_residuals
 from bdris import optimizer
 from bdris.gradient import LN2
 from bdris.optimizer import _armijo_stack, _re_vdot, _step_grid, _Workspace
@@ -658,6 +658,67 @@ class TestObservability:
         assert [math.isfinite(r.true_rate) for r in trace.records] == [
             True, True, False]
 
+    @pytest.mark.parametrize("tag", ["sc", "gc2", "fc"])
+    def test_batched_residuals_match_per_iterate_oracle(self, tag,
+                                                        monkeypatch):
+        # A 40-entry budget holds 10 sc, 5 gc2 or 2 fc states at R = 4, so
+        # the solve computes its residuals in many batches. Every seventh
+        # search is made to stall, so stalled records are checked too:
+        # their state is the one the search started from.
+        monkeypatch.setattr(optimizer, "_RESIDUAL_BUDGET", 40)
+        search, states = optimizer._armijo_stack, []
+
+        def recording(ws, state, *args):
+            if (len(states) + 1) % 7:
+                result = search(ws, state, *args)
+            else:
+                result = 0.0, None, None, 0
+            states.append(state if result[1] is None else result[1])
+            return result
+
+        monkeypatch.setattr(optimizer, "_armijo_stack", recording)
+        (_, trace), config, channels, beam = small_run(seed=3, tag=tag,
+                                                       max_iters=40)
+        ws = _Workspace(channels, beam, config)
+        expected = [float(unitarity_residuals(ws.theta(state)).max())
+                    for state in [start_state(config, 3)] + states]
+        assert len(trace.records) > 10
+        assert any(r.step == 0.0 for r in trace.records[1:])
+        assert [r.unitarity_residual for r in trace.records] == expected
+
+    @pytest.mark.parametrize("reason", ["tolerance", "max_iters", "stalled",
+                                        "nonfinite"])
+    def test_every_stop_records_every_iterate(self, reason, monkeypatch):
+        # A budget below one gc2 state at R = 4 (8 entries) still buffers
+        # one, and every exit must write the last record.
+        monkeypatch.setattr(optimizer, "_RESIDUAL_BUDGET", 4)
+        calls = []
+        if reason == "stalled":  # every search from the tenth on fails
+            search = optimizer._armijo_stack
+
+            def stalling(*args):
+                calls.append(None)
+                return (search(*args) if len(calls) < 10
+                        else (0.0, None, None, 0))
+
+            monkeypatch.setattr(optimizer, "_armijo_stack", stalling)
+        if reason == "nonfinite":  # the twelfth rate is NaN
+            stats = _Workspace.stats
+
+            def failing_stats(ws, c):
+                aux, rate, total = stats(ws, c)
+                calls.append(None)
+                return aux, (math.nan if len(calls) >= 12 else rate), total
+
+            monkeypatch.setattr(_Workspace, "stats", failing_stats)
+        (_, trace), *_ = small_run(seed=0 if reason == "tolerance" else 1,
+                                   tag="gc2", max_iters=40)
+        assert trace.final.stop_reason == reason
+        assert trace.final.iters_used > 3
+        assert len(trace.records) == trace.final.iters_used + 1
+        assert [r.iter for r in trace.records] == list(
+            range(len(trace.records)))
+
 
 def test_trace_csv_roundtrip(tmp_path):
     (theta, trace), *_ = small_run(seed=2, max_iters=50)
@@ -677,21 +738,27 @@ LINK_GAINS = st.one_of(st.just(0.0),
 
 
 @hypothesis_settings(deadline=None, max_examples=60)
-@given(tag=st.sampled_from(["sc", "gc2", "fc"]), gain_tx=LINK_GAINS,
-       gain_rx=LINK_GAINS, noise=st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e),
+@given(tag=st.sampled_from(["sc", "gc2", "gc4", "fc"]),
+       n_elements=st.sampled_from([4, 8, 16]), n_users=st.sampled_from([2, 4]),
+       gain_tx=LINK_GAINS, gain_rx=LINK_GAINS,
+       noise=st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e),
        seed=st.integers(0, 2 ** 16))
 # Unit gains at noise 1e-12: own powers dominate each SINR denominator.
-@example(tag="fc", gain_tx=1.0, gain_rx=1.0, noise=1e-12, seed=4)
-@example(tag="sc", gain_tx=1.0, gain_rx=1.0, noise=1e-12, seed=13)
-@example(tag="gc2", gain_tx=1.0, gain_rx=1.0, noise=1e-12, seed=9)
-def test_solver_properties_over_gains_and_noise(tag, gain_tx, gain_rx, noise,
-                                                seed):
+@example(tag="fc", n_elements=4, n_users=2, gain_tx=1.0, gain_rx=1.0,
+         noise=1e-12, seed=4)
+@example(tag="sc", n_elements=4, n_users=2, gain_tx=1.0, gain_rx=1.0,
+         noise=1e-12, seed=13)
+@example(tag="gc2", n_elements=4, n_users=2, gain_tx=1.0, gain_rx=1.0,
+         noise=1e-12, seed=9)
+def test_solver_properties_over_gains_and_noise(tag, n_elements, n_users,
+                                                gain_tx, gain_rx, noise, seed):
     # Every solve returns a feasible matrix whose rate is finite, no lower
     # than the start, and the dense reference rate at the config's noise
-    # power; zero-gain links end as stalled. Settings built from the config
-    # with an iteration override solve exactly as the overridden config.
-    config = config_for_tag(tag, n_users=2, n_tx=2, n_elements=4,
-                            noise_power=noise)
+    # power; every iterate is unitary, and zero-gain links end as stalled.
+    # Settings built from the config with an iteration override solve
+    # exactly as the overridden config.
+    config = config_for_tag(tag, n_users=n_users, n_tx=n_users,
+                            n_elements=n_elements, noise_power=noise)
     channels = generate_channels_from_gains(config, gain_tx, gain_rx, seed)
     beam = init_beamformer_uniform(config)
     theta, trace = cga_optimize(
@@ -699,6 +766,7 @@ def test_solver_properties_over_gains_and_noise(tag, gain_tx, gain_rx, noise,
         CgaSettings.from_config(config, max_iters=30))
 
     assert validate_feasibility(theta).passed
+    assert max(r.unitarity_residual for r in trace.records) <= 1e-8
     rate, initial = trace.final.projected_rate, trace.records[0].true_rate
     assert np.isfinite(rate)
     assert rate >= initial * (1.0 - 1e-12)
