@@ -62,12 +62,12 @@ and shared by the objective, every line-search score and the gradient.
 
 The unitarity residual of every iterate's blocks, which only its
 ``IterationRecord`` reads, is computed in batches. Each record's state is
-copied into a buffer of at most ``_RESIDUAL_BUDGET`` complex entries, and
-when the buffer is full, and at exit, one ``_Workspace.theta`` and one
-``unitarity_residuals`` call cover all the states in it; the records are
-then built in order. The values are those of one call per iterate, bit
-for bit. The blocks Theta themselves are formed once, at exit, for the
-final projection.
+copied into a buffer that holds as many states as fit in
+``_RESIDUAL_BUDGET`` complex entries, and at least one. When the buffer is
+full, and at exit, one ``_Workspace.theta`` and one ``unitarity_residuals``
+call cover all the states in it; the records are then built in order.
+The values are those of one call per iterate, bit for bit. The blocks
+Theta themselves are formed once, at exit, for the final projection.
 """
 
 from __future__ import annotations
@@ -329,8 +329,9 @@ _ARMIJO_CHUNK = 32
 # sits below the worst of those cases.
 _NOISE_ULPS = 16.0
 _NOISE_FLOOR = _NOISE_ULPS * np.finfo(float).eps
-# Complex entries (64 KiB) of the buffer of iterates whose records wait for
-# their unitarity residuals. A fixed count of 64 states raised the peak
+# Complex entries (64 KiB) that the buffer of iterates whose records wait
+# for their unitarity residuals fills with whole states; a state larger than
+# this is still buffered alone. A fixed count of 64 states raised the peak
 # memory of fc R = 32 solves by 14%.
 _RESIDUAL_BUDGET = 4096
 
@@ -393,16 +394,14 @@ def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
     grid, slopes = _step_grid(settings)
     for start in range(0, len(grid), _ARMIJO_CHUNK):
         alphas = grid[start:start + _ARMIJO_CHUNK]
-        demand = np.maximum(
-            slopes[start:start + _ARMIJO_CHUNK] * directional_derivative, floor)
         if ws.factored:
-            diagonals = path.diagonals(alphas)
-            passed = line.objective_batch(diagonals, aux) >= f_current + demand
+            diagonals, ok = path.diagonals(alphas), True
         else:
             diagonals, ok = retract_batch(state, path, alphas)
-            passed = ok & (line.objective_batch(diagonals, aux)
-                           >= f_current + demand)
-        hits = passed.nonzero()[0]
+        values = line.objective_batch(diagonals, aux)
+        demand = np.maximum(
+            slopes[start:start + _ARMIJO_CHUNK] * directional_derivative, floor)
+        hits = (ok & (values >= f_current + demand)).nonzero()[0]
         if hits.size:
             first = int(hits[0])
             if ws.factored:

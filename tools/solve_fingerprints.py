@@ -4,15 +4,14 @@ Run from the repository root:
 
     python3 tools/solve_fingerprints.py > before.json
     python3 tools/solve_fingerprints.py --compare before.json
-    python3 tools/solve_fingerprints.py --workload sc-r64 --workload-seed 1
 
-Each workload of ``perfbench/workloads.py`` (default: all three) is built for
-each workload seed (default: 0 and 1) at order seed 0 and runs one pass, as
-the benchmark runs it. Every ``cga_optimize`` call of the pass gets three
-sha256 hashes: of the reprs of its ``IterationRecord``s, of the repr of its
-``TraceFinal``, and of the returned matrix's bytes. The pass adds the two
-``results.csv`` hashes of the benchmark (the file's bytes and its sorted
-lines). The output is one JSON object on stdout.
+Each workload of ``perfbench/workloads.py`` is built for workload seeds 0
+and 1 at order seed 0 and runs one pass, as the benchmark runs it. Every
+``cga_optimize`` call of the pass gets three sha256 hashes: of the reprs of
+its ``IterationRecord``s, of the repr of its ``TraceFinal``, and of the
+returned matrix's bytes. The pass adds the two ``results.csv`` hashes of
+the benchmark (the file's bytes and its sorted lines). The output is one
+JSON object on stdout.
 
 ``--compare FILE`` diffs the output against a saved one: every entry that
 differs or exists on one side only is listed on stderr, and the exit code
@@ -109,11 +108,6 @@ def differences(current: dict, saved: dict) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", action="append",
-                        help="cdf-r8, fc-r32 or sc-r64, repeatable "
-                             "(default: all)")
-    parser.add_argument("--workload-seed", type=int, action="append",
-                        help="repeatable (default: 0 and 1)")
     parser.add_argument("--compare", type=Path,
                         help="saved output to diff this run against")
     args = parser.parse_args(argv)
@@ -127,15 +121,10 @@ def main(argv=None) -> int:
         print(f"imported bdris from {bdris.__file__}, not from {ROOT / 'src'}",
               file=sys.stderr)
         return 2
-    names = args.workload or list(workloads.WORKLOADS)
-    unknown = [name for name in names if name not in workloads.WORKLOADS]
-    if unknown:
-        parser.error(f"unknown workload {unknown[0]!r}")
-
     output = {}
     with tempfile.TemporaryDirectory() as scratch:
-        for name in names:
-            for seed in args.workload_seed or WORKLOAD_SEEDS:
+        for name in workloads.WORKLOADS:
+            for seed in WORKLOAD_SEEDS:
                 output[f"{name} w{seed}"] = fingerprint_pass(
                     name, seed, Path(scratch) / f"{name}-w{seed}")
     print(json.dumps(output, indent=1))
