@@ -10,7 +10,9 @@ from a random symmetric unitary point and repeatedly
      being an ascent direction,
   2. picks a step by backtracking Armijo search on the surrogate objective
      (auxiliaries frozen during the search), moving the state along
-     geodesics of the symmetric unitary matrices,
+     geodesics of the symmetric unitary matrices; on factored blocks a
+     search after an accepted step starts two grid steps before it, at a
+     larger step (see ``_WARM_BACKOFF``),
   3. refreshes the per-user auxiliaries at the new point,
   4. recomputes the Riemannian gradient and updates the direction with a
      nonnegative Polak-Ribiere coefficient,
@@ -100,7 +102,7 @@ class CgaSettings:
     tolerance: float = 1e-8        # convergence tolerance on the sum-rate
     armijo_max_steps: int = 200    # line-search trial cap
     armijo_coeff: float = 2e-11    # sufficient-increase coefficient
-    step_init: float = 1.0         # initial line-search step
+    step_init: float = 1.0         # first step of a search from grid index 0
     step_contract: float = 0.75    # line-search contraction factor
 
     def __post_init__(self):
@@ -309,11 +311,20 @@ class _Workspace:
         return project_stack(grad, state)
 
 
-# Step sizes scored per call of ``objective_batch``. The width only groups
-# the scoring: the accepted step is the first that passes at any width.
-# Searches accept at index 16 to 31 about 95% of the time (desk-regime
-# sc R = 64 and cdf-r8 solves), so at 32 most take one chunk.
+# Step sizes scored per call of ``objective_batch`` by a search that starts
+# at grid index 0. The width only groups the scoring: the accepted step is
+# the first that passes at any width. Such searches accept at index 16 to 31
+# about 95% of the time (desk-regime sc R = 64 and cdf-r8 solves), so at 32
+# most take one chunk.
 _ARMIJO_CHUNK = 32
+# A search on factored blocks after an accepted step at grid index m starts
+# at max(m - _WARM_BACKOFF, 0) (Nocedal and Wright, Numerical Optimization,
+# 2nd ed., sec. 3.5), and if that is above 0 scores _WARM_CHUNK steps per
+# call. Such searches accept within their first chunk about 80% of the time
+# in the benchmark's gc/fc solves, which then score 5.1 to 5.3 step sizes
+# per search against 33 to 57 when every search starts at index 0.
+_WARM_BACKOFF = 2
+_WARM_CHUNK = 4
 # The frozen-auxiliary objective sums per-user terms of size log2(1 + tau)
 # and tau / ln2 that partly cancel, at rounded blocks. When the state does
 # not move at all, the line-search scores (diagonal phases) still exceed f
@@ -357,12 +368,14 @@ def _norm(square: float) -> float:
 
 def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
                   aux: Auxiliaries, f_current: float,
-                  directional_derivative: float, settings: CgaSettings
-                  ) -> tuple[float, np.ndarray | None, np.ndarray | None, int]:
+                  directional_derivative: float, settings: CgaSettings,
+                  start: int = 0
+                  ) -> tuple[float, np.ndarray | None, np.ndarray | None, int,
+                             int | None]:
     """Backtracking search on the frozen-auxiliary objective.
 
-    Tries alpha = step_init * step_contract^m for m = 0 .. L-1 and accepts
-    the smallest m with
+    Tries alpha = step_init * step_contract^m for m = start .. L-1 and
+    accepts the smallest m with
 
         f(R(state, alpha * xi)) >= f(state) + max(coeff * alpha * <grad, xi>, floor),
 
@@ -374,17 +387,19 @@ def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
     P (only the accepted factor is formed), for 1 x 1 blocks the retracted
     candidates themselves.
 
-    The steps are scored in chunks of ``_ARMIJO_CHUNK``, one
-    ``objective_batch`` call each, until a chunk holds a passing step. The
-    chunk width only groups the scoring and never changes the step: every
-    candidate's score is computed on its own, and the accepted step is
-    still the first qualifying m. A rank-deficient retraction counts as a
-    failed trial (forced contraction). Returns (alpha, accepted state, its
-    signal matrix, step sizes scored), or (0.0, None, None, trials) when no
-    trial is accepted or the directional derivative is not positive.
+    The steps are scored in chunks, one ``objective_batch`` call each, until
+    a chunk holds a passing step: ``_ARMIJO_CHUNK`` wide from ``start`` 0,
+    ``_WARM_CHUNK`` wide from a later (warm) start. The chunk width only
+    groups the scoring and never changes the step: every candidate's score
+    is computed on its own, and the accepted step is still the first
+    qualifying m. A rank-deficient retraction counts as a failed trial
+    (forced contraction). Returns (alpha, accepted state, its signal matrix,
+    step sizes scored from ``start``, m), or (0.0, None, None, trials, None)
+    when no trial is accepted or the directional derivative is not
+    positive.
     """
     if directional_derivative <= 0 or not xi_stack.any():
-        return 0.0, None, None, 0
+        return 0.0, None, None, 0, None
     floor = _NOISE_FLOOR * (abs(f_current) + aux.spread)
     if ws.factored:
         path = geodesic(state, xi_stack)
@@ -392,15 +407,16 @@ def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
     else:
         path, line = xi_stack, ws
     grid, slopes = _step_grid(settings)
-    for start in range(0, len(grid), _ARMIJO_CHUNK):
-        alphas = grid[start:start + _ARMIJO_CHUNK]
+    width = _WARM_CHUNK if start else _ARMIJO_CHUNK
+    for low in range(start, len(grid), width):
+        alphas = grid[low:low + width]
         if ws.factored:
             diagonals, ok = path.diagonals(alphas), True
         else:
             diagonals, ok = retract_batch(state, path, alphas)
         values = line.objective_batch(diagonals, aux)
-        demand = np.maximum(
-            slopes[start:start + _ARMIJO_CHUNK] * directional_derivative, floor)
+        demand = np.maximum(slopes[low:low + width] * directional_derivative,
+                            floor)
         hits = (ok & (values >= f_current + demand)).nonzero()[0]
         if hits.size:
             first = int(hits[0])
@@ -411,8 +427,8 @@ def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
                 chosen = diagonals[first]
             return (float(alphas[first]), chosen,
                     line.signals(diagonals[first:first + 1])[0],
-                    start + len(alphas))
-    return 0.0, None, None, len(grid)
+                    low + len(alphas) - start, low + first)
+    return 0.0, None, None, len(grid) - start, None
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -423,15 +439,19 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
 
     Returns the projected (blockwise symmetric unitary) scattering matrix and
     the per-iteration trace. The convergence test compares consecutive true
-    sum-rates; line searches accept on the surrogate. Iterations whose line
-    search stalls leave the iterate unchanged and do not trigger the
-    convergence test: a stall along a conjugate direction restarts along
-    the gradient, and a stall along the gradient terminates the run with
-    ``converged=False``. ``final.stop_reason`` says which exit ended the
-    run: ``"tolerance"`` (converged), ``"max_iters"``, ``"stalled"``, or
-    ``"nonfinite"`` when the rate or the squared gradient norm is not finite
-    at the start point or after a step (the run then stops at that point);
-    overflow inside numpy raises no warning, only this stop reason.
+    sum-rates; line searches accept on the surrogate. On factored blocks a
+    search after an accepted step at grid index m starts at
+    max(m - _WARM_BACKOFF, 0); 1 x 1 blocks always search from index 0.
+    Iterations whose line search stalls leave the iterate unchanged and do
+    not trigger the convergence test: a stall of a search that started
+    above index 0 or went along a conjugate direction restarts along the
+    gradient from index 0, and only a stall of that search terminates the
+    run with ``converged=False``. ``final.stop_reason`` says which exit
+    ended the run: ``"tolerance"`` (converged), ``"max_iters"``,
+    ``"stalled"``, or ``"nonfinite"`` when the rate or the squared gradient
+    norm is not finite at the start point or after a step (the run then
+    stops at that point); overflow inside numpy raises no warning, only this
+    stop reason.
     """
     if settings is None:
         settings = CgaSettings.from_config(config)
@@ -490,6 +510,7 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
 
     stop_reason = None if _finite(eta, riem_sq) else "nonfinite"
     along_gradient = True  # xi is the Riemannian gradient itself
+    start = 0  # grid index the next search starts at
     iters_used = 0
     while stop_reason is None and iters_used < settings.max_iters:
         iters_used += 1
@@ -497,17 +518,20 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
         if directional <= 0:
             xi, along_gradient, directional = riem.copy(), True, riem_sq
 
-        alpha, candidate, c_new, trials = _armijo_stack(
-            ws, state, xi, aux, f_current, directional, settings)
+        alpha, candidate, c_new, trials, index = _armijo_stack(
+            ws, state, xi, aux, f_current, directional, settings, start)
 
         if candidate is None:
-            # Nothing moved, so repeating this search would only fail again.
+            # Nothing moved, so repeating this search would only fail again;
+            # a warm search has not tried the larger steps.
             record(iters_used, 0.0, 0.0, trials)
-            if along_gradient:
+            if along_gradient and start == 0:
                 stop_reason = "stalled"
-            xi, along_gradient = riem.copy(), True
+            xi, along_gradient, start = riem.copy(), True, 0
             continue
 
+        if ws.factored:
+            start = max(index - _WARM_BACKOFF, 0)
         state, c = candidate, c_new
         aux, eta_new, total = ws.stats(c)
         f_current = ws.objective(c, aux, total)

@@ -92,12 +92,12 @@ def explicit_scores(ws, state, direction, alphas, aux) -> np.ndarray:
 
 
 def explicit_armijo_step(ws, state, direction, aux, f_current,
-                         directional_derivative, settings) -> float:
-    """The step the backtracking rule of ``_armijo_stack`` accepts, found by
-    scoring every step of the grid at explicitly formed candidates; 0.0 when
-    none passes."""
+                         directional_derivative, settings, start=0) -> float:
+    """The step the backtracking rule of ``_armijo_stack`` accepts from grid
+    index ``start``, found by scoring every step of the grid from there at
+    explicitly formed candidates; 0.0 when none passes."""
     alphas = settings.step_init * settings.step_contract ** np.arange(
-        settings.armijo_max_steps, dtype=float)
+        start, settings.armijo_max_steps, dtype=float)
     tau = aux.tau
     floor = _NOISE_ULPS * np.finfo(float).eps * (
         abs(f_current) + float(np.sum(np.log2(1.0 + tau) + 2.0 * tau / LN2)))

@@ -95,20 +95,19 @@ class TestArmijo:
 
     def test_zero_direction_stalls(self):
         ws, stack, aux, f0, settings, grad = self._setup(0)
-        alpha, candidate, c_new, trials = _armijo_stack(
-            ws, stack, np.zeros_like(stack), aux, f0, 1.0, settings)
-        assert (alpha, candidate, c_new, trials) == (0.0, None, None, 0)
+        assert _armijo_stack(ws, stack, np.zeros_like(stack), aux, f0, 1.0,
+                             settings) == (0.0, None, None, 0, None)
         # a direction that is not an ascent direction stalls as well
-        alpha, candidate, _, trials = _armijo_stack(
+        alpha, candidate, _, trials, index = _armijo_stack(
             ws, stack, grad, aux, f0, -_re_vdot(grad, grad), settings)
-        assert (alpha, candidate, trials) == (0.0, None, 0)
+        assert (alpha, candidate, trials, index) == (0.0, None, 0, None)
 
     def test_accepted_step_satisfies_inequality(self):
         for seed in range(5):
             ws, stack, aux, f0, settings, grad = self._setup(seed)
             dd = _re_vdot(grad, grad)
-            alpha, candidate, c_new, _ = _armijo_stack(ws, stack, grad, aux,
-                                                       f0, dd, settings)
+            alpha, candidate, c_new, _, _ = _armijo_stack(
+                ws, stack, grad, aux, f0, dd, settings)
             assert alpha > 0
             # direct recheck of the accepted step and its signal matrix
             explicit = ws.signal(ws.theta(candidate))
@@ -129,7 +128,7 @@ class TestArmijo:
     def test_zero_coeff_accepts_any_increase(self):
         ws, stack, aux, f0, settings, grad = self._setup(7)
         settings0 = replace(settings, armijo_coeff=0.0)
-        alpha, candidate, c_new, _ = _armijo_stack(
+        alpha, candidate, c_new, _, _ = _armijo_stack(
             ws, stack, grad, aux, f0, _re_vdot(grad, grad), settings0)
         assert alpha > 0
         assert ws.objective(c_new, aux) >= f0
@@ -142,9 +141,10 @@ class TestArmijo:
         for seed in range(50):
             ws, stack, aux, f0, settings, grad = self._setup(seed)
             greedy = replace(settings, armijo_coeff=1e9)
-            alpha, candidate, c_new, trials = _armijo_stack(
+            alpha, candidate, c_new, trials, index = _armijo_stack(
                 ws, stack, grad, aux, f0, _re_vdot(grad, grad), greedy)
-            assert (alpha, candidate, c_new) == (0.0, None, None), seed
+            assert (alpha, candidate, c_new, index) == (0.0, None, None,
+                                                        None), seed
             assert trials == settings.armijo_max_steps, seed
 
 
@@ -157,8 +157,8 @@ class TestArmijo:
             dd = _re_vdot(grad, grad)
             for coeff in (settings.armijo_coeff, 1e9):
                 search = replace(settings, armijo_coeff=coeff)
-                alpha, _, _, _ = _armijo_stack(ws, stack, grad, aux, f0, dd,
-                                               search)
+                alpha, *_ = _armijo_stack(ws, stack, grad, aux, f0, dd,
+                                          search)
                 assert alpha == explicit_armijo_step(
                     ws, stack, grad, aux, f0, dd, search), (seed, coeff)
 
@@ -184,7 +184,7 @@ class TestArmijoSingleConnected:
             ws, state, aux, f0, dd, settings, grad = self._setup(seed)
             for coeff in (settings.armijo_coeff, 1e9):
                 search = replace(settings, armijo_coeff=coeff)
-                alpha, candidate, _, trials = _armijo_stack(
+                alpha, candidate, _, trials, _ = _armijo_stack(
                     ws, state, grad, aux, f0, dd, search)
                 assert alpha == explicit_armijo_step(
                     ws, state, grad, aux, f0, dd, search), (seed, coeff)
@@ -206,10 +206,10 @@ class TestArmijoSingleConnected:
                                          replace(settings, step_init=1e12))
             search = replace(settings, step_init=first
                              / settings.step_contract ** index)
-            alpha, candidate, c_new, trials = _armijo_stack(
+            alpha, candidate, c_new, trials, accepted = _armijo_stack(
                 ws, state, grad, aux, f0, dd, search)
             grid = _step_grid(search)[0]
-            assert alpha == grid[index], seed
+            assert alpha == grid[index] and accepted == index, seed
             assert alpha == explicit_armijo_step(ws, state, grad, aux, f0,
                                                  dd, search), seed
             chunk = optimizer._ARMIJO_CHUNK
@@ -217,6 +217,86 @@ class TestArmijoSingleConnected:
             explicit = ws.signal(candidate)
             assert np.abs(c_new - explicit).max() <= \
                 1e-12 * np.abs(explicit).max()
+
+
+class TestWarmStart:
+    """Searches on factored blocks that start above grid index 0, after an
+    accepted step: ``_armijo_stack`` from ``start`` against the explicit
+    oracle, and the rule that such a search never ends a run."""
+
+    @staticmethod
+    def _setup(tag, seed):
+        config = config_for_tag(tag, n_users=2, n_tx=2, n_elements=8)
+        channels = generate_channels_from_gains(config, 1.0, 1.0, seed=seed)
+        beam = init_beamformer_uniform(config)
+        ws, *_ = workspace_at(random_feasible(config, seed), channels, beam,
+                              config)
+        state = start_state(config, seed + 1)
+        c = ws.signal(ws.theta(state))
+        aux, _, _ = ws.stats(c)
+        grad = ws.riemannian_gradient(state, c, aux)
+        return (ws, state, aux, ws.objective(c, aux), _re_vdot(grad, grad),
+                grad, CgaSettings.from_config(config))
+
+    @pytest.mark.parametrize("tag", ["gc2", "gc4", "fc"])
+    def test_same_step_as_explicit_search_from_any_start(self, tag):
+        # The accepted step is the oracle's: the first qualifying grid index
+        # at or after the start. A warm search scores whole chunks of
+        # ``_WARM_CHUNK`` from its start, one from 0 whole chunks of
+        # ``_ARMIJO_CHUNK``, and a search that finds nothing scores every
+        # step from its start to the end of the grid.
+        warm = optimizer._WARM_CHUNK
+        cold = optimizer._ARMIJO_CHUNK
+        for seed in range(6):
+            ws, state, aux, f0, dd, grad, settings = self._setup(tag, seed)
+            size = settings.armijo_max_steps
+            for start in (0, 1, 2, 7, 13, 18, 22, 27, 40, 120, size - 3):
+                alpha, candidate, c_new, trials, index = _armijo_stack(
+                    ws, state, grad, aux, f0, dd, settings, start)
+                expected = explicit_armijo_step(ws, state, grad, aux, f0, dd,
+                                                settings, start)
+                assert alpha == expected, (seed, start)
+                width = warm if start else cold
+                if candidate is None:
+                    assert (trials, index) == (size - start, None), \
+                        (seed, start)
+                    continue
+                assert alpha == _step_grid(settings)[0][index], (seed, start)
+                assert index >= start
+                assert trials == min(((index - start) // width + 1) * width,
+                                     size - start), (seed, start)
+                explicit = ws.signal(ws.theta(candidate))
+                assert np.abs(c_new - explicit).max() <= \
+                    1e-12 * np.abs(explicit).max()
+
+    @pytest.mark.parametrize("tag", ["gc2", "fc"])
+    def test_warm_search_cannot_end_a_run(self, tag, monkeypatch):
+        # Every warm search is made to fail, and so is every search from the
+        # thirtieth on. After a failed warm search the run goes on along
+        # the gradient from index 0 at the same state; it stops as stalled
+        # only when a search from 0 along the gradient fails.
+        search, calls = optimizer._armijo_stack, []
+
+        def forcing(ws, state, xi, aux, f, directional, settings, start=0):
+            calls.append((start, directional == _re_vdot(xi, xi),
+                          state.tobytes()))
+            if start or len(calls) >= 30:
+                return 0.0, None, None, 0, None
+            return search(ws, state, xi, aux, f, directional, settings,
+                          start)
+
+        monkeypatch.setattr(optimizer, "_armijo_stack", forcing)
+        (_, trace), *_ = small_run(seed=0, tag=tag, n_elements=8)
+        assert trace.final.stop_reason == "stalled"
+        assert len(calls) == trace.final.iters_used >= 30
+        warm = [i for i, (start, *_) in enumerate(calls) if start]
+        assert len(warm) > 5
+        for i in warm:
+            start, along_gradient, state = calls[i + 1]
+            assert (start, along_gradient, state) == (0, True, calls[i][2])
+        # The last search, the one that ended the run, went from index 0
+        # along the gradient.
+        assert calls[-1][:2] == (0, True)
 
 
 def test_step_grid_matches_per_chunk_powers():
@@ -237,11 +317,13 @@ def test_step_grid_matches_per_chunk_powers():
 
 @pytest.mark.parametrize("tag", ["sc", "gc2", "fc"])
 def test_chunk_width_changes_no_result(tag, monkeypatch):
-    # Chunks 16 and 32 wide score the same steps and accept the same one:
-    # every record but the count of step sizes scored is equal.
+    # Chunks 16 and 32 wide from index 0, and 3 and 4 wide from a warm
+    # start, score the same steps and accept the same one: every record but
+    # the count of step sizes scored is equal.
     runs = {}
-    for width in (16, 32):
+    for width, warm in ((16, 3), (32, 4)):
         monkeypatch.setattr(optimizer, "_ARMIJO_CHUNK", width)
+        monkeypatch.setattr(optimizer, "_WARM_CHUNK", warm)
         runs[width] = [small_run(seed=seed, tag=tag, n_elements=8)[0]
                        for seed in range(3)]
     for (theta16, trace16), (theta32, trace32) in zip(runs[16], runs[32]):
@@ -582,10 +664,10 @@ class TestCgaRun:
         channels = generate_channels(base, geometry, 1)
         inputs, stalls = [], []
 
-        def recording_search(ws, state, xi, aux, f, directional, settings):
-            inputs.append((state.tobytes(), xi.tobytes(), f, directional))
-            result = _armijo_stack(ws, state, xi, aux, f, directional,
-                                   settings)
+        def recording_search(ws, state, xi, aux, f, directional, *rest):
+            inputs.append((state.tobytes(), xi.tobytes(), f, directional,
+                           rest))
+            result = _armijo_stack(ws, state, xi, aux, f, directional, *rest)
             stalls.append(result[1] is None)
             return result
 
@@ -598,19 +680,37 @@ class TestCgaRun:
 
 
 class TestObservability:
-    def test_armijo_trials_count_the_chunks_scored(self):
-        (_, trace), config, *_ = small_run(seed=1, tag="sc", n_elements=8)
+    @pytest.mark.parametrize("tag", ["sc", "gc2", "fc"])
+    def test_armijo_trials_count_the_chunks_scored(self, tag):
+        # Each search starts at grid index 0 (always on sc; on gc/fc at the
+        # start point and after a stall) and then scores whole chunks of
+        # ``_ARMIJO_CHUNK``, or on gc/fc after an accepted step at index m
+        # at max(m - _WARM_BACKOFF, 0) and scores whole chunks of
+        # ``_WARM_CHUNK``; a stalled search scores every step from its
+        # start.
+        (_, trace), config, *_ = small_run(seed=1, tag=tag, n_elements=8)
         settings = CgaSettings.from_config(config)
-        chunk = optimizer._ARMIJO_CHUNK
+        size = settings.armijo_max_steps
         assert trace.records[0].armijo_trials == 0
+        start, warm_searches = 0, 0
         for rec in trace.records[1:]:
             if rec.step == 0.0:
-                assert rec.armijo_trials in (0, settings.armijo_max_steps)
+                assert rec.armijo_trials in (0, size - start)
+                start = 0
                 continue
             index = round(math.log(rec.step / settings.step_init)
                           / math.log(settings.step_contract))
+            width = (optimizer._WARM_CHUNK if start
+                     else optimizer._ARMIJO_CHUNK)
             assert rec.armijo_trials == min(
-                (index // chunk + 1) * chunk, settings.armijo_max_steps)
+                ((index - start) // width + 1) * width, size - start)
+            warm_searches += start > 0
+            if tag != "sc":
+                start = max(index - optimizer._WARM_BACKOFF, 0)
+        if tag == "sc":
+            assert warm_searches == 0
+        else:
+            assert warm_searches > 10
 
     def test_final_gradient_norm(self):
         for tag in ("sc", "gc2", "fc"):
@@ -672,7 +772,7 @@ class TestObservability:
             if (len(states) + 1) % 7:
                 result = search(ws, state, *args)
             else:
-                result = 0.0, None, None, 0
+                result = 0.0, None, None, 0, None
             states.append(state if result[1] is None else result[1])
             return result
 
@@ -699,7 +799,7 @@ class TestObservability:
             def stalling(*args):
                 calls.append(None)
                 return (search(*args) if len(calls) < 10
-                        else (0.0, None, None, 0))
+                        else (0.0, None, None, 0, None))
 
             monkeypatch.setattr(optimizer, "_armijo_stack", stalling)
         if reason == "nonfinite":  # the twelfth rate is NaN
@@ -712,7 +812,7 @@ class TestObservability:
 
             monkeypatch.setattr(_Workspace, "stats", failing_stats)
         (_, trace), *_ = small_run(seed=0 if reason == "tolerance" else 1,
-                                   tag="gc2", max_iters=40)
+                                   tag="gc2", max_iters=60)
         assert trace.final.stop_reason == reason
         assert trace.final.iters_used > 3
         assert len(trace.records) == trace.final.iters_used + 1

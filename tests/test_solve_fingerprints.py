@@ -32,9 +32,14 @@ def test_fingerprint_repeats_and_tells_seeds_apart():
     first = fingerprint(0)
     assert fingerprint(0) == first
     other = fingerprint(1)
-    assert sorted(first) == ["final", "matrix", "records"]
-    assert all(other[key] != first[key] for key in first)
+    assert sorted(first) == ["final", "iters", "matrix", "rate", "records"]
+    assert first["iters"] == 10 and isinstance(first["rate"], float)
+    assert all(other[key] != first[key] for key in first if key != "iters")
     assert tool.differences({"w": first}, {"w": first}) == []
-    assert tool.differences({"w": first, "new": {"x": "1"}}, {"w": other}) == [
+    moved = {**first, "iters": 7}
+    assert tool.differences({"w": moved, "new": {"x": "1"}}, {"w": other}) == [
         "only in this run: new / x", "differs: w / final",
-        "differs: w / matrix", "differs: w / records"]
+        f"differs: w / iters: {other['iters']!r} -> 7",
+        "differs: w / matrix",
+        f"differs: w / rate: {other['rate']!r} -> {first['rate']!r}",
+        "differs: w / records"]

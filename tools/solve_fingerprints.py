@@ -9,13 +9,16 @@ Each workload of ``perfbench/workloads.py`` is built for workload seeds 0
 and 1 at order seed 0 and runs one pass, as the benchmark runs it. Every
 ``cga_optimize`` call of the pass gets three sha256 hashes: of the reprs of
 its ``IterationRecord``s, of the repr of its ``TraceFinal``, and of the
-returned matrix's bytes. The pass adds the two ``results.csv`` hashes of
-the benchmark (the file's bytes and its sorted lines). The output is one
-JSON object on stdout.
+returned matrix's bytes; beside them stand its iteration count ``iters``
+and final (projected) ``rate``. The pass adds the two ``results.csv``
+hashes of the benchmark (the file's bytes and its sorted lines). The
+output is one JSON object on stdout.
 
 ``--compare FILE`` diffs the output against a saved one: every entry that
-differs or exists on one side only is listed on stderr, and the exit code
-is 1 if any does. BLAS is pinned to one thread, as in ``perfbench/run.py``.
+differs or exists on one side only is listed on stderr, a differing
+``iters`` or ``rate`` with its saved and its new value, so the solves a
+change moves can be listed from one diff. The exit code is 1 if any entry
+differs. BLAS is pinned to one thread, as in ``perfbench/run.py``.
 ``perfbench/`` is only imported, never changed.
 """
 
@@ -38,11 +41,14 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def fingerprint(theta, trace) -> dict[str, str]:
-    """Hashes of one solve's records, final fields and returned matrix."""
+def fingerprint(theta, trace) -> dict[str, object]:
+    """Hashes of one solve's records, final fields and returned matrix, and
+    its iteration count and final rate."""
     return {"records": _sha("\n".join(repr(r) for r in trace.records)),
             "final": _sha(repr(trace.final)),
-            "matrix": hashlib.sha256(theta.theta.tobytes()).hexdigest()}
+            "matrix": hashlib.sha256(theta.theta.tobytes()).hexdigest(),
+            "iters": trace.final.iters_used,
+            "rate": trace.final.projected_rate}
 
 
 def fingerprint_pass(name: str, workload_seed: int, out_dir: Path) -> dict:
@@ -93,7 +99,7 @@ def _flatten(tree: dict, prefix: str = "") -> dict[str, object]:
 
 def differences(current: dict, saved: dict) -> list[str]:
     """One line per entry that differs between two outputs or exists in
-    only one of them."""
+    only one of them; a differing number shows its saved and new value."""
     now, then = _flatten(current), _flatten(saved)
     lines = []
     for path in sorted(now.keys() | then.keys()):
@@ -102,7 +108,11 @@ def differences(current: dict, saved: dict) -> list[str]:
         elif path not in now:
             lines.append(f"only in the saved run: {path}")
         elif now[path] != then[path]:
-            lines.append(f"differs: {path}")
+            if isinstance(now[path], str):
+                lines.append(f"differs: {path}")
+            else:
+                lines.append(f"differs: {path}: {then[path]!r} -> "
+                             f"{now[path]!r}")
     return lines
 
 
