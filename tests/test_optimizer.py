@@ -680,37 +680,37 @@ class TestCgaRun:
 
 
 class TestObservability:
-    @pytest.mark.parametrize("tag", ["sc", "gc2", "fc"])
-    def test_armijo_trials_count_the_chunks_scored(self, tag):
+    def test_armijo_trials_count_the_chunks_scored(self):
         # Each search starts at grid index 0 (always on sc; on gc/fc at the
         # start point and after a stall) and then scores whole chunks of
         # ``_ARMIJO_CHUNK``, or on gc/fc after an accepted step at index m
         # at max(m - _WARM_BACKOFF, 0) and scores whole chunks of
         # ``_WARM_CHUNK``; a stalled search scores every step from its
         # start.
-        (_, trace), config, *_ = small_run(seed=1, tag=tag, n_elements=8)
-        settings = CgaSettings.from_config(config)
-        size = settings.armijo_max_steps
-        assert trace.records[0].armijo_trials == 0
-        start, warm_searches = 0, 0
-        for rec in trace.records[1:]:
-            if rec.step == 0.0:
-                assert rec.armijo_trials in (0, size - start)
-                start = 0
-                continue
-            index = round(math.log(rec.step / settings.step_init)
-                          / math.log(settings.step_contract))
-            width = (optimizer._WARM_CHUNK if start
-                     else optimizer._ARMIJO_CHUNK)
-            assert rec.armijo_trials == min(
-                ((index - start) // width + 1) * width, size - start)
-            warm_searches += start > 0
-            if tag != "sc":
-                start = max(index - optimizer._WARM_BACKOFF, 0)
-        if tag == "sc":
-            assert warm_searches == 0
-        else:
-            assert warm_searches > 10
+        for tag in ("sc", "gc2", "fc"):
+            (_, trace), config, *_ = small_run(seed=1, tag=tag, n_elements=8)
+            settings = CgaSettings.from_config(config)
+            size = settings.armijo_max_steps
+            assert trace.records[0].armijo_trials == 0
+            start, warm_searches = 0, 0
+            for rec in trace.records[1:]:
+                if rec.step == 0.0:
+                    assert rec.armijo_trials in (0, size - start)
+                    start = 0
+                    continue
+                index = round(math.log(rec.step / settings.step_init)
+                              / math.log(settings.step_contract))
+                width = (optimizer._WARM_CHUNK if start
+                         else optimizer._ARMIJO_CHUNK)
+                assert rec.armijo_trials == min(
+                    ((index - start) // width + 1) * width, size - start)
+                warm_searches += start > 0
+                if tag != "sc":
+                    start = max(index - optimizer._WARM_BACKOFF, 0)
+            if tag == "sc":
+                assert warm_searches == 0
+            else:
+                assert warm_searches > 10
 
     def test_final_gradient_norm(self):
         for tag in ("sc", "gc2", "fc"):
