@@ -15,8 +15,10 @@ retraction, random feasible points) and ``optimizer._Workspace`` (signal
 matrix, the channel tensor that scores diagonal blocks, auxiliaries,
 sum-rate, and the per-user surrogate that the objective sums). Each
 setting has one home as well: ``SystemConfig`` holds the system, its noise
-power and the iteration cap, ``CgaSettings`` the line-search settings, and
-a ``ScatteringMatrix`` derives its architecture from its group size.
+power and the iteration cap, ``CgaSettings`` a per-run iteration cap (the
+line search's step rule and the convergence tolerance are constants of
+``optimizer``), and a ``ScatteringMatrix`` derives its architecture from
+its group size.
 
 The public API is the config and channel types, the beamformer
 initializers, ``cga_optimize`` with its trace types, the feasibility check,

@@ -19,7 +19,7 @@ import hashlib
 import json
 import platform
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,9 +30,9 @@ from .channel import ChannelSet, generate_channels
 from .config import (Geometry, SystemConfig, config_from_dict, config_to_dict,
                      float_field, integer_field, mapping_field,
                      reject_unknown_keys)
-from .optimizer import (CgaSettings, OptimizerTrace, cga_optimize,
-                        write_trace_csv)
-from .system import init_beamformer_uniform, parse_architecture_tag
+from .optimizer import OptimizerTrace, cga_optimize, write_trace_csv
+from .system import (init_beamformer_uniform, parse_architecture_tag,
+                     read_architecture_tag)
 
 SWEEP_VARIABLES = ("n_elements", "p_max")
 _SPEC_KEYS = ("config", "geometry", "architectures", "sweep", "n_trials",
@@ -56,8 +56,21 @@ class ExperimentSpec:
         if self.sweep_variable not in SWEEP_VARIABLES:
             raise ValueError(
                 f"sweep variable must be one of {SWEEP_VARIABLES}")
+        if self.seed_base < 0:
+            raise ValueError(
+                f"seed_base must be nonnegative, got {self.seed_base!r}")
         if not self.architectures:
             raise ValueError("at least one architecture is required")
+        # A tag that only fails to divide a sweep's element count is a
+        # skipped cell; an unknown one would skip every cell, and a repeated
+        # one would solve every cell twice.
+        try:
+            kinds = [read_architecture_tag(tag) for tag in self.architectures]
+        except ValueError as exc:
+            raise ValueError(f"architectures: {exc}") from None
+        if len(set(kinds)) < len(kinds):
+            raise ValueError("architectures must not repeat a tag, got "
+                             f"{list(self.architectures)!r}")
         if not self.sweep_values:
             raise ValueError("at least one sweep value is required")
         for value in self.sweep_values:
@@ -122,6 +135,11 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
         values = [integer_field("sweep.values", v) for v in values]
     else:
         values = [float_field("sweep.values", v) for v in values]
+    output_dir = raw.get("output_dir")
+    if output_dir is not None and not (isinstance(output_dir, str)
+                                       and output_dir):
+        raise ValueError(
+            f"output_dir must be a directory path, got {output_dir!r}")
     architectures = _required(raw, "architectures")
     if not (isinstance(architectures, list)
             and all(isinstance(tag, str) for tag in architectures)):
@@ -135,7 +153,7 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
         sweep_values=tuple(values),
         n_trials=integer_field("n_trials", _required(raw, "n_trials")),
         seed_base=integer_field("seed_base", raw.get("seed_base", 0)),
-        output_dir=raw.get("output_dir"))
+        output_dir=output_dir)
 
 
 def _neutral_config(config: SystemConfig, sweep_variable: str, value) -> SystemConfig:
@@ -321,7 +339,6 @@ def manifest_with_spec(spec: ExperimentSpec) -> dict:
     """Spec echo for inclusion in run metadata."""
     return {
         "config": config_to_dict(spec.config, spec.geometry),
-        "solver": asdict(CgaSettings.from_config(spec.config)),
         "architectures": list(spec.architectures),
         "sweep": {"variable": spec.sweep_variable,
                   "values": list(spec.sweep_values)},

@@ -42,7 +42,8 @@ def check_fields(obj, positive=()) -> None:
 class SystemConfig:
     """Dimensions, power budget, noise power, and the iteration cap.
 
-    The line-search settings live in ``optimizer.CgaSettings``. Reciprocity
+    The line search has no settings: its step rule is fixed in
+    ``optimizer``. Reciprocity
     needs no setting: the optimizer keeps every block exactly symmetric.
     """
 

@@ -17,7 +17,7 @@ from a random symmetric unitary point and repeatedly
   4. recomputes the Riemannian gradient and updates the direction with a
      nonnegative Polak-Ribiere coefficient,
 
-until the true sum-rate changes by less than the tolerance. The surrogate
+until the true sum-rate changes by less than ``_TOLERANCE``. The surrogate
 equals the sum-rate at refreshed auxiliaries and never exceeds it, so the
 sum-rate never decreases from one iterate to the next. The final matrix
 still goes through the per-block projection onto the symmetric unitary set
@@ -75,7 +75,6 @@ Theta themselves are formed once, at exit, for the final projection.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -92,25 +91,18 @@ from .system import Beamformer, ScatteringMatrix
 
 @dataclass(frozen=True)
 class CgaSettings:
-    """Solver hyperparameters for one optimization run.
+    """The iteration cap of one optimization run.
 
-    Build them with ``from_config``, which takes the iteration cap from the
-    config; the noise power stays there too, since it belongs to the system.
+    Build it with ``from_config``, which takes the cap from the config; the
+    noise power stays there too, since it belongs to the system. The step
+    rule and the convergence tolerance are fixed: see ``_ALPHAS``,
+    ``_SLOPES`` and ``_TOLERANCE``.
     """
 
     max_iters: int                 # conjugate-gradient iteration cap
-    tolerance: float = 1e-8        # convergence tolerance on the sum-rate
-    armijo_max_steps: int = 200    # line-search trial cap
-    armijo_coeff: float = 2e-11    # sufficient-increase coefficient
-    step_init: float = 1.0         # first step of a search from grid index 0
-    step_contract: float = 0.75    # line-search contraction factor
 
     def __post_init__(self):
-        check_fields(self, positive=("tolerance", "step_init"))
-        if not 0 <= self.armijo_coeff < math.inf:
-            raise ValueError("armijo_coeff must be nonnegative and finite")
-        if not 0 < self.step_contract < 1:
-            raise ValueError("step_contract must lie in (0, 1)")
+        check_fields(self)
 
     @classmethod
     def from_config(cls, config: SystemConfig, **overrides) -> "CgaSettings":
@@ -345,17 +337,14 @@ _NOISE_FLOOR = _NOISE_ULPS * np.finfo(float).eps
 # this is still buffered alone. A fixed count of 64 states raised the peak
 # memory of fc R = 32 solves by 14%.
 _RESIDUAL_BUDGET = 4096
-
-
-@functools.lru_cache(maxsize=16)
-def _step_grid(settings: CgaSettings) -> tuple[np.ndarray, np.ndarray]:
-    """The trial steps alpha_m = step_init * step_contract^m,
-    m = 0 .. armijo_max_steps - 1, and coeff * alpha_m, read-only."""
-    alphas = settings.step_init * settings.step_contract ** np.arange(
-        settings.armijo_max_steps, dtype=float)
-    slopes = settings.armijo_coeff * alphas
-    alphas.flags.writeable = slopes.flags.writeable = False
-    return alphas, slopes
+# The step grid: the trial steps alpha_m = 0.75^m, m = 0 .. 199, of every
+# line search, and the sufficient increase 2e-11 * alpha_m per unit of
+# directional derivative that each must reach, both read-only.
+_ALPHAS = 0.75 ** np.arange(200)
+_SLOPES = 2e-11 * _ALPHAS
+_ALPHAS.flags.writeable = _SLOPES.flags.writeable = False
+# A run converges when the true sum-rate changes by less than this.
+_TOLERANCE = 1e-8
 
 
 def _finite(rate: float, grad_sq: float) -> bool:
@@ -368,24 +357,24 @@ def _norm(square: float) -> float:
 
 def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
                   aux: Auxiliaries, f_current: float,
-                  directional_derivative: float, settings: CgaSettings,
-                  start: int = 0
+                  directional_derivative: float, start: int = 0
                   ) -> tuple[float, np.ndarray | None, np.ndarray | None, int,
                              int | None]:
     """Backtracking search on the frozen-auxiliary objective.
 
-    Tries alpha = step_init * step_contract^m for m = start .. L-1 and
-    accepts the smallest m with
+    Tries the steps alpha_m of ``_ALPHAS`` for m = start, start + 1, ...
+    and accepts the smallest m with
 
-        f(R(state, alpha * xi)) >= f(state) + max(coeff * alpha * <grad, xi>, floor),
+        f(R(state, alpha_m * xi)) >= f(state) + max(s_m * <grad, xi>, floor),
 
-    R being the retraction ``retract_batch`` and floor the rounding noise
-    of f (see ``_NOISE_ULPS``), so that an increase f cannot resolve never
-    passes, whatever the coefficient. ``objective_batch`` scores every
-    candidate from its diagonals on one workspace, the search's ``line``:
-    on factored blocks ``Geodesic.diagonals`` in the workspace of the bases
-    P (only the accepted factor is formed), for 1 x 1 blocks the retracted
-    candidates themselves.
+    R being the retraction ``retract_batch``, s_m the slope ``_SLOPES[m]``
+    and floor the rounding noise of f (see ``_NOISE_ULPS``), so that an
+    increase f cannot resolve never passes, whatever the slope.
+    ``objective_batch`` scores every candidate from its diagonals on one
+    workspace, the search's ``line``: on factored blocks
+    ``Geodesic.diagonals`` in the workspace of the bases P (only the
+    accepted factor is formed), for 1 x 1 blocks the retracted candidates
+    themselves.
 
     The steps are scored in chunks, one ``objective_batch`` call each, until
     a chunk holds a passing step: ``_ARMIJO_CHUNK`` wide from ``start`` 0,
@@ -406,16 +395,15 @@ def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
         line = ws.in_bases(path.p)
     else:
         path, line = xi_stack, ws
-    grid, slopes = _step_grid(settings)
     width = _WARM_CHUNK if start else _ARMIJO_CHUNK
-    for low in range(start, len(grid), width):
-        alphas = grid[low:low + width]
+    for low in range(start, len(_ALPHAS), width):
+        alphas = _ALPHAS[low:low + width]
         if ws.factored:
             diagonals, ok = path.diagonals(alphas), True
         else:
             diagonals, ok = retract_batch(state, path, alphas)
         values = line.objective_batch(diagonals, aux)
-        demand = np.maximum(slopes[low:low + width] * directional_derivative,
+        demand = np.maximum(_SLOPES[low:low + width] * directional_derivative,
                             floor)
         hits = (ok & (values >= f_current + demand)).nonzero()[0]
         if hits.size:
@@ -428,7 +416,7 @@ def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
             return (float(alphas[first]), chosen,
                     line.signals(diagonals[first:first + 1])[0],
                     low + len(alphas) - start, low + first)
-    return 0.0, None, None, len(grid) - start, None
+    return 0.0, None, None, len(_ALPHAS) - start, None
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -519,7 +507,7 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
             xi, along_gradient, directional = riem.copy(), True, riem_sq
 
         alpha, candidate, c_new, trials, index = _armijo_stack(
-            ws, state, xi, aux, f_current, directional, settings, start)
+            ws, state, xi, aux, f_current, directional, start)
 
         if candidate is None:
             # Nothing moved, so repeating this search would only fail again;
@@ -552,7 +540,7 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
         record(iters_used, alpha, beta, trials)
         if not _finite(eta, riem_sq):
             stop_reason = "nonfinite"
-        elif rate_change < settings.tolerance:
+        elif rate_change < _TOLERANCE:
             stop_reason = "tolerance"
 
     flush()

@@ -31,20 +31,29 @@ def infer_architecture(n_elements: int, group_size: int) -> Architecture:
     return Architecture.GROUP_CONNECTED
 
 
-def parse_architecture_tag(tag: str, n_elements: int) -> tuple[Architecture, int]:
-    """Map a short tag (sc, gc<k>, fc) to (architecture, group size)."""
+def read_architecture_tag(tag: str) -> tuple[Architecture, int | None]:
+    """The architecture a short tag (sc, gc<k>, fc) names and its group
+    size, None for fc, whose one group holds every element. Any other tag,
+    gc0 among them, raises a ValueError."""
     tag = tag.strip().lower()
     if tag == "sc":
         return Architecture.SINGLE_CONNECTED, 1
     if tag == "fc":
-        return Architecture.FULLY_CONNECTED, n_elements
-    if tag.startswith("gc") and tag[2:].isdigit():
-        size = int(tag[2:])
-        if size < 1 or n_elements % size != 0:
-            raise ValueError(
-                f"group size {size} does not divide n_elements={n_elements}")
-        return Architecture.GROUP_CONNECTED, size
+        return Architecture.FULLY_CONNECTED, None
+    if tag.startswith("gc") and tag[2:].isdigit() and int(tag[2:]) >= 1:
+        return Architecture.GROUP_CONNECTED, int(tag[2:])
     raise ValueError(f"unknown architecture tag {tag!r} (expected sc, gc<k>, fc)")
+
+
+def parse_architecture_tag(tag: str, n_elements: int) -> tuple[Architecture, int]:
+    """Map a short tag (sc, gc<k>, fc) to (architecture, group size)."""
+    architecture, size = read_architecture_tag(tag)
+    if size is None:
+        return architecture, n_elements
+    if n_elements % size != 0:
+        raise ValueError(
+            f"group size {size} does not divide n_elements={n_elements}")
+    return architecture, size
 
 
 def block_mask(n_elements: int, group_size: int) -> np.ndarray:

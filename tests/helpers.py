@@ -11,7 +11,7 @@ import numpy as np
 
 from bdris import (SystemConfig, generate_channels_from_gains,
                    init_beamformer_uniform, parse_architecture_tag,
-                   random_feasible)
+                   optimizer, random_feasible)
 from bdris.gradient import LN2, Auxiliaries
 from bdris.manifold import random_feasible_stack, retract_batch
 from bdris.optimizer import _NOISE_ULPS, _Workspace
@@ -92,18 +92,19 @@ def explicit_scores(ws, state, direction, alphas, aux) -> np.ndarray:
 
 
 def explicit_armijo_step(ws, state, direction, aux, f_current,
-                         directional_derivative, settings, start=0) -> float:
+                         directional_derivative, start=0) -> float:
     """The step the backtracking rule of ``_armijo_stack`` accepts from grid
     index ``start``, found by scoring every step of the grid from there at
-    explicitly formed candidates; 0.0 when none passes."""
-    alphas = settings.step_init * settings.step_contract ** np.arange(
-        start, settings.armijo_max_steps, dtype=float)
+    explicitly formed candidates; 0.0 when none passes. The grid and its
+    slopes are read from ``optimizer`` at call time, so a test that patches
+    them patches this search too."""
+    alphas = optimizer._ALPHAS[start:]
     tau = aux.tau
     floor = _NOISE_ULPS * np.finfo(float).eps * (
         abs(f_current) + float(np.sum(np.log2(1.0 + tau) + 2.0 * tau / LN2)))
     values = explicit_scores(ws, state, direction, alphas, aux)
     demand = np.maximum(
-        settings.armijo_coeff * alphas * directional_derivative, floor)
+        optimizer._SLOPES[start:] * directional_derivative, floor)
     hits = np.flatnonzero(values >= f_current + demand)
     return float(alphas[hits[0]]) if hits.size else 0.0
 

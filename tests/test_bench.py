@@ -64,6 +64,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             tiny_spec(variable="n_elements", values=(2.5,))
 
+    # gc0 divides no element count, so it would skip every cell; a tag
+    # repeated in another case would solve every cell twice. The CLI's bad
+    # specs cover the other unknown and repeated tags.
+    @pytest.mark.parametrize("architectures", [("sc", "gc0"), ("sc", "SC")])
+    def test_unknown_or_repeated_tags_rejected(self, architectures):
+        with pytest.raises(ValueError, match="architectures"):
+            tiny_spec(architectures=architectures)
+
     def test_load_from_yaml(self, tmp_path):
         path = tmp_path / "spec.yaml"
         path.write_text(

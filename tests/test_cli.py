@@ -73,6 +73,17 @@ BAD_SPECS = {
     # YAML booleans are not numbers: float(True) would read them as 1.
     SPEC_YAML.replace("n_trials: 2", "n_trials: true"): "n_trials",
     SPEC_YAML.replace("values: [1.0, 2.0]", "values: [true]"): "sweep.values",
+    # This used to load; without --out the run solved every cell and then
+    # ended in a TypeError traceback.
+    SPEC_YAML + "output_dir: 5\n": "output_dir",
+    # An unknown tag used to skip every cell and exit 0; a repeated one
+    # solved every cell twice and wrote each row twice.
+    SPEC_YAML.replace("architectures: [sc, fc]", "architectures: [sc, f]"):
+        "architectures",
+    SPEC_YAML.replace("architectures: [sc, fc]", "architectures: [sc, sc]"):
+        "architectures",
+    # A negative seed ended in numpy's error, which names no key.
+    SPEC_YAML.replace("seed_base: 3", "seed_base: -1"): "seed_base",
 }
 
 
@@ -129,8 +140,8 @@ def test_optimize_command(tmp_path, config_file, capsys):
     ("validate", "header.txt", "4 0\n"),
     ("optimize", "config.yaml", CONFIG_YAML.replace("n_elements: 4",
                                                     "n_elements: 8.9")),
-    # The asymmetry penalty weight is gone, and the line-search settings
-    # are set through CgaSettings; old configs must say so.
+    # The asymmetry penalty weight and the line-search settings are gone;
+    # old configs must say so.
     ("optimize", "config.yaml", CONFIG_YAML + "nu: 1.0\n"),
     ("optimize", "config.yaml", CONFIG_YAML + "armijo_coeff: 1.0e-9\n"),
     # ``max_iters: true`` used to load as a 1-iteration cap.
@@ -226,6 +237,17 @@ def test_bench_requires_output_dir(tmp_path, capsys):
     spec_path.write_text(SPEC_YAML)
     rc = main(["bench", "--spec", str(spec_path)])
     assert rc == 2
+
+
+def test_convergence_rejects_unknown_tag(tmp_path, config_file, capsys):
+    # --arch f used to print one skip line per seed and exit 0.
+    out_dir = tmp_path / "conv"
+    rc = main(["convergence", "--config", str(config_file), "--seeds", "3..4",
+               "--out", str(out_dir), "--arch", "sc", "--arch", "f"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bdris convergence: error: architectures")
+    assert not out_dir.exists()
 
 
 def test_convergence_command(tmp_path, config_file):

@@ -1,7 +1,7 @@
 import csv
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from bdris import (CgaSettings, ScatteringMatrix, cga_optimize,
 from bdris.manifold import geodesic, retract_batch, unitarity_residuals
 from bdris import optimizer
 from bdris.gradient import LN2
-from bdris.optimizer import _armijo_stack, _re_vdot, _step_grid, _Workspace
+from bdris.optimizer import _armijo_stack, _re_vdot, _Workspace
 
 from helpers import (config_for_tag, explicit_armijo_step, explicit_scores,
                      make_config, make_instance, reference_sum_rate,
@@ -33,42 +33,53 @@ def small_run(seed, tag="gc2", n_elements=4, max_iters=400, **overrides):
     return cga_optimize(channels, beam, config, seed=seed), config, channels, beam
 
 
+# The line search's step rule; a test that forces another patches these.
+ALPHAS, SLOPES = optimizer._ALPHAS, optimizer._SLOPES
+
+
+def force_step_rule(monkeypatch, coeff, first=1.0):
+    """Make every line search try the steps first * 0.75^m and demand coeff
+    times each step per unit of directional derivative."""
+    alphas = first * ALPHAS
+    monkeypatch.setattr(optimizer, "_ALPHAS", alphas)
+    monkeypatch.setattr(optimizer, "_SLOPES", coeff * alphas)
+
+
 class TestSettings:
     def test_defaults(self):
-        # SystemConfig holds the iteration cap, CgaSettings the only copy of
-        # each line-search default.
+        # SystemConfig holds the iteration cap, and CgaSettings holds nothing
+        # else: the step rule and the tolerance are module constants.
         s = CgaSettings.from_config(make_config())
-        assert (s.max_iters, s.tolerance, s.armijo_max_steps) == (8000, 1e-8, 200)
-        assert (s.armijo_coeff, s.step_init, s.step_contract) == \
-            (2e-11, 1.0, 0.75)
+        assert [f.name for f in fields(CgaSettings)] == ["max_iters"]
+        assert (s.max_iters, optimizer._TOLERANCE, len(ALPHAS)) == \
+            (8000, 1e-8, 200)
+        assert (ALPHAS[0], ALPHAS[1]) == (1.0, 0.75)
+        assert np.array_equal(SLOPES, 2e-11 * ALPHAS)
         with pytest.raises(TypeError):
             CgaSettings()
 
     def test_from_config(self):
-        # Overrides replace single settings; the noise power is read from
+        # An override replaces the cap, and the removed line-search settings
+        # are rejected like any unknown one; the noise power is read from
         # the config by the workspace and nowhere else.
         config, channels, theta, beam = make_instance(
             seed=0, max_iters=123, noise_power=2.0)
-        s = CgaSettings.from_config(config, tolerance=1e-6, step_init=0.5)
-        assert (s.tolerance, s.max_iters, s.step_init) == (1e-6, 123, 0.5)
+        s = CgaSettings.from_config(config)
+        assert s == CgaSettings(max_iters=123)
+        assert CgaSettings.from_config(config, max_iters=5).max_iters == 5
         assert not hasattr(s, "noise_power")
-        with pytest.raises(TypeError):
-            CgaSettings.from_config(config, noise_power=1.0)
+        for key in ("noise_power", "tolerance", "step_init"):
+            with pytest.raises(TypeError):
+                CgaSettings.from_config(config, **{key: 1.0})
         ws, *_ = workspace_at(theta, channels, beam, config)
         assert ws.noise == 2.0
 
     @pytest.mark.parametrize("key, value", [
-        ("armijo_coeff", -1.0), ("armijo_coeff", float("nan")),
-        ("tolerance", 0.0), ("tolerance", float("inf")),
-        ("step_contract", 1.0), ("step_contract", 0.0),
-        ("step_init", 0.0), ("step_init", float("inf")),
-        # These used to solve through from_config without an error;
-        # max_iters=2.5 ran 3 iterations.
-        ("step_contract", 1.5), ("armijo_max_steps", 0),
-        ("step_init", float("nan")), ("armijo_coeff", -5.0),
-        ("max_iters", 0), ("tolerance", -1.0), ("max_iters", 2.5),
-        # Booleans are ints to Python; these used to solve.
-        ("max_iters", True), ("armijo_max_steps", True), ("step_init", True),
+        # max_iters=2.5 used to solve through from_config and ran 3
+        # iterations.
+        ("max_iters", 0), ("max_iters", 2.5),
+        # Booleans are ints to Python; this used to solve.
+        ("max_iters", True),
     ])
     def test_invalid_values_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -85,30 +96,29 @@ class TestArmijo:
         config, channels, theta, beam = make_instance(seed=seed)
         ws, _, c, aux = workspace_at(theta, channels, beam, config)
         state = start_state(config, seed + 1)
-        settings = CgaSettings.from_config(config)
         grad = ws.riemannian_gradient(state, c, aux)
         f0 = ws.objective(c, aux)
-        return ws, state, aux, f0, settings, grad
+        return ws, state, aux, f0, grad
 
     def _value(self, ws, state, aux):
         return ws.objective(ws.signal(ws.theta(state)), aux)
 
     def test_zero_direction_stalls(self):
-        ws, stack, aux, f0, settings, grad = self._setup(0)
-        assert _armijo_stack(ws, stack, np.zeros_like(stack), aux, f0, 1.0,
-                             settings) == (0.0, None, None, 0, None)
+        ws, stack, aux, f0, grad = self._setup(0)
+        assert _armijo_stack(ws, stack, np.zeros_like(stack), aux, f0,
+                             1.0) == (0.0, None, None, 0, None)
         # a direction that is not an ascent direction stalls as well
         alpha, candidate, _, trials, index = _armijo_stack(
-            ws, stack, grad, aux, f0, -_re_vdot(grad, grad), settings)
+            ws, stack, grad, aux, f0, -_re_vdot(grad, grad))
         assert (alpha, candidate, trials, index) == (0.0, None, 0, None)
 
     def test_accepted_step_satisfies_inequality(self):
         for seed in range(5):
-            ws, stack, aux, f0, settings, grad = self._setup(seed)
+            ws, stack, aux, f0, grad = self._setup(seed)
             dd = _re_vdot(grad, grad)
-            alpha, candidate, c_new, _, _ = _armijo_stack(
-                ws, stack, grad, aux, f0, dd, settings)
-            assert alpha > 0
+            alpha, candidate, c_new, _, index = _armijo_stack(
+                ws, stack, grad, aux, f0, dd)
+            assert alpha > 0 and alpha == ALPHAS[index]
             # direct recheck of the accepted step and its signal matrix
             explicit = ws.signal(ws.theta(candidate))
             assert np.abs(c_new - explicit).max() <= \
@@ -116,102 +126,97 @@ class TestArmijo:
             f_new = ws.objective(c_new, aux)
             recheck = self._value(ws, candidate, aux)
             assert recheck == pytest.approx(f_new, rel=1e-12, abs=1e-12)
-            assert f_new >= f0 + settings.armijo_coeff * alpha * dd - 1e-12
+            assert f_new >= f0 + SLOPES[index] * dd - 1e-12
             # the step is the first in the contraction schedule that passes
-            previous = alpha / settings.step_contract
-            if previous <= settings.step_init * (1 + 1e-12):
+            if index > 0:
+                previous = ALPHAS[index - 1]
                 trial, ok = retract_batch(stack, grad, np.array([previous]))
                 f_prev = self._value(ws, trial[0], aux)
-                assert not ok[0] or \
-                    f_prev < f0 + settings.armijo_coeff * previous * dd
+                assert not ok[0] or f_prev < f0 + SLOPES[index - 1] * dd
 
-    def test_zero_coeff_accepts_any_increase(self):
-        ws, stack, aux, f0, settings, grad = self._setup(7)
-        settings0 = replace(settings, armijo_coeff=0.0)
+    def test_zero_coeff_accepts_any_increase(self, monkeypatch):
+        ws, stack, aux, f0, grad = self._setup(7)
+        force_step_rule(monkeypatch, 0.0)
         alpha, candidate, c_new, _, _ = _armijo_stack(
-            ws, stack, grad, aux, f0, _re_vdot(grad, grad), settings0)
+            ws, stack, grad, aux, f0, _re_vdot(grad, grad))
         assert alpha > 0
         assert ws.objective(c_new, aux) >= f0
 
-    def test_impossible_increase_stalls(self):
+    def test_impossible_increase_stalls(self, monkeypatch):
         # The last trial steps (0.75^199 ~ 1e-25) demand less than one ulp of
         # f even at a coefficient of 1e9; the candidate there is the state up
         # to the rounding of its exponential map, and that rounding must not
         # pass as an increase.
+        force_step_rule(monkeypatch, 1e9)
         for seed in range(50):
-            ws, stack, aux, f0, settings, grad = self._setup(seed)
-            greedy = replace(settings, armijo_coeff=1e9)
+            ws, stack, aux, f0, grad = self._setup(seed)
             alpha, candidate, c_new, trials, index = _armijo_stack(
-                ws, stack, grad, aux, f0, _re_vdot(grad, grad), greedy)
+                ws, stack, grad, aux, f0, _re_vdot(grad, grad))
             assert (alpha, candidate, c_new, index) == (0.0, None, None,
                                                         None), seed
-            assert trials == settings.armijo_max_steps, seed
+            assert trials == len(ALPHAS), seed
 
 
-    def test_same_step_as_explicit_search(self):
+    def test_same_step_as_explicit_search(self, monkeypatch):
         # Scoring in the geodesic's eigenbasis accepts the step that scoring
         # explicitly formed candidates accepts, at the default coefficient
         # and at a greedy one that stalls.
         for seed in range(50):
-            ws, stack, aux, f0, settings, grad = self._setup(seed)
+            ws, stack, aux, f0, grad = self._setup(seed)
             dd = _re_vdot(grad, grad)
-            for coeff in (settings.armijo_coeff, 1e9):
-                search = replace(settings, armijo_coeff=coeff)
-                alpha, *_ = _armijo_stack(ws, stack, grad, aux, f0, dd,
-                                          search)
+            for coeff in (2e-11, 1e9):
+                force_step_rule(monkeypatch, coeff)
+                alpha, *_ = _armijo_stack(ws, stack, grad, aux, f0, dd)
                 assert alpha == explicit_armijo_step(
-                    ws, stack, grad, aux, f0, dd, search), (seed, coeff)
+                    ws, stack, grad, aux, f0, dd), (seed, coeff)
 
 
 class TestArmijoSingleConnected:
     """``_armijo_stack`` on 1 x 1 blocks, which score their phase-normalized
     candidates directly, against the explicit oracle of ``helpers``."""
 
-    def _setup(self, seed, **overrides):
+    def _setup(self, seed):
         config, channels, theta, beam = make_instance(
             seed=seed, n_elements=8, n_groups=8)
         ws, _, c, aux = workspace_at(theta, channels, beam, config)
         state = start_state(config, seed + 1)
         grad = ws.riemannian_gradient(state, c, aux)
-        settings = CgaSettings.from_config(config, **overrides)
         return (ws, state, aux, ws.objective(c, aux), _re_vdot(grad, grad),
-                settings, grad)
+                grad)
 
-    def test_same_step_as_explicit_search(self):
+    def test_same_step_as_explicit_search(self, monkeypatch):
         # At the default coefficient, and at a greedy one that stalls after
         # scoring every step of the grid.
         for seed in range(25):
-            ws, state, aux, f0, dd, settings, grad = self._setup(seed)
-            for coeff in (settings.armijo_coeff, 1e9):
-                search = replace(settings, armijo_coeff=coeff)
+            ws, state, aux, f0, dd, grad = self._setup(seed)
+            for coeff in (2e-11, 1e9):
+                force_step_rule(monkeypatch, coeff)
                 alpha, candidate, _, trials, _ = _armijo_stack(
-                    ws, state, grad, aux, f0, dd, search)
+                    ws, state, grad, aux, f0, dd)
                 assert alpha == explicit_armijo_step(
-                    ws, state, grad, aux, f0, dd, search), (seed, coeff)
+                    ws, state, grad, aux, f0, dd), (seed, coeff)
                 if coeff == 1e9:
                     assert (alpha, candidate) == (0.0, None), seed
-                    assert trials == settings.armijo_max_steps, seed
+                    assert trials == len(ALPHAS), seed
 
     @pytest.mark.parametrize("index", [0, 31, 32, 63])
-    def test_accepts_at_chunk_edges(self, index):
+    def test_accepts_at_chunk_edges(self, index, monkeypatch):
         # At coefficient 0.5 the passing steps are the small ones. The first
         # of them on a grid from 1e12 (where no step passes), put at
         # ``index`` of the search's own grid, is the step both searches
         # accept: at the first and last entry of a chunk and across a
         # chunk boundary.
         for seed in range(25):
-            ws, state, aux, f0, dd, settings, grad = self._setup(
-                seed, armijo_coeff=0.5)
-            first = explicit_armijo_step(ws, state, grad, aux, f0, dd,
-                                         replace(settings, step_init=1e12))
-            search = replace(settings, step_init=first
-                             / settings.step_contract ** index)
+            ws, state, aux, f0, dd, grad = self._setup(seed)
+            force_step_rule(monkeypatch, 0.5, first=1e12)
+            first = explicit_armijo_step(ws, state, grad, aux, f0, dd)
+            force_step_rule(monkeypatch, 0.5, first=first / 0.75 ** index)
             alpha, candidate, c_new, trials, accepted = _armijo_stack(
-                ws, state, grad, aux, f0, dd, search)
-            grid = _step_grid(search)[0]
+                ws, state, grad, aux, f0, dd)
+            grid = optimizer._ALPHAS
             assert alpha == grid[index] and accepted == index, seed
             assert alpha == explicit_armijo_step(ws, state, grad, aux, f0,
-                                                 dd, search), seed
+                                                 dd), seed
             chunk = optimizer._ARMIJO_CHUNK
             assert trials == (index // chunk + 1) * chunk, seed
             explicit = ws.signal(candidate)
@@ -236,7 +241,7 @@ class TestWarmStart:
         aux, _, _ = ws.stats(c)
         grad = ws.riemannian_gradient(state, c, aux)
         return (ws, state, aux, ws.objective(c, aux), _re_vdot(grad, grad),
-                grad, CgaSettings.from_config(config))
+                grad)
 
     @pytest.mark.parametrize("tag", ["gc2", "gc4", "fc"])
     def test_same_step_as_explicit_search_from_any_start(self, tag):
@@ -248,20 +253,20 @@ class TestWarmStart:
         warm = optimizer._WARM_CHUNK
         cold = optimizer._ARMIJO_CHUNK
         for seed in range(6):
-            ws, state, aux, f0, dd, grad, settings = self._setup(tag, seed)
-            size = settings.armijo_max_steps
+            ws, state, aux, f0, dd, grad = self._setup(tag, seed)
+            size = len(ALPHAS)
             for start in (0, 1, 2, 7, 13, 18, 22, 27, 40, 120, size - 3):
                 alpha, candidate, c_new, trials, index = _armijo_stack(
-                    ws, state, grad, aux, f0, dd, settings, start)
+                    ws, state, grad, aux, f0, dd, start)
                 expected = explicit_armijo_step(ws, state, grad, aux, f0, dd,
-                                                settings, start)
+                                                start)
                 assert alpha == expected, (seed, start)
                 width = warm if start else cold
                 if candidate is None:
                     assert (trials, index) == (size - start, None), \
                         (seed, start)
                     continue
-                assert alpha == _step_grid(settings)[0][index], (seed, start)
+                assert alpha == ALPHAS[index], (seed, start)
                 assert index >= start
                 assert trials == min(((index - start) // width + 1) * width,
                                      size - start), (seed, start)
@@ -277,13 +282,12 @@ class TestWarmStart:
         # only when a search from 0 along the gradient fails.
         search, calls = optimizer._armijo_stack, []
 
-        def forcing(ws, state, xi, aux, f, directional, settings, start=0):
+        def forcing(ws, state, xi, aux, f, directional, start=0):
             calls.append((start, directional == _re_vdot(xi, xi),
                           state.tobytes()))
             if start or len(calls) >= 30:
                 return 0.0, None, None, 0, None
-            return search(ws, state, xi, aux, f, directional, settings,
-                          start)
+            return search(ws, state, xi, aux, f, directional, start)
 
         monkeypatch.setattr(optimizer, "_armijo_stack", forcing)
         (_, trace), *_ = small_run(seed=0, tag=tag, n_elements=8)
@@ -300,19 +304,16 @@ class TestWarmStart:
 
 
 def test_step_grid_matches_per_chunk_powers():
-    # The grid built once per settings holds, bit for bit, the steps that
-    # a chunk of any width starting anywhere computes on its own.
-    settings = CgaSettings.from_config(make_config())
-    alphas, slopes = _step_grid(settings)
-    assert _step_grid(settings) is _step_grid(replace(settings))
+    # The grid, built once at import, holds bit for bit the steps that a
+    # chunk of any width starting anywhere computes on its own, and neither
+    # it nor its slopes can be written to.
+    assert not (ALPHAS.flags.writeable or SLOPES.flags.writeable)
     for width in (1, 7, 16, 32):
-        for start in range(0, settings.armijo_max_steps, width):
-            count = min(width, settings.armijo_max_steps - start)
-            chunk = settings.step_init * settings.step_contract ** np.arange(
-                start, start + count, dtype=float)
-            assert np.array_equal(alphas[start:start + count], chunk)
-            assert np.array_equal(slopes[start:start + count],
-                                  settings.armijo_coeff * chunk)
+        for start in range(0, len(ALPHAS), width):
+            count = min(width, len(ALPHAS) - start)
+            chunk = 0.75 ** np.arange(start, start + count, dtype=float)
+            assert np.array_equal(ALPHAS[start:start + count], chunk)
+            assert np.array_equal(SLOPES[start:start + count], 2e-11 * chunk)
 
 
 @pytest.mark.parametrize("tag", ["sc", "gc2", "fc"])
@@ -637,12 +638,13 @@ class TestCgaRun:
         assert (full.final.stop_reason, full.final.converged) == (
             "tolerance", True)
 
-    def test_stall_policy_terminates_unconverged(self):
+    def test_stall_policy_terminates_unconverged(self, monkeypatch):
         config = config_for_tag("gc2", n_users=2, n_tx=2, n_elements=4,
                                 max_iters=50)
         from bdris import generate_channels_from_gains
         beam = init_beamformer_uniform(config)
-        settings = CgaSettings.from_config(config, armijo_coeff=1e9)
+        settings = CgaSettings.from_config(config)
+        force_step_rule(monkeypatch, 1e9)
         for seed in range(20):
             channels = generate_channels_from_gains(config, 1.0, 1.0, seed=seed)
             theta, trace = cga_optimize(channels, beam, config, seed=seed,
@@ -689,8 +691,7 @@ class TestObservability:
         # start.
         for tag in ("sc", "gc2", "fc"):
             (_, trace), config, *_ = small_run(seed=1, tag=tag, n_elements=8)
-            settings = CgaSettings.from_config(config)
-            size = settings.armijo_max_steps
+            size = len(ALPHAS)
             assert trace.records[0].armijo_trials == 0
             start, warm_searches = 0, 0
             for rec in trace.records[1:]:
@@ -698,8 +699,7 @@ class TestObservability:
                     assert rec.armijo_trials in (0, size - start)
                     start = 0
                     continue
-                index = round(math.log(rec.step / settings.step_init)
-                              / math.log(settings.step_contract))
+                index = list(ALPHAS).index(rec.step)
                 width = (optimizer._WARM_CHUNK if start
                          else optimizer._ARMIJO_CHUNK)
                 assert rec.armijo_trials == min(

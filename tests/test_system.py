@@ -55,6 +55,8 @@ class TestScatteringMatrix:
             parse_architecture_tag("gc3", 8)
         with pytest.raises(ValueError):
             parse_architecture_tag("mesh", 8)
+        with pytest.raises(ValueError, match="unknown architecture tag"):
+            parse_architecture_tag("gc0", 8)
 
 
 class TestEquivalentChannel:
