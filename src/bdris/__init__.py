@@ -2,11 +2,13 @@
 
 The package designs blockwise symmetric unitary scattering matrices that
 maximize the downlink sum-rate of a multi-user MISO system. The optimizer
-runs conjugate gradient ascent on the blockwise unitary manifold against a
-fractional-programming surrogate of the sum-rate. Each block is kept
-exactly symmetric by iterating its Takagi factor U_g (Theta_g = U_g U_g^T)
-along geodesics of the symmetric unitary matrices, on which every line-search
-candidate is a diagonal block in known bases.
+ascends the sum-rate on the blockwise unitary manifold, with the gradient
+of a fractional-programming surrogate: Newton steps in the phases of
+one-element blocks, L-BFGS steps on larger blocks, and a line search on the
+true sum-rate. Each block is kept exactly symmetric by iterating its Takagi
+factor U_g (Theta_g = U_g U_g^T) along geodesics of the symmetric unitary
+matrices, on which every line-search candidate is a diagonal block in
+known bases.
 
 Each formula has one implementation, on stacks of blocks: ``gradient``
 (channel factors, the closed-form gradient and its Takagi-factor chain
@@ -16,9 +18,8 @@ matrix, the channel tensor that scores diagonal blocks, auxiliaries,
 sum-rate, and the per-user surrogate that the objective sums). Each
 setting has one home as well: ``SystemConfig`` holds the system, its noise
 power and the iteration cap, ``CgaSettings`` a per-run iteration cap (the
-line search's step rule and the convergence tolerance are constants of
-``optimizer``), and a ``ScatteringMatrix`` derives its architecture from
-its group size.
+step rule and the stopping rule are constants of ``optimizer``), and a
+``ScatteringMatrix`` derives its architecture from its group size.
 
 The public API is the config and channel types, the beamformer
 initializers, ``cga_optimize`` with its trace types, the feasibility check,

@@ -51,6 +51,12 @@ class ExperimentSpec:
     output_dir: str | None = None
 
     def __post_init__(self):
+        # The loader's check, for specs built directly: 2.5 and True raise
+        # with the key's name, and 2.0 reads as 2, as it does in a file.
+        for key in ("n_trials", "seed_base"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                object.__setattr__(self, key, integer_field(key, value))
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
         if self.sweep_variable not in SWEEP_VARIABLES:

@@ -53,7 +53,7 @@ class SystemConfig:
     n_groups: int                  # element groups G (group size R/G)
     p_max: float                   # transmit power budget, linear W
     noise_power: float             # receiver noise power, linear W
-    max_iters: int = 8000          # conjugate-gradient iteration cap
+    max_iters: int = 8000          # solver iteration cap
 
     def __post_init__(self):
         check_fields(self, positive=("p_max", "noise_power"))

@@ -40,10 +40,9 @@ class Auxiliaries(NamedTuple):
 
     The surrogate of user k is offset_k + weight_k * quad_k with
     quad_k = Re(y_conj2_k c_kk) - y_power_k * total_k (see the
-    ``optimizer`` module docstring), and ``spread`` is the size of its
-    partly cancelling tau-terms, sum_k log2(1 + tau_k) + 2 tau_k / ln2.
-    ``y_conj2`` holds 2 conj(y): doubling is exact in floating point, so
-    Re(y_conj2 c) has the bits of 2 Re(conj(y) c) with one product fewer.
+    ``optimizer`` module docstring). ``y_conj2`` holds 2 conj(y): doubling
+    is exact in floating point, so Re(y_conj2 c) has the bits of
+    2 Re(conj(y) c) with one product fewer.
     """
 
     tau: np.ndarray
@@ -52,7 +51,6 @@ class Auxiliaries(NamedTuple):
     weight: np.ndarray       # (1 + tau) / ln2
     y_conj2: np.ndarray      # 2 conj(y)
     y_power: np.ndarray      # |y|^2
-    spread: float
 
     @classmethod
     def of(cls, tau: np.ndarray, y: np.ndarray,
@@ -64,10 +62,8 @@ class Auxiliaries(NamedTuple):
             one_plus = 1.0 + tau
         if log_term is None:
             log_term = np.log2(one_plus)
-        scaled = tau / LN2
-        return cls(tau, y, log_term - scaled, one_plus / LN2,
-                   2.0 * y.conj(), np.abs(y) ** 2,
-                   float((log_term + 2.0 * scaled).sum()))
+        return cls(tau, y, log_term - tau / LN2, one_plus / LN2,
+                   2.0 * y.conj(), np.abs(y) ** 2)
 
 
 def channel_stacks(channels: ChannelSet, beam_v: np.ndarray,

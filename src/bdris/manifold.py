@@ -5,9 +5,10 @@ R_G > 1 the Takagi factor U_g of each scattering block Theta_g = U_g U_g^T
 (every symmetric unitary matrix has this form), for 1 x 1 blocks the unit
 scalar Theta_g itself. The primitives here act on such stacks: orthogonal
 projection onto the tangent space, the frame of the geodesics along a
-direction, a batched retraction (geodesics of the symmetric unitary
-matrices for R_G > 1, phase normalization for 1 x 1 blocks), and a random
-feasible starting point. The real trace inner product is
+tangent direction or along a real symmetric S_g given in body coordinates,
+a batched retraction (geodesics of the symmetric unitary matrices for
+R_G > 1, phase normalization for 1 x 1 blocks), and a random feasible
+starting point. The real trace inner product is
 ``optimizer._re_vdot``.
 """
 
@@ -70,7 +71,14 @@ def geodesic(stack: np.ndarray, direction_stack: np.ndarray) -> Geodesic:
     dropped, as is any part of Xi_g that is not tangent.
     """
     lift = (stack.conj().transpose(0, 2, 1) @ direction_stack).imag
-    w, q = np.linalg.eigh(0.5 * (lift + lift.transpose(0, 2, 1)))
+    return geodesic_frame(stack, 0.5 * (lift + lift.transpose(0, 2, 1)))
+
+
+def geodesic_frame(stack: np.ndarray, body: np.ndarray) -> Geodesic:
+    """The frame of the geodesics U_g exp(i alpha S_g) for a stack of real
+    symmetric S_g given directly (body coordinates): one real ``eigh`` per
+    block."""
+    w, q = np.linalg.eigh(body)
     return Geodesic(stack @ q, w, q.transpose(0, 2, 1))
 
 

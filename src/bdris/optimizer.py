@@ -1,33 +1,38 @@
-"""Conjugate gradient ascent for the scattering matrix.
+"""Sum-rate ascent for the scattering matrix on the symmetric unitary blocks.
 
 Every symmetric unitary block has the Takagi form Theta_g = U_g U_g^T with
 U_g unitary, so the optimizer's state is the stack of factors U_g, and every
 iterate is exactly symmetric and unitary. 1 x 1 blocks (unit scalars, which
-are symmetric already) keep Theta_g itself as their state. One run starts
-from a random symmetric unitary point and repeatedly
+are symmetric already) keep Theta_g itself as their state.
 
-  1. resets the search direction to the Riemannian gradient if it stopped
-     being an ascent direction,
-  2. picks a step by backtracking Armijo search on the surrogate objective
-     (auxiliaries frozen during the search), moving the state along
-     geodesics of the symmetric unitary matrices; on factored blocks a
-     search after an accepted step starts two grid steps before it, at a
-     larger step (see ``_WARM_BACKOFF``),
-  3. refreshes the per-user auxiliaries at the new point,
-  4. recomputes the Riemannian gradient and updates the direction with a
-     nonnegative Polak-Ribiere coefficient,
+The iteration works in body coordinates. A step on a block larger than
+1 x 1 is a real symmetric S_g, and moves U_g along the geodesic
+U_g exp(i alpha S_g) of the symmetric unitary matrices; a step on a 1 x 1
+block is a real phase d_g, and moves theta_g to the phase of
+theta_g (1 + i alpha d_g). The gradient there is sym(Im(U_g^H riem_g)), with
+riem the Riemannian gradient of the surrogate objective below. One run
+starts from a random symmetric unitary point and repeatedly
 
-until the true sum-rate changes by less than ``_TOLERANCE``. The surrogate
-equals the sum-rate at refreshed auxiliaries and never exceeds it, so the
-sum-rate never decreases from one iterate to the next. The final matrix
-still goes through the per-block projection onto the symmetric unitary set
-(symmetrize, SVD, take U V^H), which only rounds an exact iterate.
+  1. takes a direction: on 1 x 1 blocks the exact Newton step of the
+     sum-rate in the phases (``_Workspace.phase_hessian``, shifted until the
+     negated Hessian is positive definite, ``_newton_direction``); on larger
+     blocks an L-BFGS step (two-loop recursion, memory ``_MEMORY``,
+     ``_two_loop``; Nocedal and Wright, Numerical Optimization, 2nd ed.,
+     sec. 7.2), with the identity as the transport of S,
+  2. picks a step by backtracking Armijo search from alpha = 1 on the true
+     sum-rate of each candidate (``_armijo_stack``),
+  3. refreshes the per-user auxiliaries at the new point and recomputes
+     the gradient,
 
-Direction handling note: the update is written in ascent form (initial
-direction equals the gradient, update Xi <- r + beta * Xi, reset to r when
-<r, Xi> <= 0). The Polak-Ribiere denominator is <r, r>, which stays well
-defined right after resets. Old directions are carried to the new tangent
-space by identity transport plus reprojection.
+until the gradient norm in body coordinates falls to ``_GRADIENT_RATIO`` of
+its value at the start point. A direction that does not ascend clears the
+L-BFGS memory and goes along the gradient instead, and so does the search
+after one that failed; only a failed search along the gradient stops the
+run as ``stalled``. Every accepted step raises the sum-rate by more than the
+rounding noise of its evaluation, so the sum-rate never decreases from one
+iterate to the next. The final matrix still goes through the per-block
+projection onto the symmetric unitary set (symmetrize, SVD, take U V^H),
+which only rounds an exact iterate.
 
 The surrogate objective replaces the log-of-ratio rate in two steps. A
 multiplier tau_k moves the SINR ratio out of the log:
@@ -43,24 +48,24 @@ quadratic in an auxiliary y_k:
 tight at y_k = c_kk / (sum_i |c_ki|^2 + n0). Both denominators run over all
 i, including i = k. For any tau >= 0 and any y the surrogate never exceeds
 the true rate, and at the closed-form (tau, y) of ``_Workspace.stats`` it
-equals it. The iterates are exactly symmetric, so no penalty term is added,
-and a step that raises the surrogate at frozen auxiliaries raises the true
-sum-rate at least as much.
+equals it. The iterates are exactly symmetric, so no penalty term is added.
+By that equivalence the sum-rate is the surrogate maximized over its
+auxiliaries, so the surrogate's gradient at the closed-form auxiliaries is
+the sum-rate's gradient (Danskin's theorem): the surrogate gives the
+gradient, and the line search tests the sum-rate itself.
 
 Every formula is implemented once, on (G, R_G, R_G) block stacks: the signal
 matrix, auxiliaries, rate and surrogate in ``_Workspace``, the gradient in
 ``gradient``, and the manifold steps in ``manifold``. The signal matrix is
 linear in Theta, and the line search only ever scores blocks that are
 diagonal in a known basis: 1 x 1 blocks in the identity, and on factored
-blocks the geodesic's P_g diag(exp(2 i alpha w_g)) P_g^T in the bases P_g
-of ``manifold.geodesic``. So ``_Workspace`` holds a channel tensor with one
-row per element for those bases, and a whole chunk of candidate diagonals
-is one matrix product with it. A factored search builds that tensor once in
-its bases P_g, and forms only the factor it accepts; the search also
-returns the accepted point's signal matrix, so no iterate recomputes it.
-The auxiliaries of one iterate come with their per-user coefficients
-(``gradient.Auxiliaries``), formed once from the rate's own log2(1 + tau)
-and shared by the objective, every line-search score and the gradient.
+blocks the geodesic's P_g diag(exp(2 i alpha w_g)) P_g^T in the bases
+P_g = U_g Q_g of the eigendecomposition S_g = Q_g diag(w_g) Q_g^T. So
+``_Workspace`` holds a channel tensor with one row per element for those
+bases, and a whole chunk of candidate diagonals is one matrix product with
+it. A factored search builds that tensor once in its bases P_g, and forms
+only the factor it accepts; the search also returns the accepted point's
+signal matrix, so no iterate recomputes it.
 
 The unitarity residual of every iterate's blocks, which only its
 ``IterationRecord`` reads, is computed in batches. Each record's state is
@@ -83,9 +88,11 @@ import numpy as np
 
 from .channel import ChannelSet
 from .config import SystemConfig, check_fields
-from .gradient import Auxiliaries, channel_stacks, factor_gradient, gradient_stack
-from .manifold import (geodesic, project_stack, random_feasible,
-                       random_feasible_stack, retract_batch, unitarity_residuals)
+from .gradient import (LN2, Auxiliaries, channel_stacks, factor_gradient,
+                       gradient_stack)
+from .manifold import (geodesic_frame, project_stack, random_feasible,
+                       random_feasible_stack, retract_batch,
+                       unitarity_residuals)
 from .system import Beamformer, ScatteringMatrix
 
 
@@ -95,11 +102,11 @@ class CgaSettings:
 
     Build it with ``from_config``, which takes the cap from the config; the
     noise power stays there too, since it belongs to the system. The step
-    rule and the convergence tolerance are fixed: see ``_ALPHAS``,
-    ``_SLOPES`` and ``_TOLERANCE``.
+    rule and the stopping rule are fixed: see ``_ALPHAS``, ``_SLOPES``,
+    ``_MEMORY`` and ``_GRADIENT_RATIO``.
     """
 
-    max_iters: int                 # conjugate-gradient iteration cap
+    max_iters: int                 # iteration cap
 
     def __post_init__(self):
         check_fields(self)
@@ -120,8 +127,7 @@ class IterationRecord:
     true_rate: float         # eta, bits/s/Hz
     surrogate: float         # eta_breve, surrogate value
     step: float              # accepted Armijo step alpha
-    grad_norm: float         # Riemannian gradient norm
-    beta: float              # direction-update coefficient
+    grad_norm: float         # gradient norm in body coordinates
     unitarity_residual: float
     armijo_trials: int       # step sizes the line search scored
 
@@ -135,7 +141,7 @@ class TraceFinal:
     unitarity_residual: float
     iters_used: int
     stop_reason: str         # "tolerance", "max_iters", "stalled" or "nonfinite"
-    grad_norm: float         # Riemannian gradient norm at the last iterate
+    grad_norm: float         # body-coordinate gradient norm, last iterate
     grad_norm_ratio: float   # grad_norm over its value at the start point
 
     @property
@@ -153,15 +159,15 @@ class OptimizerTrace:
 
 
 def write_trace_csv(trace: OptimizerTrace, path: str | Path) -> None:
-    """One line per iteration: iter, eta, eta_breve, alpha, grad_norm, beta,
+    """One line per iteration: iter, eta, eta_breve, alpha, grad_norm,
     armijo_trials."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "eta", "eta_breve", "alpha", "grad_norm", "beta",
+        writer.writerow(["iter", "eta", "eta_breve", "alpha", "grad_norm",
                          "armijo_trials"])
         for rec in trace.records:
             writer.writerow([rec.iter, repr(rec.true_rate), repr(rec.surrogate),
-                             repr(rec.step), repr(rec.grad_norm), repr(rec.beta),
+                             repr(rec.step), repr(rec.grad_norm),
                              rec.armijo_trials])
 
 
@@ -279,15 +285,20 @@ class _Workspace:
         """Surrogate sum at frozen auxiliaries from the signal matrix."""
         return float(self.surrogate(c, aux, total).sum())
 
-    def objective_batch(self, diagonals: np.ndarray,
-                        aux: Auxiliaries) -> np.ndarray:
-        """Frozen-auxiliary objective of many candidate points at once.
+    def objective_batch(self, diagonals: np.ndarray) -> np.ndarray:
+        """True sum-rate of many candidate points at once, the line search's
+        score.
 
         ``diagonals`` (M, G, R_G) are those of diagonal blocks in this
-        workspace's bases; returns the (M,) values of ``objective`` at their
-        ``signals``.
+        workspace's bases; returns the (M,) rates at their ``signals``, with
+        the arithmetic of ``stats``, so a candidate scores the bits that
+        ``stats`` gives at its signal matrix.
         """
-        return self.surrogate(self.signals(diagonals), aux).sum(axis=-1)
+        powers = np.abs(self.signals(diagonals)) ** 2
+        interference = (powers * self.off_diagonal).sum(axis=-1)
+        tau = (powers.diagonal(axis1=-2, axis2=-1)
+               / (interference + self.noise))
+        return np.log2(1.0 + tau).sum(axis=-1)
 
     def gradient(self, c: np.ndarray, aux: Auxiliaries) -> np.ndarray:
         """Gradient of the objective with respect to the scattering blocks."""
@@ -302,34 +313,77 @@ class _Workspace:
             grad = factor_gradient(grad, state)
         return project_stack(grad, state)
 
+    def body_gradient(self, state: np.ndarray,
+                      riem: np.ndarray) -> np.ndarray:
+        """The gradient in body coordinates, sym(Im(U_g^H riem_g)) per
+        block: the derivative of the objective along U_g exp(i alpha S_g)
+        at alpha = 0 is its trace inner product with S_g. On 1 x 1 blocks
+        that is Im(conj(theta_g) riem_g), the derivative in the phase."""
+        if not self.factored:
+            return (state.conj() * riem).imag
+        lift = (state.conj().transpose(0, 2, 1) @ riem).imag
+        return 0.5 * (lift + lift.transpose(0, 2, 1))
 
-# Step sizes scored per call of ``objective_batch`` by a search that starts
-# at grid index 0. The width only groups the scoring: the accepted step is
-# the first that passes at any width. Such searches accept at index 16 to 31
-# about 95% of the time (desk-regime sc R = 64 and cdf-r8 solves), so at 32
-# most take one chunk.
-_ARMIJO_CHUNK = 32
-# A search on factored blocks after an accepted step at grid index m starts
-# at max(m - _WARM_BACKOFF, 0) (Nocedal and Wright, Numerical Optimization,
-# 2nd ed., sec. 3.5), and if that is above 0 scores _WARM_CHUNK steps per
-# call. Such searches accept within their first chunk about 80% of the time
-# in the benchmark's gc/fc solves, which then score 5.1 to 5.3 step sizes
-# per search against 33 to 57 when every search starts at index 0.
-_WARM_BACKOFF = 2
-_WARM_CHUNK = 4
-# The frozen-auxiliary objective sums per-user terms of size log2(1 + tau)
-# and tau / ln2 that partly cancel, at rounded blocks. When the state does
-# not move at all, the line-search scores (diagonal phases) still exceed f
-# by up to 11.7 ulps of (|f| + those terms) where the largest tau exceeds
-# 1e-12 (fc, R = 64, gain 1e2, seed 19), and by up to 17.0 at tau ~ 4e-17
-# (fc, R = 64, gain 1e-9, seed 19); explicitly formed candidates scored
-# through ``_Workspace.signal`` gave 18.8 and 28.8. Sweep: gc2/gc4/fc at
-# R = 4, 8, 16, 32, 64, K = 4, unit noise, both link gains 1e-9, 1e-6,
-# 1e-3, 1, 1e2 or 1e4, ``tests/helpers`` seeds s = 0..24 (channels seed s,
-# start state seed s + 1), at the start state and one accepted search step
-# from it, 16 steps alpha = 1e-30 / |xi| * 0.75^k along the Riemannian
-# gradient xi. An increase below this many such ulps is noise; the floor
-# sits below the worst of those cases.
+    def phase_hessian(self, state: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """(G, G) Hessian of the sum-rate in the phases phi of 1 x 1 blocks
+        theta_g exp(i phi_g), at the state ``state`` with signal matrix ``c``.
+
+        With D[g, (k, i)] = theta_g a_gk b_gi (the channel tensor scaled by
+        the state), T_k = sum_i |c_ki|^2 + n0 and I_k the same sum without
+        i = k, the rate is sum_k (ln T_k - ln I_k) / ln2, and
+
+            H = (2 Re((D w) D^H) - diag(2 Re(conj(c) D) w)
+                 - gT gT^T + gI gI^T) / ln2,
+
+        where w_(k,i) = 1/T_k - [i != k]/I_k, and gT, gI are the (G, K)
+        phase gradients of T_k and I_k divided by T_k and I_k. The first
+        term and the two outer products are one real matrix product, on the
+        (re, im) pairs of D: no ``einsum`` and no complex product.
+        """
+        d = state.reshape(-1, 1) * self.t
+        powers = np.abs(c) ** 2
+        total = powers.sum(axis=1) + self.noise
+        interference = (powers * self.off_diagonal).sum(axis=1) + self.noise
+        w = (1.0 / total[:, None]
+             - self.off_diagonal / interference[:, None]).ravel()
+        moved = c.conj().ravel() * d
+        # d|c_ki|^2 / d phi_g = -2 Im(conj(c_ki) D[g, (k, i)]). g_total and
+        # g_inter carry the opposite sign, which their outer products drop.
+        halves = moved.imag.reshape(len(d), self.users, self.streams)
+        g_total = halves.sum(axis=2) * (2.0 / total)
+        g_inter = ((halves * self.off_diagonal).sum(axis=2)
+                   * (2.0 / interference))
+        # 2 Re((D w) D^H) - gT gT^T + gI gI^T = left @ right^T, the (re, im)
+        # pairs of D weighted by 2 w on the left.
+        pairs = d.view(float)
+        left = np.concatenate([pairs * np.repeat(2.0 * w, 2), -g_total,
+                               g_inter], axis=1)
+        right = np.concatenate([pairs, g_total, g_inter], axis=1)
+        hess = left @ right.T
+        hess.reshape(-1)[::len(hess) + 1] -= 2.0 * (moved.real @ w)
+        return hess / LN2
+
+
+# Step sizes scored per call of ``objective_batch``. The width only groups
+# the scoring: the accepted step is the first that passes at any width. The
+# Newton and L-BFGS steps pass at alpha = 1 in most iterations, so most
+# searches take one chunk.
+_ARMIJO_CHUNK = 4
+# The line search compares two rounded sum-rates sum_k log2(1 + SINR_k):
+# a candidate's score and the current rate, from signal matrices rounded
+# along different contractions. log2(1 + tau) rounds 1 + tau, so each
+# user's term is noisy by about an ulp of 1 whatever tau is, and by an ulp
+# of its own size: an increase below _NOISE_ULPS ulps of (|rate| + K) is
+# noise, and fails the test whatever its slope. At steps that do not move
+# the state the scores exceed the rate by up to 10.6 such ulps (fc, R = 16,
+# unit noise, gain 1e4), and by up to 6.8 at desk geometry (fc, R = 16,
+# noise 1e-16); the floor sits above the worst case. Sweep: sc/gc2/gc4/fc at
+# R = 4, 8, 16, 32, 64, K = 4; unit noise with both link gains 1e-9, 1e-6,
+# 1e-3, 1, 1e2 or 1e4 (``tests/helpers`` seeds s = 0..24: channels seed s,
+# start state seed s + 1), and desk geometry at noise 1e-12, 1e-15 and
+# 1e-16 (channel seeds s = 0..24, start state seed s + 1); at the start
+# state and one accepted search step from it, 16 steps
+# alpha = 1e-30 / |g| * 0.75^k along the body-coordinate gradient g.
 _NOISE_ULPS = 16.0
 _NOISE_FLOOR = _NOISE_ULPS * np.finfo(float).eps
 # Complex entries (64 KiB) that the buffer of iterates whose records wait
@@ -343,8 +397,16 @@ _RESIDUAL_BUDGET = 4096
 _ALPHAS = 0.75 ** np.arange(200)
 _SLOPES = 2e-11 * _ALPHAS
 _ALPHAS.flags.writeable = _SLOPES.flags.writeable = False
-# A run converges when the true sum-rate changes by less than this.
-_TOLERANCE = 1e-8
+# A run converges when the body-coordinate gradient norm falls to this
+# fraction of its value at the start point.
+_GRADIENT_RATIO = 1e-3
+# (s, y) pairs the L-BFGS direction of connected blocks remembers.
+_MEMORY = 5
+# The Newton step of 1 x 1 blocks solves (mu I - H) d = g for the first
+# shift mu = factor * max |H_gg| of these at which mu I - H is positive
+# definite: the global phase leaves -H singular at a maximum.
+_NEWTON_SHIFTS = (1e-10, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2,
+                  1e3)
 
 
 def _finite(rate: float, grad_sq: float) -> bool:
@@ -355,56 +417,110 @@ def _norm(square: float) -> float:
     return math.sqrt(max(square, 0.0))
 
 
-def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
-                  aux: Auxiliaries, f_current: float,
-                  directional_derivative: float, start: int = 0
+def _newton_direction(hess: np.ndarray, grad: np.ndarray, start: int
+                      ) -> tuple[np.ndarray, int]:
+    """The shifted Newton step (mu I - H)^-1 g on 1 x 1 blocks, shaped like
+    ``grad`` (G, 1, 1), and the index in ``_NEWTON_SHIFTS`` of its shift.
+
+    mu = _NEWTON_SHIFTS[m] * max |H_gg| for the first m at which mu I - H is
+    positive definite (``cholesky`` succeeds). Definiteness only grows with
+    mu, so the scan starts at ``start``, the index of the last step's shift,
+    and walks down or up from there: two factorizations when the shift
+    holds, instead of one per smaller shift. Returns (``grad``, ``start``)
+    when no listed shift is enough or H is not finite."""
+    scale = float(np.abs(hess.diagonal()).max())
+    if not (0.0 < scale < math.inf) or not np.isfinite(hess).all():
+        return grad, start
+    negated = -hess
+    diagonal = negated.reshape(-1)[::len(negated) + 1]
+    base = diagonal.copy()
+
+    def definite(m: int) -> bool:
+        diagonal[:] = base + _NEWTON_SHIFTS[m] * scale
+        try:
+            np.linalg.cholesky(negated)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    m = start
+    if definite(m):
+        while m > 0 and definite(m - 1):
+            m -= 1
+    else:
+        m += 1
+        while m < len(_NEWTON_SHIFTS) and not definite(m):
+            m += 1
+        if m == len(_NEWTON_SHIFTS):
+            return grad, start
+    diagonal[:] = base + _NEWTON_SHIFTS[m] * scale
+    return np.linalg.solve(negated, grad.ravel()).reshape(grad.shape), m
+
+
+def _two_loop(grad: np.ndarray, memory: list) -> np.ndarray:
+    """The L-BFGS ascent direction H g from the remembered pairs
+    (s, y, 1 / s.y), oldest first, as raveled arrays: the two-loop
+    recursion with H0 = (s.y / y.y) I from the newest pair."""
+    q = grad.ravel().copy()
+    coefficients = []
+    for s, y, rho in reversed(memory):
+        a = rho * np.dot(s, q)
+        q -= a * y
+        coefficients.append(a)
+    _, y, rho = memory[-1]
+    r = q / (rho * np.dot(y, y))
+    for (s, y, rho), a in zip(memory, reversed(coefficients)):
+        r += (a - rho * np.dot(y, r)) * s
+    return r.reshape(grad.shape)
+
+
+def _armijo_stack(ws: _Workspace, state: np.ndarray, direction: np.ndarray,
+                  f_current: float, slope: float
                   ) -> tuple[float, np.ndarray | None, np.ndarray | None, int,
                              int | None]:
-    """Backtracking search on the frozen-auxiliary objective.
+    """Backtracking search on the true sum-rate.
 
-    Tries the steps alpha_m of ``_ALPHAS`` for m = start, start + 1, ...
-    and accepts the smallest m with
+    Moves the state along the body-coordinate ``direction`` (real symmetric
+    S_g per block, or a phase per 1 x 1 block), tries the steps alpha_m of
+    ``_ALPHAS`` for m = 0, 1, ... and accepts the smallest m with
 
-        f(R(state, alpha_m * xi)) >= f(state) + max(s_m * <grad, xi>, floor),
+        rate(R(state, alpha_m * direction)) >= f_current
+                                               + max(s_m * slope, floor),
 
-    R being the retraction ``retract_batch``, s_m the slope ``_SLOPES[m]``
-    and floor the rounding noise of f (see ``_NOISE_ULPS``), so that an
-    increase f cannot resolve never passes, whatever the slope.
+    R being the retraction ``retract_batch``, s_m the slope ``_SLOPES[m]``,
+    ``slope`` the directional derivative <grad, direction> and floor the
+    rounding noise of the rate (see ``_NOISE_ULPS``), so that an increase
+    the rate cannot resolve never passes, whatever the slope.
     ``objective_batch`` scores every candidate from its diagonals on one
     workspace, the search's ``line``: on factored blocks
     ``Geodesic.diagonals`` in the workspace of the bases P (only the
-    accepted factor is formed), for 1 x 1 blocks the retracted candidates
-    themselves.
+    accepted factor is formed), for 1 x 1 blocks the candidates that
+    ``retract_batch`` forms along the tangent i theta d.
 
-    The steps are scored in chunks, one ``objective_batch`` call each, until
-    a chunk holds a passing step: ``_ARMIJO_CHUNK`` wide from ``start`` 0,
-    ``_WARM_CHUNK`` wide from a later (warm) start. The chunk width only
-    groups the scoring and never changes the step: every candidate's score
-    is computed on its own, and the accepted step is still the first
-    qualifying m. A rank-deficient retraction counts as a failed trial
-    (forced contraction). Returns (alpha, accepted state, its signal matrix,
-    step sizes scored from ``start``, m), or (0.0, None, None, trials, None)
-    when no trial is accepted or the directional derivative is not
-    positive.
+    The steps are scored in chunks of ``_ARMIJO_CHUNK``, one
+    ``objective_batch`` call each, until a chunk holds a passing step. The
+    chunk width only groups the scoring and never changes the step: every
+    candidate's score is computed on its own, and the accepted step is still
+    the first qualifying m. Returns (alpha, accepted state, its signal
+    matrix, step sizes scored, m), or (0.0, None, None, trials, None) when
+    no trial is accepted or the slope is not positive.
     """
-    if directional_derivative <= 0 or not xi_stack.any():
+    if not slope > 0 or not direction.any():
         return 0.0, None, None, 0, None
-    floor = _NOISE_FLOOR * (abs(f_current) + aux.spread)
+    floor = _NOISE_FLOOR * (abs(f_current) + ws.users)
     if ws.factored:
-        path = geodesic(state, xi_stack)
+        path = geodesic_frame(state, direction)
         line = ws.in_bases(path.p)
     else:
-        path, line = xi_stack, ws
-    width = _WARM_CHUNK if start else _ARMIJO_CHUNK
-    for low in range(start, len(_ALPHAS), width):
-        alphas = _ALPHAS[low:low + width]
+        path, line = 1j * state * direction, ws
+    for low in range(0, len(_ALPHAS), _ARMIJO_CHUNK):
+        alphas = _ALPHAS[low:low + _ARMIJO_CHUNK]
         if ws.factored:
             diagonals, ok = path.diagonals(alphas), True
         else:
             diagonals, ok = retract_batch(state, path, alphas)
-        values = line.objective_batch(diagonals, aux)
-        demand = np.maximum(_SLOPES[low:low + width] * directional_derivative,
-                            floor)
+        values = line.objective_batch(diagonals)
+        demand = np.maximum(_SLOPES[low:low + _ARMIJO_CHUNK] * slope, floor)
         hits = (ok & (values >= f_current + demand)).nonzero()[0]
         if hits.size:
             first = int(hits[0])
@@ -415,31 +531,31 @@ def _armijo_stack(ws: _Workspace, state: np.ndarray, xi_stack: np.ndarray,
                 chosen = diagonals[first]
             return (float(alphas[first]), chosen,
                     line.signals(diagonals[first:first + 1])[0],
-                    low + len(alphas) - start, low + first)
-    return 0.0, None, None, len(_ALPHAS) - start, None
+                    low + len(alphas), low + first)
+    return 0.0, None, None, len(_ALPHAS), None
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
                  seed: int, settings: CgaSettings | None = None
                  ) -> tuple[ScatteringMatrix, OptimizerTrace]:
-    """Full conjugate-gradient ascent run; see the module docstring.
+    """Full sum-rate ascent run; see the module docstring.
 
     Returns the projected (blockwise symmetric unitary) scattering matrix and
-    the per-iteration trace. The convergence test compares consecutive true
-    sum-rates; line searches accept on the surrogate. On factored blocks a
-    search after an accepted step at grid index m starts at
-    max(m - _WARM_BACKOFF, 0); 1 x 1 blocks always search from index 0.
-    Iterations whose line search stalls leave the iterate unchanged and do
-    not trigger the convergence test: a stall of a search that started
-    above index 0 or went along a conjugate direction restarts along the
-    gradient from index 0, and only a stall of that search terminates the
-    run with ``converged=False``. ``final.stop_reason`` says which exit
-    ended the run: ``"tolerance"`` (converged), ``"max_iters"``,
-    ``"stalled"``, or ``"nonfinite"`` when the rate or the squared gradient
-    norm is not finite at the start point or after a step (the run then
-    stops at that point); overflow inside numpy raises no warning, only this
-    stop reason.
+    the per-iteration trace. Each iteration takes a Newton step (1 x 1
+    blocks) or an L-BFGS step (larger blocks) in body coordinates, and line
+    searches accept on the true sum-rate from alpha = 1. The run converges
+    when the body-coordinate gradient norm is at most ``_GRADIENT_RATIO``
+    times its value at the start point. Iterations whose line search stalls
+    leave the iterate unchanged and do not trigger the convergence test: a
+    stall of a Newton or L-BFGS search clears the L-BFGS memory and the next
+    search goes along the gradient, and only a stall of a search along the
+    gradient terminates the run with ``converged=False``.
+    ``final.stop_reason`` says which exit ended the run: ``"tolerance"``
+    (converged), ``"max_iters"``, ``"stalled"``, or ``"nonfinite"`` when the
+    rate or the squared gradient norm is not finite at the start point or
+    after a step (the run then stops at that point); overflow inside numpy
+    raises no warning, only this stop reason.
     """
     if settings is None:
         settings = CgaSettings.from_config(config)
@@ -459,10 +575,9 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
         c = ws.signals(state[None])[0]
     aux, eta, total = ws.stats(c)
     f_current = ws.objective(c, aux, total)
-    riem = ws.riemannian_gradient(state, c, aux)
-    riem_sq = _re_vdot(riem, riem)
-    start_norm = _norm(riem_sq)
-    xi = riem.copy()
+    grad = ws.body_gradient(state, ws.riemannian_gradient(state, c, aux))
+    grad_sq = _re_vdot(grad, grad)
+    start_norm = _norm(grad_sq)
 
     records: list[IterationRecord] = []
     # Iterates whose records wait for their unitarity residuals: the states
@@ -480,71 +595,75 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
         worst = unitarity_residuals(blocks).reshape(count, -1).max(axis=1)
         records.extend(
             IterationRecord(iter=i, true_rate=rate, surrogate=value, step=step,
-                            grad_norm=norm, beta=beta,
-                            unitarity_residual=float(residual),
+                            grad_norm=norm, unitarity_residual=float(residual),
                             armijo_trials=trials)
-            for (i, rate, value, step, norm, beta, trials), residual
+            for (i, rate, value, step, norm, trials), residual
             in zip(pending, worst))
         pending.clear()
 
-    def record(i: int, step: float, beta: float, trials: int) -> None:
+    def record(i: int, step: float, trials: int) -> None:
         """Queue the record of the current iterate, reached by ``step``."""
         if len(pending) == len(states):
             flush()
         states[len(pending)] = state
-        pending.append((i, eta, f_current, step, _norm(riem_sq), beta, trials))
+        pending.append((i, eta, f_current, step, _norm(grad_sq), trials))
 
-    record(0, 0.0, 0.0, 0)
+    record(0, 0.0, 0)
 
-    stop_reason = None if _finite(eta, riem_sq) else "nonfinite"
-    along_gradient = True  # xi is the Riemannian gradient itself
-    start = 0  # grid index the next search starts at
+    stop_reason = None if _finite(eta, grad_sq) else "nonfinite"
+    memory: list[tuple] = []  # L-BFGS pairs (s, y, 1 / s.y), oldest first
+    retry = False  # the last search stalled: go along the gradient
+    shift = 0  # index of the last Newton shift in _NEWTON_SHIFTS
     iters_used = 0
     while stop_reason is None and iters_used < settings.max_iters:
         iters_used += 1
-        directional = _re_vdot(riem, xi)
-        if directional <= 0:
-            xi, along_gradient, directional = riem.copy(), True, riem_sq
+        if retry:
+            direction = grad
+        elif not ws.factored:
+            direction, shift = _newton_direction(
+                ws.phase_hessian(state, c), grad, shift)
+        else:
+            direction = _two_loop(grad, memory) if memory else grad
+        slope = _re_vdot(grad, direction)
+        if direction is not grad and not slope > 0:
+            memory.clear()
+            direction, slope = grad, grad_sq
 
-        alpha, candidate, c_new, trials, index = _armijo_stack(
-            ws, state, xi, aux, f_current, directional, start)
+        alpha, candidate, c_new, trials, _ = _armijo_stack(
+            ws, state, direction, eta, slope)
 
         if candidate is None:
-            # Nothing moved, so repeating this search would only fail again;
-            # a warm search has not tried the larger steps.
-            record(iters_used, 0.0, 0.0, trials)
-            if along_gradient and start == 0:
+            # Nothing moved, so repeating this search would only fail again.
+            record(iters_used, 0.0, trials)
+            if direction is grad:
                 stop_reason = "stalled"
-            xi, along_gradient, start = riem.copy(), True, 0
+            memory.clear()
+            retry = True
             continue
 
-        if ws.factored:
-            start = max(index - _WARM_BACKOFF, 0)
+        retry = False
         state, c = candidate, c_new
-        aux, eta_new, total = ws.stats(c)
+        aux, eta, total = ws.stats(c)
         f_current = ws.objective(c, aux, total)
-        riem_new = ws.riemannian_gradient(state, c, aux)
-
-        # The Polak-Ribiere denominator is <r, r> of the previous gradient.
-        if riem_sq > 1e-300:
-            beta = max(0.0, _re_vdot(riem_new, riem_new - riem) / riem_sq)
-        else:
-            beta = 0.0
-        xi = riem_new + beta * project_stack(xi, state)
-        along_gradient = beta == 0.0
-
-        rate_change = abs(eta_new - eta)
-        eta = eta_new
-        riem = riem_new
-        riem_sq = _re_vdot(riem, riem)
-        record(iters_used, alpha, beta, trials)
-        if not _finite(eta, riem_sq):
+        grad_new = ws.body_gradient(state,
+                                    ws.riemannian_gradient(state, c, aux))
+        if ws.factored:
+            step = alpha * direction.ravel()
+            change = (grad - grad_new).ravel()
+            curvature = _re_vdot(step, change)
+            if curvature > 0:
+                memory.append((step, change, 1.0 / curvature))
+                del memory[:-_MEMORY]
+        grad = grad_new
+        grad_sq = _re_vdot(grad, grad)
+        record(iters_used, alpha, trials)
+        if not _finite(eta, grad_sq):
             stop_reason = "nonfinite"
-        elif rate_change < _TOLERANCE:
+        elif _norm(grad_sq) <= _GRADIENT_RATIO * start_norm:
             stop_reason = "tolerance"
 
     flush()
-    grad_norm = _norm(riem_sq)
+    grad_norm = _norm(grad_sq)
     theta_opt = project_symmetric_unitary(
         ScatteringMatrix.from_block_stack(ws.theta(state)))
     eta_post = ws.rate(ws.signal(theta_opt.block_stack()))

@@ -12,7 +12,7 @@ import numpy as np
 from bdris import (SystemConfig, generate_channels_from_gains,
                    init_beamformer_uniform, parse_architecture_tag,
                    optimizer, random_feasible)
-from bdris.gradient import LN2, Auxiliaries
+from bdris.gradient import Auxiliaries
 from bdris.manifold import random_feasible_stack, retract_batch
 from bdris.optimizer import _NOISE_ULPS, _Workspace
 
@@ -82,31 +82,44 @@ def start_diagonals(ws, config, seed):
     return ws.in_bases(state), np.ones((1,) + state.shape[:2])
 
 
-def explicit_scores(ws, state, direction, alphas, aux) -> np.ndarray:
-    """Frozen-auxiliary objective at explicitly formed candidates: the
-    factors ``retract_batch`` forms and their blocks ``ws.theta``, each
-    scored by ``ws.objective`` at its ``ws.signal``."""
-    candidates, _ = retract_batch(state, direction, alphas)
-    return np.array([ws.objective(ws.signal(blocks), aux)
+def body_gradient_at(ws, state, c, aux) -> np.ndarray:
+    """The gradient ``cga_optimize`` steps along, in body coordinates."""
+    return ws.body_gradient(state, ws.riemannian_gradient(state, c, aux))
+
+
+def explicit_scores(ws, state, direction, alphas) -> np.ndarray:
+    """True sum-rate at explicitly formed candidates along the body-coordinate
+    ``direction``: the factors ``retract_batch`` forms along the tangent
+    U i S (i theta d for 1 x 1 blocks) and their blocks ``ws.theta``, each
+    scored by ``ws.rate`` at its ``ws.signal``."""
+    candidates, _ = retract_batch(state, state @ (1j * direction), alphas)
+    return np.array([ws.rate(ws.signal(blocks))
                      for blocks in ws.theta(candidates)])
 
 
-def explicit_armijo_step(ws, state, direction, aux, f_current,
-                         directional_derivative, start=0) -> float:
-    """The step the backtracking rule of ``_armijo_stack`` accepts from grid
-    index ``start``, found by scoring every step of the grid from there at
-    explicitly formed candidates; 0.0 when none passes. The grid and its
-    slopes are read from ``optimizer`` at call time, so a test that patches
-    them patches this search too."""
-    alphas = optimizer._ALPHAS[start:]
-    tau = aux.tau
-    floor = _NOISE_ULPS * np.finfo(float).eps * (
-        abs(f_current) + float(np.sum(np.log2(1.0 + tau) + 2.0 * tau / LN2)))
-    values = explicit_scores(ws, state, direction, alphas, aux)
-    demand = np.maximum(
-        optimizer._SLOPES[start:] * directional_derivative, floor)
+# Step sizes the oracle counts per chunk, as the line search scores them.
+ORACLE_CHUNK = 4
+
+
+def explicit_armijo_step(ws, state, direction, f_current,
+                         slope) -> tuple[float, int]:
+    """The step the backtracking rule of ``_armijo_stack`` accepts along the
+    body-coordinate ``direction`` and the step sizes it scores, found by
+    scoring every step of the grid at explicitly formed candidates on the
+    true sum-rate; (0.0, grid size) when none passes. Trials count whole
+    chunks of ``ORACLE_CHUNK`` from grid index 0 up to the accepted step.
+    The grid and its slopes are read from ``optimizer`` at call time, so a
+    test that patches them patches this search too."""
+    alphas = optimizer._ALPHAS
+    floor = _NOISE_ULPS * np.finfo(float).eps * (abs(f_current) + ws.users)
+    values = explicit_scores(ws, state, direction, alphas)
+    demand = np.maximum(optimizer._SLOPES * slope, floor)
     hits = np.flatnonzero(values >= f_current + demand)
-    return float(alphas[hits[0]]) if hits.size else 0.0
+    if not hits.size:
+        return 0.0, len(alphas)
+    first = int(hits[0])
+    return (float(alphas[first]),
+            min((first // ORACLE_CHUNK + 1) * ORACLE_CHUNK, len(alphas)))
 
 
 def random_aux(rng: np.random.Generator, n_users: int) -> Auxiliaries:

@@ -9,14 +9,15 @@ external measurement campaign.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bdris import (ExperimentSpec, Geometry, LinkGeometry, cga_optimize,
                    emit_outputs, generate_channels_from_gains,
-                   init_beamformer_uniform, run_experiment,
-                   validate_feasibility)
+                   init_beamformer_uniform, load_experiment_spec,
+                   run_experiment, validate_feasibility)
 
 from helpers import (central_difference_gradient, config_for_tag,
                      make_instance, reference_sum_rate, workspace_at)
@@ -280,3 +281,31 @@ def test_c9_scaling_trend():
         details.append(f"{tag} " + "->".join(f"{m:.1f}" for m in means))
     assert report(9, "mean sum-rate non-decreasing in element count", ok,
                   "; ".join(details) + f", {elapsed:.0f}s")
+
+
+def test_c10_power_trend():
+    # configs/bench_power.yaml as shipped: desk geometry, R = 8, 10 trials,
+    # cap 2000, p_max from 1 to 1e4. At any fixed scattering matrix every
+    # SINR grows with p_max, so the best sum-rate cannot fall as it rises;
+    # and at every power the means keep C5's order. Two worker processes
+    # keep it near 15 s.
+    spec = load_experiment_spec(Path(__file__).resolve().parent.parent
+                                / "configs" / "bench_power.yaml")
+    assert (spec.n_trials, spec.config.max_iters) == (10, 2000)
+    started = time.perf_counter()
+    table = run_experiment(spec, workers=2)
+    elapsed = time.perf_counter() - started
+    means = {tag: [float(np.mean([row.sum_rate_bits for row in table.rows
+                                  if row.architecture == tag
+                                  and row.sweep_value == power]))
+                   for power in spec.sweep_values]
+             for tag in ALL_TAGS}
+    rising = all(np.diff(means[tag]).min() >= 0.0 for tag in ALL_TAGS)
+    ordered = all(means["fc"][i] > means["gc4"][i] > means["gc2"][i]
+                  > means["sc"][i] for i in range(len(spec.sweep_values)))
+    ok = rising and ordered
+    assert report(10, "mean sum-rate non-decreasing in transmit power", ok,
+                  "; ".join(f"{tag} " + "->".join(f"{m:.1f}"
+                                                 for m in means[tag])
+                            for tag in ALL_TAGS)
+                  + f", ordered {ordered}, {elapsed:.0f}s")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,6 +101,22 @@ class TestSpecValidation:
                         "architectures: [sc]\n" + text)
         with pytest.raises(ValueError):
             load_experiment_spec(path)
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_trials", 2.5), ("n_trials", True), ("n_trials", None),
+        ("seed_base", 0.5), ("seed_base", True), ("seed_base", None)])
+    def test_direct_spec_rejects_non_integers(self, key, value):
+        # A spec built without the loader used to take these, and
+        # run_experiment then failed inside numpy.
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            replace(tiny_spec(), **{key: value})
+
+    def test_direct_spec_reads_integral_floats(self):
+        spec = replace(tiny_spec(), n_trials=2.0, seed_base=3.0)
+        assert (spec.n_trials, spec.seed_base) == (2, 3)
+        assert all(isinstance(v, int) and not isinstance(v, bool)
+                   for v in (spec.n_trials, spec.seed_base))
 
 
 class TestRunExperiment:

@@ -132,7 +132,7 @@ def test_optimize_command(tmp_path, config_file, capsys):
     assert "grad_norm: " in out and "grad_norm_ratio: " in out
     assert trace.exists()
     header = trace.read_text().splitlines()[0]
-    assert header == "iter,eta,eta_breve,alpha,grad_norm,beta,armijo_trials"
+    assert header == "iter,eta,eta_breve,alpha,grad_norm,armijo_trials"
     assert matrix.exists()
 
 

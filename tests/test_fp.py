@@ -2,9 +2,10 @@
 
 Auxiliaries come from ``_Workspace.stats``, per-user surrogate values from
 ``_Workspace.surrogate`` (the one definition of the formula), and the
-objective from ``_Workspace.objective``/``objective_batch``, which sum it
-for one point and for a batch of candidates; the true rate they are
-compared with is the dense reference in ``helpers``.
+objective from ``_Workspace.objective``, which sums it. The line search's
+score ``_Workspace.objective_batch`` is the true sum-rate of a batch of
+candidates, which the surrogate equals at the closed-form auxiliaries; the
+true rate they are compared with is the dense reference in ``helpers``.
 """
 
 import numpy as np
@@ -195,10 +196,11 @@ class TestObjective:
                                       (4, 8, 1), (4, 64, 64), (4, 8, 4),
                                       (4, 8, 2), (4, 32, 1)])
     def test_batch_matches_single(self, dims):
-        # objective_batch (line search) on diagonals in the bases P of a
-        # geodesic (the identity for 1 x 1 blocks) against objective (per
-        # iterate) at the explicitly formed blocks P diag(d) P^T, for the
-        # diagonals of a line search and for arbitrary ones.
+        # objective_batch (the line search's true-rate score) on diagonals
+        # in the bases P of a geodesic (the identity for 1 x 1 blocks)
+        # against the rate of ``stats`` (per iterate) at the explicitly
+        # formed blocks P diag(d) P^T, for the diagonals of a line search and
+        # for arbitrary ones.
         k, r, n_groups = dims
         rng = np.random.default_rng(r * 10 + n_groups)
         config, channels, theta, beam = make_instance(
@@ -217,20 +219,21 @@ class TestObjective:
             diagonals = frame.diagonals(alphas)
         arbitrary = bent_stack(np.zeros_like(diagonals[:3]), rng, scale=1.0)
         batch = np.concatenate([diagonals, arbitrary])
-        values = line.objective_batch(batch, aux)
+        values = line.objective_batch(batch)
         for diagonal, value in zip(batch, values):
             blocks = (p * diagonal[:, None, :]) @ p.transpose(0, 2, 1)
-            single = ws.objective(ws.signal(blocks), aux)
+            single = ws.rate(ws.signal(blocks))
             assert value == pytest.approx(single, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("tag, r, n_groups", [
         ("sc", 64, 64), ("gc2", 8, 4), ("gc4", 8, 2), ("fc", 8, 1),
         ("fc", 32, 1)])
     def test_batch_at_optimal_aux_equals_rate(self, tag, r, n_groups):
-        # At a feasible point and its closed-form auxiliaries the batched
-        # objective is the true sum-rate, whichever contraction computes the
-        # signal matrix: the point's diagonals in the bases cga_optimize
-        # starts from, or its blocks.
+        # At a feasible point the batched score, the true sum-rate, equals
+        # the objective at the closed-form auxiliaries and the dense
+        # reference rate, whichever contraction computes the signal matrix:
+        # the point's diagonals in the bases cga_optimize starts from, or its
+        # blocks.
         config, channels, theta, beam = make_instance(
             seed=r + n_groups, n_users=4, n_tx=4, n_elements=r,
             n_groups=n_groups)
@@ -238,7 +241,7 @@ class TestObjective:
         rate = reference_sum_rate(channels, theta.theta, beam.v,
                                   config.noise_power)
         line, diagonals = start_diagonals(ws, config, seed=r + n_groups + 1)
-        value = line.objective_batch(diagonals, aux)[0]
+        value = line.objective_batch(diagonals)[0]
         assert value == pytest.approx(ws.objective(c, aux),
                                       rel=1e-12, abs=0)
         assert value == pytest.approx(rate, rel=1e-12, abs=0)
