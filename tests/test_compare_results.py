@@ -81,13 +81,15 @@ def test_report_reads_caps_from_manifests(tmp_path, capsys):
     assert lines[4].split() == ["fc", "10.0", "2", "15.5000", "15.6000",
                                 "1250/950", "1/1", "+1/-0"]
     assert lines[6].split()[-1] == "+2/-1"
-    # Without manifests or --cap the cap columns read "-".
-    bare = tmp_path / "bare.csv"
-    bare.write_text(CHANGE)
-    assert tool.main([str(parent), str(bare), "--threshold", "0.3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].endswith("wins/losses (> 0.3 bit)")
-    assert lines[1].split()[-2:] == ["1/-", "+1/-0"]
+    assert lines[0].endswith("wins/losses (> 0.001 bit)")
+
+
+def test_missing_manifest_rejected(tmp_path, capsys):
+    tool = load_tool()
+    parent = write(tmp_path, "parent", PARENT, cap=2000)
+    change = write(tmp_path, "change", CHANGE)
+    assert tool.main([str(parent), str(change)]) == 2
+    assert "no manifest.json" in capsys.readouterr().err
 
 
 def test_different_solves_rejected(tmp_path, capsys):

@@ -2,21 +2,20 @@
 
 Run from the repository root:
 
-    python3 tools/compare_results.py PARENT.csv CHANGE.csv [--threshold 0.001]
-                                     [--cap 2000]
+    python3 tools/compare_results.py PARENT.csv CHANGE.csv
 
 Both files come from ``bdris bench`` on the same spec, so they hold the same
 (architecture, sweep value, trial) solves. Per architecture and sweep value,
 and per architecture over all sweep values, the report gives both mean
 sum-rates, both median iteration counts, the solves of each side at the
 iteration cap, and the wins and losses of the change: instances whose rate
-rose or fell by more than ``--threshold`` bits (default 0.001). The start
-point decides which local maximum a solve reaches, so a change that moves
-rates is judged by these per-instance counts, not by the means alone.
+rose or fell by more than ``THRESHOLD`` bits. The start point decides which
+local maximum a solve reaches, so a change that moves rates is judged by
+these per-instance counts, not by the means alone.
 
-The cap is ``--cap``, or else the ``experiment.config.max_iters`` of the
-``manifest.json`` beside each file; without either the cap columns read
-``-``. Files whose solves differ end with exit code 2.
+Each side's cap is the ``experiment.config.max_iters`` of the
+``manifest.json`` that ``bdris bench`` writes beside its ``results.csv``.
+A missing manifest, or files whose solves differ, end with exit code 2.
 """
 
 from __future__ import annotations
@@ -28,6 +27,9 @@ import statistics
 import sys
 from pathlib import Path
 
+# Rate change in bits that counts as a win or a loss.
+THRESHOLD = 0.001
+
 
 def read_results(path: Path) -> dict[tuple[str, str, int], tuple[float, int]]:
     """(architecture, sweep value, trial) -> (sum-rate, iterations)."""
@@ -37,18 +39,14 @@ def read_results(path: Path) -> dict[tuple[str, str, int], tuple[float, int]]:
                 for row in csv.DictReader(fh)}
 
 
-def manifest_cap(path: Path) -> int | None:
-    """The iteration cap in the manifest beside a results file, if any."""
-    manifest = path.parent / "manifest.json"
-    if not manifest.is_file():
-        return None
-    with open(manifest, encoding="utf-8") as fh:
-        experiment = json.load(fh).get("experiment") or {}
-    return experiment.get("config", {}).get("max_iters")
+def manifest_cap(path: Path) -> int:
+    """The iteration cap in the manifest beside a results file."""
+    with open(path.parent / "manifest.json", encoding="utf-8") as fh:
+        return int(json.load(fh)["experiment"]["config"]["max_iters"])
 
 
 def compare(parent: dict, change: dict, threshold: float,
-            caps: tuple[int | None, int | None]) -> list[dict]:
+            caps: tuple[int, int]) -> list[dict]:
     """One summary per (architecture, sweep value), then one per
     architecture over all its sweep values (sweep value ``all``)."""
     groups: dict[tuple[str, str], list] = {}
@@ -66,9 +64,8 @@ def compare(parent: dict, change: dict, threshold: float,
                 table[key][0] for key in keys)
             summary[f"{side}_median_iters"] = statistics.median(
                 table[key][1] for key in keys)
-            summary[f"{side}_at_cap"] = (
-                None if cap is None
-                else sum(table[key][1] >= cap for key in keys))
+            summary[f"{side}_at_cap"] = sum(table[key][1] >= cap
+                                            for key in keys)
         deltas = [change[key][0] - parent[key][0] for key in keys]
         summary["wins"] = sum(delta > threshold for delta in deltas)
         summary["losses"] = sum(delta < -threshold for delta in deltas)
@@ -82,9 +79,7 @@ def format_table(summaries: list[dict], threshold: float) -> str:
               f"  wins/losses (> {threshold:g} bit)")
     lines = [header]
     for s in summaries:
-        caps = "/".join("-" if s[f"{side}_at_cap"] is None
-                        else str(s[f"{side}_at_cap"])
-                        for side in ("parent", "change"))
+        caps = f"{s['parent_at_cap']}/{s['change_at_cap']}"
         iters = (f"{s['parent_median_iters']:g}/"
                  f"{s['change_median_iters']:g}")
         lines.append(f"{s['architecture']:<6} {s['sweep_value']:>8} "
@@ -98,12 +93,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--threshold", type=float, default=0.001,
-                        help="rate change in bits that counts as a win or "
-                             "a loss (default 0.001)")
-    parser.add_argument("--cap", type=int,
-                        help="iteration cap of both runs (default: from "
-                             "each file's manifest.json)")
     args = parser.parse_args(argv)
     parent, change = read_results(args.parent), read_results(args.change)
     if parent.keys() != change.keys():
@@ -112,10 +101,13 @@ def main(argv=None) -> int:
               f"{len(change.keys() - parent.keys())} only in the second",
               file=sys.stderr)
         return 2
-    caps = ((args.cap, args.cap) if args.cap is not None
-            else (manifest_cap(args.parent), manifest_cap(args.change)))
-    print(format_table(compare(parent, change, args.threshold, caps),
-                       args.threshold))
+    try:
+        caps = (manifest_cap(args.parent), manifest_cap(args.change))
+    except FileNotFoundError as exc:
+        print(f"no manifest.json beside the results: {exc.filename}",
+              file=sys.stderr)
+        return 2
+    print(format_table(compare(parent, change, THRESHOLD, caps), THRESHOLD))
     return 0
 
 
