@@ -4,11 +4,11 @@ The package designs blockwise symmetric unitary scattering matrices that
 maximize the downlink sum-rate of a multi-user MISO system. The optimizer
 ascends the sum-rate on the blockwise unitary manifold, with the gradient
 of a fractional-programming surrogate: Newton steps in the phases of
-one-element blocks, L-BFGS steps on larger blocks, and a line search on the
-true sum-rate. Each block is kept exactly symmetric by iterating its Takagi
-factor U_g (Theta_g = U_g U_g^T) along geodesics of the symmetric unitary
-matrices, on which every line-search candidate is a diagonal block in
-known bases.
+one-element blocks and in the body coordinates of small connected blocks,
+L-BFGS steps otherwise, and a line search on the true sum-rate. Each block
+is kept exactly symmetric by iterating its Takagi factor U_g
+(Theta_g = U_g U_g^T) along geodesics of the symmetric unitary matrices, on
+which every line-search candidate is a diagonal block in known bases.
 
 Each formula has one implementation, on stacks of blocks: ``gradient``
 (channel factors, the closed-form gradient and its Takagi-factor chain

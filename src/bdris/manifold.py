@@ -5,11 +5,10 @@ R_G > 1 the Takagi factor U_g of each scattering block Theta_g = U_g U_g^T
 (every symmetric unitary matrix has this form), for 1 x 1 blocks the unit
 scalar Theta_g itself. The primitives here act on such stacks: orthogonal
 projection onto the tangent space, the frame of the geodesics along a
-tangent direction or along a real symmetric S_g given in body coordinates,
-a batched retraction (geodesics of the symmetric unitary matrices for
-R_G > 1, phase normalization for 1 x 1 blocks), and a random feasible
-starting point. The real trace inner product is
-``optimizer._re_vdot``.
+real symmetric S_g given in body coordinates, a batched retraction
+(geodesics of the symmetric unitary matrices for R_G > 1, phase
+normalization for 1 x 1 blocks), and a random feasible starting point.
+The real trace inner product is ``optimizer._re_vdot``.
 """
 
 from __future__ import annotations
@@ -60,20 +59,6 @@ class Geodesic(NamedTuple):
         return np.exp(2j * alphas[:, None, None] * self.w)
 
 
-def geodesic(stack: np.ndarray, direction_stack: np.ndarray) -> Geodesic:
-    """One real ``eigh`` per block of S_g = sym(Im(U_g^H Xi_g)), for blocks
-    larger than 1 x 1.
-
-    i S_g is the horizontal part of the generator skew(U_g^H Xi_g): the
-    part that moves U_g U_g^T, on U(n)/O(n), the symmetric space of
-    symmetric unitary matrices. The rest, a real antisymmetric K_g, only
-    turns the factor within its O(R_G) orbit (U K is vertical) and is
-    dropped, as is any part of Xi_g that is not tangent.
-    """
-    lift = (stack.conj().transpose(0, 2, 1) @ direction_stack).imag
-    return geodesic_frame(stack, 0.5 * (lift + lift.transpose(0, 2, 1)))
-
-
 def geodesic_frame(stack: np.ndarray, body: np.ndarray) -> Geodesic:
     """The frame of the geodesics U_g exp(i alpha S_g) for a stack of real
     symmetric S_g given directly (body coordinates): one real ``eigh`` per
@@ -94,13 +79,13 @@ def retract_batch(stack: np.ndarray, direction_stack: np.ndarray | Geodesic,
                   alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Retraction of many candidate steps at once.
 
-    For R_G > 1 candidate m follows the geodesic of the ``geodesic`` frame
-    of the direction, U_g exp(i alphas[m] S_g) = P_g diag(exp(i alphas[m]
-    w_g)) Q_g^T: unitary for every step. The frame may be passed in place
-    of the direction, so that a caller that already has it does not repeat
-    the ``eigh``. For 1 x 1 blocks candidate m is the phase z / |z| of the
-    moved entry z = theta + alphas[m] * xi, which is rank-deficient when |z|
-    is at most 1e-12 of max(1, largest |z| of the candidate).
+    For R_G > 1 ``direction_stack`` is the ``geodesic_frame`` of the step's
+    real symmetric S_g, and candidate m follows its geodesic,
+    U_g exp(i alphas[m] S_g) = P_g diag(exp(i alphas[m] w_g)) Q_g^T:
+    unitary for every step. For 1 x 1 blocks it is the tangent xi, and
+    candidate m is the phase z / |z| of the moved entry
+    z = theta + alphas[m] * xi, which is rank-deficient when |z| is at most
+    1e-12 of max(1, largest |z| of the candidate).
     Returns (candidates, ok) with candidates of shape (M, G, R_G, R_G) and a
     boolean validity flag per candidate; only 1 x 1 blocks can be flagged,
     and flagged candidates stay in the batch so that the others stay usable.
@@ -132,10 +117,8 @@ def retract_batch(stack: np.ndarray, direction_stack: np.ndarray | Geodesic,
             mags = np.where(mags > 0, mags, 1.0)
         pairs *= (1.0 / mags)[:, :, None]
         return moved[:, :, None, None], ok
-    frame = (direction_stack if isinstance(direction_stack, Geodesic)
-             else geodesic(stack, direction_stack))
-    phases = np.exp(1j * alphas[:, None, None] * frame.w)  # (M, G, R_G)
-    moved = (frame.p * phases[:, :, None, :]) @ frame.vh
+    phases = np.exp(1j * alphas[:, None, None] * direction_stack.w)
+    moved = (direction_stack.p * phases[:, :, None, :]) @ direction_stack.vh
     return moved, np.ones(len(alphas), dtype=bool)
 
 

@@ -13,12 +13,17 @@ theta_g (1 + i alpha d_g). The gradient there is sym(Im(U_g^H riem_g)), with
 riem the Riemannian gradient of the surrogate objective below. One run
 starts from a random symmetric unitary point and repeatedly
 
-  1. takes a direction: on 1 x 1 blocks the exact Newton step of the
-     sum-rate in the phases (``_Workspace.phase_hessian``, shifted until the
-     negated Hessian is positive definite, ``_newton_direction``); on larger
-     blocks an L-BFGS step (two-loop recursion, memory ``_MEMORY``,
-     ``_two_loop``; Nocedal and Wright, Numerical Optimization, 2nd ed.,
-     sec. 7.2), with the identity as the transport of S,
+  1. takes a direction: the exact Newton step of the sum-rate, shifted
+     until the negated Hessian is positive definite (``_newton_direction``;
+     Nocedal and Wright, Numerical Optimization, 2nd ed., sec. 3.4), in the
+     phases of 1 x 1 blocks (``_Workspace.phase_hessian``) and in
+     orthonormal coordinates of the S_g of connected blocks
+     (``_Workspace.body_hessian``). Connected blocks take it only when
+     their body dimension G R_G (R_G + 1) / 2 is at most
+     ``_NEWTON_DIMENSION`` and a shift of at most 1e-2 max |H_jj| is
+     enough (``_CONNECTED_SHIFTS``); otherwise they take an L-BFGS step
+     (two-loop recursion, memory ``_MEMORY``, ``_two_loop``; sec. 7.2
+     there), with the identity as the transport of S,
   2. picks a step by backtracking Armijo search from alpha = 1 on the true
      sum-rate of each candidate (``_armijo_stack``),
   3. refreshes the per-user auxiliaries at the new point and recomputes
@@ -56,7 +61,7 @@ gradient, and the line search tests the sum-rate itself.
 
 Every formula is implemented once, on (G, R_G, R_G) block stacks: the signal
 matrix, the SINRs (``sinr``, shared by the rate, the line search's scores
-and the phase Hessian), auxiliaries and surrogate in ``_Workspace``, the
+and the Hessians), auxiliaries and surrogate in ``_Workspace``, the
 gradient in ``gradient``, and the manifold steps in ``manifold``. The
 signal matrix is linear in Theta, and the line search only ever scores
 blocks that are diagonal in a known basis: 1 x 1 blocks in the identity,
@@ -102,9 +107,10 @@ class CgaSettings:
     """The iteration cap of one optimization run.
 
     Build it with ``from_config``, which takes the cap from the config; the
-    noise power stays there too, since it belongs to the system. The step
-    rule and the stopping rule are fixed: see ``_ALPHAS``, ``_SLOPES``,
-    ``_MEMORY`` and ``_GRADIENT_RATIO``.
+    noise power stays there too, since it belongs to the system. The
+    direction, the step rule and the stopping rule are fixed: see
+    ``_NEWTON_SHIFTS``, ``_NEWTON_DIMENSION``, ``_CONNECTED_SHIFTS``,
+    ``_MEMORY``, ``_ALPHAS``, ``_SLOPES`` and ``_GRADIENT_RATIO``.
     """
 
     max_iters: int                 # iteration cap
@@ -198,6 +204,9 @@ class _Workspace:
     R = 32 and K = 4). ``in_bases`` gives the workspace of blocks written in
     other bases, where a line search's candidates are diagonal, and
     ``theta`` maps an optimizer state to its scattering blocks.
+    ``hessian`` gives the Hessian of the sum-rate in the coordinates of
+    ``to_coordinates``, in which the Newton step is solved; ``newton``
+    says whether the blocks take that step at all.
     """
 
     def __init__(self, channels: ChannelSet, beam: Beamformer,
@@ -210,6 +219,14 @@ class _Workspace:
         self.noise = config.noise_power
         self.factored = config.group_size > 1
         self.off_diagonal = 1.0 - np.eye(self.users, self.streams)
+        rg = config.group_size
+        # Connected blocks take Newton steps when their body dimension
+        # n = G R_G (R_G + 1) / 2 is small enough to factor densely.
+        self.newton = (not self.factored
+                       or config.n_groups * rg * (rg + 1) // 2
+                       <= _NEWTON_DIMENSION)
+        if self.factored and self.newton:
+            self._body_basis(config.n_groups, rg)
 
     def in_bases(self, p: np.ndarray) -> "_Workspace":
         """The workspace of blocks written in the bases ``p`` (G, R_G, R_G):
@@ -334,28 +351,93 @@ class _Workspace:
         lift = (state.conj().transpose(0, 2, 1) @ riem).imag
         return 0.5 * (lift + lift.transpose(0, 2, 1))
 
-    def phase_hessian(self, state: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """(G, G) Hessian of the sum-rate in the phases phi of 1 x 1 blocks
-        theta_g exp(i phi_g), at the state ``state`` with signal matrix ``c``.
+    def _body_basis(self, groups: int, rg: int) -> None:
+        """Index arrays of the orthonormal basis of real symmetric R_G x R_G
+        matrices: E_aa, and (E_ab + E_ba) / sqrt(2) for a < b, the basis
+        element j = (a, b) being ``rows[j], cols[j]`` of ``triu_indices``,
+        and ``lift`` its 2 s_j (1 on the diagonal, sqrt(2) off it).
 
-        With D[g, (k, i)] = theta_g a_gk b_gi (the channel tensor scaled by
-        the state), T_k = sum_i |c_ki|^2 + n0 and I_k the same sum without
-        i = k, the rate is sum_k (ln T_k - ln I_k) / ln2, and
+        For ``body_hessian`` they also hold its second-derivative term
+        C_jl = -4 s_j s_l (d_bc M_ad + d_bd M_ac + d_ac M_bd + d_ad M_bc),
+        l = (c, d), as a sparse map into the raveled (n, n) Hessian from
+        the (n,) vector m_j = 2 s_j M_ab of each block's entries: for every
+        nonzero Kronecker delta its weight -4 s_j s_l / (2 s_i), its source
+        i in m and its slot, and the distinct Hessian entries of the slots
+        (up to four terms share one). At R_G = 8 the four terms have 648
+        nonzeros among their 5,184 entries."""
+        rows, cols = np.triu_indices(rg)
+        half = np.where(rows == cols, 0.5, math.sqrt(0.5))
+        self.rows, self.cols, self.lift = rows, cols, 2.0 * half
+        size = len(rows)
+        n = groups * size
+        position = np.empty((rg, rg), dtype=int)
+        position[rows, cols] = position[cols, rows] = np.arange(size)
+        a, b = rows[:, None], cols[:, None]
+        c, d = rows[None, :], cols[None, :]
+        targets, sources, weights = [], [], []
+        for delta, p, q in ((b == c, a, d), (b == d, a, c), (a == c, b, d),
+                            (a == d, b, c)):
+            j, l = delta.nonzero()
+            source = np.broadcast_to(position[p, q], delta.shape)[j, l]
+            targets.append(j * n + l)
+            sources.append(source)
+            weights.append(-2.0 * half[j] * half[l] / half[source])
+        own = np.arange(groups)[:, None]
+        targets = (np.concatenate(targets) + own * (size * n + size)).ravel()
+        self.curvature_sources = (np.concatenate(sources)
+                                  + own * size).ravel()
+        self.curvature_weights = np.tile(np.concatenate(weights), groups)
+        self.curvature_targets, self.curvature_slots = np.unique(
+            targets, return_inverse=True)
 
-            H = (2 Re((D w) D^H) - diag(2 Re(conj(c) D) w)
-                 - gT gT^T + gI gI^T) / ln2,
+    def to_coordinates(self, body: np.ndarray) -> np.ndarray:
+        """The coordinates of a body-coordinate stack in the basis of the
+        Newton step, raveled: the phases of 1 x 1 blocks, and on connected
+        blocks the S_aa and sqrt(2) S_ab (a < b) of each real symmetric
+        S_g, its components in the orthonormal basis of ``_body_basis``."""
+        if not self.factored:
+            return body.ravel()
+        return (body[:, self.rows, self.cols] * self.lift).ravel()
 
-        where w_(k,i) = 1/T_k - [i != k]/I_k, and gT, gI are the (G, K)
-        phase gradients of T_k and I_k divided by T_k and I_k. The first
-        term and the two outer products are one real matrix product, on the
+    def from_coordinates(self, x: np.ndarray) -> np.ndarray:
+        """The stack sum_j x_j E_j of ``to_coordinates``' basis."""
+        if not self.factored:
+            return x.reshape(-1, 1, 1)
+        entries = x.reshape(-1, len(self.rows)) / self.lift
+        rg = self.a.shape[2]
+        body = np.zeros((len(entries), rg, rg))
+        body[:, self.rows, self.cols] = entries
+        body[:, self.cols, self.rows] = entries
+        return body
+
+    def hessian(self, state: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Hessian of the sum-rate in ``to_coordinates``' basis at the state
+        ``state`` with signal matrix ``c``: ``phase_hessian`` on 1 x 1
+        blocks, ``body_hessian`` on connected ones."""
+        if not self.factored:
+            return self.phase_hessian(state, c)
+        return self.body_hessian(state, c)
+
+    def _outer_hessian(self, d: np.ndarray, c: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The part of the Hessian times ln2 that the first derivatives
+        i D[j, (k, i)] of the signal entries c_ki give, for D of shape
+        (n, K^2),
+
+            2 Re((D w) D^H) - gT gT^T + gI gI^T,
+
+        where w_(k,i) = 1/T_k - [i != k]/I_k with T_k = sum_i |c_ki|^2 + n0
+        and I_k the same sum without i = k, and gT, gI are the (n, K)
+        gradients of T_k and I_k divided by T_k and I_k. Returns it with w
+        and conj(c) * D, from which each caller adds the term of the second
+        derivatives of c. The sum is one real matrix product, on the
         (re, im) pairs of D: no ``einsum`` and no complex product.
         """
-        d = state.reshape(-1, 1) * self.t
         total, interference, _ = self.sinr(c)
         w = (1.0 / total[:, None]
              - self.off_diagonal / interference[:, None]).ravel()
         moved = c.conj().ravel() * d
-        # d|c_ki|^2 / d phi_g = -2 Im(conj(c_ki) D[g, (k, i)]). g_total and
+        # d|c_ki|^2 / dx_j = -2 Im(conj(c_ki) D[j, (k, i)]). g_total and
         # g_inter carry the opposite sign, which their outer products drop.
         halves = moved.imag.reshape(len(d), self.users, self.streams)
         g_total = halves.sum(axis=2) * (2.0 / total)
@@ -367,8 +449,69 @@ class _Workspace:
         left = np.concatenate([pairs * np.repeat(2.0 * w, 2), -g_total,
                                g_inter], axis=1)
         right = np.concatenate([pairs, g_total, g_inter], axis=1)
-        hess = left @ right.T
+        return left @ right.T, w, moved
+
+    def signal_derivatives(self, state: np.ndarray) -> np.ndarray:
+        """(n, K^2) D with dc/dx_j = i D[j] at the state ``state``, for the
+        coordinates x of ``to_coordinates``.
+
+        On 1 x 1 blocks theta_g exp(i phi_g), D[g, (k, i)] = theta_g a_gk
+        b_gi, the channel tensor scaled by the state. On connected blocks
+        U_g exp(i S_g), S_g = sum_j x_j E_j, the blocks are
+        A_g exp(2 i S_g) B_g with A_g = a_g U_g and B_g = U_g^T b_g, so
+        D_j = 2 s_j (A[:, a] B[b, :] + A[:, b] B[a, :]) for j = (a, b).
+        """
+        if not self.factored:
+            return state.reshape(-1, 1) * self.t
+        ta = (self.a @ state).transpose(0, 2, 1)
+        b = state.transpose(0, 2, 1) @ self.b
+        rows, cols = self.rows, self.cols
+        d = self.lift[:, None, None] * (
+            ta[:, rows, :, None] * b[:, cols, None, :]
+            + ta[:, cols, :, None] * b[:, rows, None, :])
+        return d.reshape(-1, self.users * self.streams)
+
+    def phase_hessian(self, state: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """(G, G) Hessian of the sum-rate in the phases phi of 1 x 1 blocks
+        theta_g exp(i phi_g), at the state ``state`` with signal matrix ``c``.
+
+        With D of ``signal_derivatives`` the rate is
+        sum_k (ln T_k - ln I_k) / ln2, and
+
+            H = (2 Re((D w) D^H) - diag(2 Re(conj(c) D) w)
+                 - gT gT^T + gI gI^T) / ln2
+
+        (``_outer_hessian``): the second derivative of c_ki in phi_g is
+        -D[g, (k, i)], and only on the diagonal.
+        """
+        hess, w, moved = self._outer_hessian(self.signal_derivatives(state),
+                                             c)
         hess.reshape(-1)[::len(hess) + 1] -= 2.0 * (moved.real @ w)
+        return hess / LN2
+
+    def body_hessian(self, state: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """(n, n) Hessian of the sum-rate in the coordinates x of connected
+        blocks U_g exp(i S_g), S_g = sum_j x_j E_j in the orthonormal basis
+        of ``_body_basis`` (n = G R_G (R_G + 1) / 2), at the state ``state``
+        with signal matrix ``c``.
+
+        The first derivatives D of ``signal_derivatives`` give
+        ``_outer_hessian``. The second, d2c/dx_j dx_l =
+        -2 A (E_j E_l + E_l E_j) B, give per block the term
+
+            C_jl = -4 s_j s_l (d_bc M_ad + d_bd M_ac + d_ac M_bd + d_ad M_bc)
+
+        for l = (c, d), with M_g = Re(N_g + N_g^T) and N_g = A_g^T (w o conj c)
+        B_g^T; blocks do not couple in it. For j = (a, b),
+        Re(conj(c) D_j) w = 2 s_j M_ab: the vector sc's diagonal term
+        uses, here mapped into the Hessian by ``_body_basis``' sparse map.
+        """
+        hess, w, moved = self._outer_hessian(self.signal_derivatives(state),
+                                             c)
+        m = moved.real @ w
+        hess.reshape(-1)[self.curvature_targets] += np.bincount(
+            self.curvature_slots,
+            self.curvature_weights * m[self.curvature_sources])
         return hess / LN2
 
 
@@ -410,11 +553,23 @@ _ALPHAS.flags.writeable = _SLOPES.flags.writeable = False
 _GRADIENT_RATIO = 1e-3
 # (s, y) pairs the L-BFGS direction of connected blocks remembers.
 _MEMORY = 5
-# The Newton step of 1 x 1 blocks solves (mu I - H) d = g for the first
-# shift mu = factor * max |H_gg| of these at which mu I - H is positive
-# definite: the global phase leaves -H singular at a maximum.
+# The Newton step solves (mu I - H) d = g for the first shift
+# mu = factor * max |H_jj| of these at which mu I - H is positive definite:
+# the global phase leaves -H singular at a maximum.
 _NEWTON_SHIFTS = (1e-10, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2,
                   1e3)
+# Connected blocks take the Newton step when their body dimension
+# G R_G (R_G + 1) / 2 is at most _NEWTON_DIMENSION (the size of the dense
+# system of 64 1 x 1 blocks), and only at one of the first
+# _CONNECTED_SHIFTS shifts (mu <= 1e-2 max |H_jj|); otherwise they take the
+# L-BFGS step. A larger shift mostly sends a solve to another local maximum
+# than the L-BFGS step reaches, often a lower one. On the 100 instances of
+# configs/bench_cdf.yaml, against L-BFGS alone (wins/losses by more than
+# 1 mbit for gc2, gc4, fc): Newton at every shift +28/-33, +32/-29,
+# +4/-11 (gc2 of trial 0 fell from 10.86 to 8.78 bits); at mu <= 1e-1
+# +7/-6, +10/-13, +1/-4; at mu <= 1e-2 +8/-4, +10/-8, +1/-3.
+_NEWTON_DIMENSION = 64
+_CONNECTED_SHIFTS = 6
 
 
 def _finite(rate: float, grad_sq: float) -> bool:
@@ -425,22 +580,29 @@ def _norm(square: float) -> float:
     return math.sqrt(max(square, 0.0))
 
 
-def _newton_direction(hess: np.ndarray, grad: np.ndarray, start: int
-                      ) -> tuple[np.ndarray, int]:
-    """The shifted Newton step (mu I - H)^-1 g on 1 x 1 blocks, shaped like
-    ``grad`` (G, 1, 1), and the index in ``_NEWTON_SHIFTS`` of its shift.
+def _newton_direction(hess: np.ndarray, grad: np.ndarray, start: int,
+                      limit: int) -> tuple[np.ndarray | None, int]:
+    """The shifted Newton step (mu I - H)^-1 g for the (n,) coordinates
+    ``grad`` of the gradient, and the index in ``_NEWTON_SHIFTS`` of its
+    shift.
 
-    mu = _NEWTON_SHIFTS[m] * max |H_gg| for the first m at which mu I - H is
-    positive definite (``cholesky`` succeeds). Definiteness only grows with
-    mu, so the scan starts at ``start``, the index of the last step's shift,
-    and walks down or up from there: two factorizations when the shift
-    holds. Over 549 iterations of three R = 64 desk solves that is about
-    1,600 factorizations instead of the 2,900 of a scan from index 0, and
-    8% more solves per second. Returns (``grad``, ``start``) when no listed
-    shift is enough or H is not finite."""
+    mu = _NEWTON_SHIFTS[m] * max |H_jj| for the first m below ``limit`` at
+    which mu I - H is positive definite (``cholesky`` succeeds): every
+    shift for 1 x 1 blocks, the first ``_CONNECTED_SHIFTS`` for connected
+    ones. Definiteness only grows with mu, so the scan starts at
+    ``start``, the index of the last step's shift, and walks down or up
+    from there: two factorizations when the shift holds. Over 549
+    iterations of three R = 64 desk solves that is 1,657 factorizations
+    instead of the 2,900 of a scan from index 0, and 8% more solves per
+    second. A capped scan tries its last shift before it walks up, since
+    most of its Hessians pass no allowed shift: over the 703 iterations of
+    the gc2/gc4/fc solves of the first five trials of
+    configs/bench_cdf.yaml that is 1,580 factorizations instead of 2,956.
+    Returns (None, ``start``) when no shift below ``limit`` is enough or H
+    is not finite."""
     scale = float(np.abs(hess.diagonal()).max())
     if not (0.0 < scale < math.inf) or not np.isfinite(hess).all():
-        return grad, start
+        return None, start
     negated = -hess
     diagonal = negated.reshape(-1)[::len(negated) + 1]
     base = diagonal.copy()
@@ -458,13 +620,18 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray, start: int
         while m > 0 and definite(m - 1):
             m -= 1
     else:
+        # A capped scan fails in most iterations: its last shift tells so
+        # in one factorization.
+        if m + 1 == limit or (limit < len(_NEWTON_SHIFTS)
+                              and not definite(limit - 1)):
+            return None, start
         m += 1
-        while m < len(_NEWTON_SHIFTS) and not definite(m):
+        while m < limit and not definite(m):
             m += 1
-        if m == len(_NEWTON_SHIFTS):
-            return grad, start
+        if m == limit:
+            return None, start
     diagonal[:] = base + _NEWTON_SHIFTS[m] * scale
-    return np.linalg.solve(negated, grad.ravel()).reshape(grad.shape), m
+    return np.linalg.solve(negated, grad), m
 
 
 def _two_loop(grad: np.ndarray, memory: list) -> np.ndarray:
@@ -552,8 +719,9 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
 
     Returns the projected (blockwise symmetric unitary) scattering matrix and
     the per-iteration trace. Each iteration takes a Newton step (1 x 1
-    blocks) or an L-BFGS step (larger blocks) in body coordinates, and line
-    searches accept on the true sum-rate from alpha = 1. The run converges
+    blocks, and connected blocks where it is allowed) or an L-BFGS step in
+    body coordinates, and line searches accept on the true sum-rate from
+    alpha = 1. The run converges
     when the body-coordinate gradient norm is at most ``_GRADIENT_RATIO``
     times its value at the start point. Iterations whose line search stalls
     leave the iterate unchanged and do not trigger the convergence test: a
@@ -623,15 +791,18 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
     memory: list[tuple] = []  # L-BFGS pairs (s, y, 1 / s.y), oldest first
     retry = False  # the last search stalled: go along the gradient
     shift = 0  # index of the last Newton shift in _NEWTON_SHIFTS
+    limit = _CONNECTED_SHIFTS if ws.factored else len(_NEWTON_SHIFTS)
     iters_used = 0
     while stop_reason is None and iters_used < settings.max_iters:
         iters_used += 1
-        if retry:
-            direction = grad
-        elif not ws.factored:
-            direction, shift = _newton_direction(
-                ws.phase_hessian(state, c), grad, shift)
-        else:
+        direction = grad if retry else None
+        if direction is None and ws.newton:
+            newton, shift = _newton_direction(ws.hessian(state, c),
+                                              ws.to_coordinates(grad), shift,
+                                              limit)
+            if newton is not None:
+                direction = ws.from_coordinates(newton)
+        if direction is None:
             direction = _two_loop(grad, memory) if memory else grad
         slope = _re_vdot(grad, direction)
         if direction is not grad and not slope > 0:

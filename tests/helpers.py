@@ -89,10 +89,18 @@ def body_gradient_at(ws, state, c, aux) -> np.ndarray:
 
 def explicit_scores(ws, state, direction, alphas) -> np.ndarray:
     """True sum-rate at explicitly formed candidates along the body-coordinate
-    ``direction``: the factors ``retract_batch`` forms along the tangent
-    U i S (i theta d for 1 x 1 blocks) and their blocks ``ws.theta``, each
-    scored by ``ws.rate`` at its ``ws.signal``."""
-    candidates, _ = retract_batch(state, state @ (1j * direction), alphas)
+    ``direction`` and their blocks ``ws.theta``, each scored by ``ws.rate``
+    at its ``ws.signal``. On connected blocks the candidates are
+    U Q diag(exp(i alpha w)) Q^T from ``np.linalg.eigh`` of the real
+    symmetric S = Q diag(w) Q^T, on 1 x 1 blocks the ones ``retract_batch``
+    forms along the tangent i theta d."""
+    if not ws.factored:
+        candidates, _ = retract_batch(state, 1j * state * direction, alphas)
+    else:
+        w, q = np.linalg.eigh(direction)
+        phases = np.exp(1j * alphas[:, None, None] * w)
+        candidates = ((state @ q) * phases[:, :, None, :]) @ np.swapaxes(
+            q, -1, -2)
     return np.array([ws.rate(ws.signal(blocks))
                      for blocks in ws.theta(candidates)])
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdris import Beamformer, ScatteringMatrix, validate_feasibility
-from bdris.manifold import geodesic, retract_batch
+from bdris.manifold import Geodesic, retract_batch
 
 from helpers import (make_instance, random_aux, reference_sinr,
                      reference_sum_rate, start_diagonals, start_state,
@@ -124,8 +124,10 @@ class TestAsymmetryResidual:
         config, channels, theta, beam = make_instance(seed=4)
         ws, *_ = workspace_at(theta, channels, beam, config)
         u = start_state(config, seed=5)
-        direction = bent_stack(np.zeros_like(u), np.random.default_rng(4), 1.0)
-        moved, _ = retract_batch(u, direction, np.array([0.0, 0.3, 5.0]))
+        body = np.random.default_rng(4).standard_normal(u.shape)
+        w, q = np.linalg.eigh(body + body.transpose(0, 2, 1))
+        moved, _ = retract_batch(u, Geodesic(u @ q, w, q.transpose(0, 2, 1)),
+                                 np.array([0.0, 0.3, 5.0]))
         for blocks in ws.theta(moved):
             report = validate_feasibility(
                 ScatteringMatrix.from_block_stack(blocks), 1e-13, 1e-14)
@@ -214,7 +216,11 @@ class TestObjective:
             line, p = ws, np.ones_like(state)
             diagonals = retract_batch(state, direction, alphas)[0][..., 0]
         else:
-            frame = geodesic(state, direction)
+            # The frame of S = Re(direction) made symmetric, from its own
+            # eigendecomposition S = Q diag(w) Q^T: P = U Q.
+            body = direction.real + direction.real.transpose(0, 2, 1)
+            w, q = np.linalg.eigh(body)
+            frame = Geodesic(state @ q, w, q.transpose(0, 2, 1))
             line, p = ws.in_bases(frame.p), frame.p
             diagonals = frame.diagonals(alphas)
         arbitrary = bent_stack(np.zeros_like(diagonals[:3]), rng, scale=1.0)

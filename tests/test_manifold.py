@@ -1,8 +1,10 @@
 """Blockwise unitary-manifold kernels on (G, R_G, R_G) stacks.
 
-``project_stack``, ``retract_batch`` and the inner product ``_re_vdot`` are
-the functions ``cga_optimize`` calls; ``random_feasible`` and the Takagi
-factors of ``random_feasible_stack`` are its start.
+``project_stack``, ``geodesic_frame``, ``retract_batch`` and the inner
+product ``_re_vdot`` are the functions ``cga_optimize`` calls;
+``random_feasible`` and the Takagi factors of ``random_feasible_stack`` are
+its start. On blocks larger than 1 x 1 ``retract_batch`` moves along the
+``geodesic_frame`` of a real symmetric S, on 1 x 1 blocks along a tangent.
 """
 
 import numpy as np
@@ -11,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdris import random_feasible, validate_feasibility
-from bdris.manifold import (geodesic, project_stack, random_feasible_stack,
-                            retract_batch, unitarity_residuals)
+from bdris.manifold import (geodesic_frame, project_stack,
+                            random_feasible_stack, retract_batch,
+                            unitarity_residuals)
 from bdris.optimizer import _re_vdot
 
 from helpers import make_config, make_instance
@@ -25,6 +28,22 @@ ROUNDING = 1e-14
 def random_blocks(rng, n_groups, size):
     shape = (n_groups, size, size)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def symmetric_blocks(rng, n_groups, size):
+    """A stack of real symmetric S_g, the body coordinates of a step."""
+    s = rng.standard_normal((n_groups, size, size))
+    return s + s.transpose(0, 2, 1)
+
+
+def step_along(stack, direction):
+    """What ``retract_batch`` takes for the step: the ``geodesic_frame`` of
+    the real part of ``direction`` made symmetric on blocks larger than
+    1 x 1, ``direction`` itself on 1 x 1 blocks."""
+    if stack.shape[-1] == 1:
+        return direction
+    body = direction.real
+    return geodesic_frame(stack, body + body.transpose(0, 2, 1))
 
 
 def tangency_residual(direction: np.ndarray, stack: np.ndarray) -> float:
@@ -74,14 +93,16 @@ class TestRetract:
                                                 n_groups=n_groups)
             stack = theta.block_stack()
             direction = random_blocks(rng, n_groups, n_elements // n_groups)
-            moved, ok = retract_batch(stack, direction, np.array([0.0]))
+            moved, ok = retract_batch(stack, step_along(stack, direction),
+                                      np.array([0.0]))
             assert ok[0]
             assert np.abs(moved[0] - stack).max() <= ROUNDING
 
     def test_zero_direction_returns_theta_for_any_alpha(self):
         config, _, theta, _ = make_instance(seed=5)
         stack = theta.block_stack()
-        moved, ok = retract_batch(stack, np.zeros_like(stack),
+        moved, ok = retract_batch(stack, step_along(stack,
+                                                    np.zeros_like(stack)),
                                   np.array([0.0, 0.5, 10.0]))
         assert ok.all()
         assert np.abs(moved - stack[None]).max() <= ROUNDING
@@ -92,8 +113,10 @@ class TestRetract:
         rng = np.random.default_rng(seed)
         config, _, theta, _ = make_instance(seed=seed % 100, n_elements=6,
                                             n_groups=2)
-        moved, ok = retract_batch(theta.block_stack(), random_blocks(rng, 2, 3),
-                                  np.array([alpha]))
+        stack = theta.block_stack()
+        moved, ok = retract_batch(
+            stack, step_along(stack, random_blocks(rng, 2, 3)),
+            np.array([alpha]))
         assert ok[0]
         assert unitarity_residuals(moved[0]).max() <= 1e-10
 
@@ -178,7 +201,8 @@ class TestRetract:
         for size in (1, 2):
             theta_stack = np.stack([np.eye(size, dtype=complex)])
             direction = np.stack([-np.eye(size, dtype=complex)])
-            moved, ok = retract_batch(theta_stack, direction,
+            moved, ok = retract_batch(theta_stack,
+                                      step_along(theta_stack, direction),
                                       np.array([1.0, 0.5]))
             if size == 1:
                 assert ok.tolist() == [False, True]
@@ -189,58 +213,53 @@ class TestRetract:
 
 @pytest.mark.parametrize("size", [2, 4, 8])
 class TestExponentialMap:
-    """``retract_batch`` on blocks larger than 1 x 1: U exp(alpha A) along
-    the tangent part U A of the direction."""
+    """``retract_batch`` on blocks larger than 1 x 1: U exp(i alpha S) along
+    the ``geodesic_frame`` of a real symmetric S."""
 
     def _point(self, size, seed=0):
         rng = np.random.default_rng(seed)
         u = random_feasible_stack(rng, 3, size)
-        xi = project_stack(random_blocks(rng, 3, size), u)
-        return u, xi
+        return u, symmetric_blocks(rng, 3, size)
 
     def test_zero_step_returns_base(self, size):
-        u, xi = self._point(size)
-        moved, ok = retract_batch(u, xi, np.array([0.0]))
+        u, body = self._point(size)
+        moved, ok = retract_batch(u, geodesic_frame(u, body), np.array([0.0]))
         assert ok.all()
         assert np.abs(moved[0] - u).max() <= 1e-14
 
     def test_unitary_for_large_steps(self, size):
-        u, xi = self._point(size, seed=1)
+        u, body = self._point(size, seed=1)
         alphas = np.concatenate([np.linspace(0.0, 10.0, 21),
                                  0.75 ** np.arange(32.0)])
-        moved, ok = retract_batch(u, xi, alphas)
+        moved, ok = retract_batch(u, geodesic_frame(u, body), alphas)
         assert ok.all()
         assert max(unitarity_residuals(m).max() for m in moved) <= 1e-13
 
     def test_velocity_at_zero_is_horizontal_part(self, size):
-        # A tangent direction is U A with A skew-Hermitian. Its horizontal
-        # part U (i Im A) moves U U^T; the vertical part U Re(A), real
-        # antisymmetric, does not, and the geodesic drops it.
-        u, xi = self._point(size, seed=2)
-        horizontal = u @ (1j * (u.conj().transpose(0, 2, 1) @ xi).imag)
+        # The velocity at zero is U (i S), a horizontal direction: it moves
+        # U U^T, unlike the vertical U K with K real antisymmetric.
+        u, body = self._point(size, seed=2)
         h = 1e-5
-        moved, _ = retract_batch(u, xi, np.array([h, -h]))
+        moved, _ = retract_batch(u, geodesic_frame(u, body),
+                                 np.array([h, -h]))
         velocity = (moved[0] - moved[1]) / (2.0 * h)
-        assert np.abs(velocity - horizontal).max() <= 1e-6
-        assert np.abs(xi - horizontal).max() > 1e-2
+        assert np.abs(velocity - u @ (1j * body)).max() <= 1e-6
 
-    def test_frame_in_place_of_direction(self, size):
-        # The frame of the direction gives the same candidates, bit for bit.
-        u, xi = self._point(size, seed=4)
-        alphas = np.concatenate([[0.0, 1e-6, 1.0], 0.75 ** np.arange(16.0)])
-        moved, ok = retract_batch(u, xi, alphas)
-        framed, framed_ok = retract_batch(u, geodesic(u, xi), alphas)
-        assert moved.tobytes() == framed.tobytes()
-        assert np.array_equal(ok, framed_ok)
-
-    def test_uses_tangent_part(self, size):
-        rng = np.random.default_rng(3)
-        u = random_feasible_stack(rng, 3, size)
-        raw = random_blocks(rng, 3, size)
-        alphas = np.array([0.0, 0.1, 1.0, 7.0])
-        moved, _ = retract_batch(u, raw, alphas)
-        tangent, _ = retract_batch(u, project_stack(raw, u), alphas)
-        assert np.abs(moved - tangent).max() <= 1e-12
+    def test_matches_matrix_exponential(self, size):
+        # The candidates are U exp(i alpha S), with the exponential formed
+        # as the power series of i alpha S (steps small enough for it to
+        # converge without cancellation).
+        u, body = self._point(size, seed=4)
+        alphas = np.array([0.0, 1e-6, 0.1, 0.5])
+        moved, _ = retract_batch(u, geodesic_frame(u, body), alphas)
+        for alpha, candidate in zip(alphas, moved):
+            generator = 1j * alpha * body
+            term = np.broadcast_to(np.eye(size, dtype=complex), u.shape)
+            series = term
+            for k in range(1, 80):
+                term = term @ generator / k
+                series = series + term
+            assert np.abs(candidate - u @ series).max() <= 1e-12
 
 
 class TestInner:

@@ -14,7 +14,7 @@ from bdris import (CgaSettings, ScatteringMatrix, cga_optimize,
                    init_beamformer_uniform, load_config,
                    project_symmetric_unitary, random_feasible,
                    validate_feasibility, write_trace_csv)
-from bdris.manifold import geodesic, retract_batch, unitarity_residuals
+from bdris.manifold import Geodesic, retract_batch, unitarity_residuals
 from bdris import optimizer
 from bdris.gradient import LN2
 from bdris.optimizer import _armijo_stack, _re_vdot, _Workspace
@@ -56,6 +56,8 @@ class TestSettings:
                 optimizer._ARMIJO_CHUNK, optimizer._MEMORY) == \
             (8000, 1e-3, 200, 4, 5)
         assert optimizer._NEWTON_SHIFTS[:3] == (1e-10, 1e-6, 1e-5)
+        assert (optimizer._NEWTON_DIMENSION, optimizer._NEWTON_SHIFTS[
+            optimizer._CONNECTED_SHIFTS - 1]) == (64, 1e-2)
         assert (ALPHAS[0], ALPHAS[1]) == (1.0, 0.75)
         assert np.array_equal(SLOPES, 2e-11 * ALPHAS)
         with pytest.raises(TypeError):
@@ -194,9 +196,10 @@ class TestArmijoSingleConnected:
         c = ws.signal(state)
         aux, rate, _ = ws.stats(c)
         grad = body_gradient_at(ws, state, c, aux)
-        newton, _ = optimizer._newton_direction(ws.phase_hessian(state, c),
-                                                grad, 0)
-        return ws, state, rate, grad, newton
+        step, _ = optimizer._newton_direction(
+            ws.hessian(state, c), ws.to_coordinates(grad), 0,
+            len(optimizer._NEWTON_SHIFTS))
+        return ws, state, rate, grad, ws.from_coordinates(step)
 
     def test_same_step_as_explicit_search(self, monkeypatch):
         # At the default coefficient, and at a greedy one that stalls after
@@ -413,11 +416,13 @@ def gradient_at_start(tag, r):
     return ws, state, aux, ws.riemannian_gradient(state, c, aux)
 
 
-def line_scores(ws, state, direction, alphas):
+def line_scores(ws, state, body, alphas):
     """The line search's true-rate scores on connected blocks: the phases of
-    the geodesic's diagonals in the workspace of its bases, for a tangent
-    ``direction``."""
-    frame = geodesic(state, direction)
+    the geodesic's diagonals in the workspace of its bases, for the real
+    symmetric ``body`` S = Q diag(w) Q^T, with the frame P = U Q built from
+    its own ``eigh``."""
+    w, q = np.linalg.eigh(body)
+    frame = Geodesic(state @ q, w, q.transpose(0, 2, 1))
     return ws.in_bases(frame.p).objective_batch(frame.diagonals(alphas))
 
 
@@ -429,8 +434,9 @@ def test_eigenbasis_scores_match_explicit_candidates(tag, r):
     # explicitly formed U(alpha) U(alpha)^T agree to 1e-12.
     ws, state, aux, xi = gradient_at_start(tag, r)
     alphas = np.concatenate([[0.0, 1e-6, 1.0], 0.75 ** np.arange(200.0)])
-    oracle = explicit_scores(ws, state, ws.body_gradient(state, xi), alphas)
-    np.testing.assert_allclose(line_scores(ws, state, xi, alphas),
+    body = ws.body_gradient(state, xi)
+    oracle = explicit_scores(ws, state, body, alphas)
+    np.testing.assert_allclose(line_scores(ws, state, body, alphas),
                                oracle, rtol=1e-12, atol=0)
 
 
@@ -448,19 +454,18 @@ def test_gradient_is_horizontal(tag, r):
 @pytest.mark.parametrize("tag", ["gc2", "gc4", "fc"])
 def test_vertical_direction_changes_nothing(tag):
     # U K with K real antisymmetric only turns the Takagi factor within its
-    # O(R_G) orbit: U U^T, and so every score, stays at the rate of the
-    # state, and its body-coordinate part is zero.
+    # O(R_G) orbit: U O U^T with O real orthogonal, and so every score,
+    # stays at the rate of the state, and its body-coordinate part is zero.
     ws, state, aux, _ = gradient_at_start(tag, 8)
     rng = np.random.default_rng(11)
     k = rng.standard_normal(state.shape)
     vertical = state @ (k - k.transpose(0, 2, 1))
-    f0 = ws.rate(ws.signal(ws.theta(state)))
-    alphas = np.concatenate([[1.0, 1e-6], 0.75 ** np.arange(16.0)])
-    np.testing.assert_allclose(line_scores(ws, state, vertical, alphas),
-                               f0, rtol=1e-12, atol=0)
     assert np.abs(ws.body_gradient(state, vertical)).max() <= 1e-12
-    moved, _ = retract_batch(state, vertical, alphas)
-    assert np.abs(moved - state[None]).max() <= 1e-12
+    f0 = ws.rate(ws.signal(ws.theta(state)))
+    turned = state @ np.linalg.qr(rng.standard_normal(state.shape))[0]
+    assert np.abs(ws.theta(turned) - ws.theta(state)).max() <= 1e-12
+    assert ws.rate(ws.signal(ws.theta(turned))) == pytest.approx(
+        f0, rel=1e-12, abs=0)
 
 
 class TestProjection:
@@ -799,25 +804,25 @@ class TestObservability:
         # one, and every exit must write the last record.
         monkeypatch.setattr(optimizer, "_RESIDUAL_BUDGET", 4)
         calls = []
-        if reason == "stalled":  # every search from the tenth on fails
+        if reason == "stalled":  # every search from the sixth on fails
             search = optimizer._armijo_stack
 
             def stalling(*args):
                 calls.append(None)
-                return (search(*args) if len(calls) < 10
+                return (search(*args) if len(calls) < 6
                         else (0.0, None, None, 0))
 
             monkeypatch.setattr(optimizer, "_armijo_stack", stalling)
-        if reason == "nonfinite":  # the twelfth rate is NaN
+        if reason == "nonfinite":  # the eighth rate is NaN
             stats = _Workspace.stats
 
             def failing_stats(ws, c):
                 aux, rate, total = stats(ws, c)
                 calls.append(None)
-                return aux, (math.nan if len(calls) >= 12 else rate), total
+                return aux, (math.nan if len(calls) >= 8 else rate), total
 
             monkeypatch.setattr(_Workspace, "stats", failing_stats)
-        # The gc2 solve of seed 1 stops on the gradient ratio after 20
+        # The gc2 solve of seed 1 stops on the gradient ratio after 9
         # iterations; a cap of 8 stops it on the cap.
         cap = 8 if reason == "max_iters" else 60
         (_, trace), *_ = small_run(seed=0 if reason == "tolerance" else 1,
@@ -924,6 +929,182 @@ def test_phase_hessian_matches_central_differences(r, gains):
     scale = np.abs(hess).max()
     assert np.abs(hess - hess.T).max() <= 1e-14 * scale
     assert np.abs(hess - fd).max() <= 1e-6 * scale
+
+
+def symmetric_basis(rg):
+    """The orthonormal basis of real symmetric R_G x R_G matrices, in the
+    order of ``triu_indices``: E_aa, and (E_ab + E_ba) / sqrt(2) for a < b."""
+    basis = []
+    for a, b in zip(*np.triu_indices(rg)):
+        e = np.zeros((rg, rg))
+        e[a, b] = e[b, a] = 1.0 if a == b else math.sqrt(0.5)
+        basis.append(e)
+    return np.array(basis)
+
+
+def hessian_instance(tag, r, gains):
+    """(config, channels, beam, workspace, start state) with unit link gains
+    or the desk geometry of ``configs/desk.yaml``."""
+    config = config_for_tag(tag, n_elements=r)
+    if gains == "desk":
+        desk, geometry = load_config(
+            Path(__file__).resolve().parent.parent / "configs" / "desk.yaml")
+        config = replace(desk, n_elements=r, n_groups=config.n_groups)
+        channels = generate_channels(replace(config, n_groups=1), geometry,
+                                     r)
+    else:
+        channels = generate_channels_from_gains(config, 1.0, 1.0, seed=r)
+    beam = init_beamformer_uniform(config)
+    ws = _Workspace(channels, beam, config)
+    return config, channels, beam, ws, start_state(config, r + 1)
+
+
+@pytest.mark.parametrize("gains", ["unit", "desk"])
+@pytest.mark.parametrize("r", [4, 8])
+@pytest.mark.parametrize("tag", ["gc2", "gc4", "fc"])
+def test_body_hessian_matches_central_differences(tag, r, gains):
+    # The Hessian of the sum-rate in the orthonormal coordinates x of
+    # U_g exp(i S_g), S_g = sum_j x_j E_j, against second central
+    # differences of the dense reference rate at explicitly formed blocks.
+    config, channels, beam, ws, state = hessian_instance(tag, r, gains)
+    hess = ws.body_hessian(state, ws.signal(ws.theta(state)))
+    basis = symmetric_basis(config.group_size)
+    size = len(basis)
+
+    def rate(x):
+        body = np.einsum("gj,jab->gab", x.reshape(-1, size), basis)
+        w, q = np.linalg.eigh(body)
+        u = (state @ q * np.exp(1j * w)[:, None, :]) @ q.transpose(0, 2, 1)
+        theta = ScatteringMatrix.from_block_stack(u @ u.transpose(0, 2, 1))
+        return reference_sum_rate(channels, theta.theta, beam.v,
+                                  config.noise_power)
+
+    h = 2e-4
+    steps = h * np.eye(len(hess))
+    fd = np.array([[(rate(e + f) - rate(e - f) - rate(f - e) + rate(-e - f))
+                    / (4.0 * h * h) for f in steps] for e in steps])
+    scale = np.abs(hess).max()
+    assert hess.shape == (config.n_groups * size,) * 2
+    assert np.abs(hess - hess.T).max() <= 1e-14 * scale
+    assert np.abs(hess - fd).max() <= 1e-6 * scale
+    # The coordinates are those of this basis.
+    x = np.random.default_rng(r).standard_normal(len(hess))
+    body = np.einsum("gj,jab->gab", x.reshape(-1, size), basis)
+    assert np.abs(ws.from_coordinates(x) - body).max() <= 1e-15
+    assert np.abs(ws.to_coordinates(body) - x).max() <= 1e-14
+
+
+@pytest.mark.parametrize("tag", ["sc", "gc2", "gc4", "fc"])
+def test_hessian_first_order_part_is_body_gradient(tag):
+    # The first derivatives i D of ``signal_derivatives`` that the Hessian
+    # assembles give the rate's gradient, sum_(k,i) w_ki d|c_ki|^2/dx_j / ln2
+    # with d|c_ki|^2/dx_j = -2 Im(conj(c_ki) D_j,ki): the body gradient in
+    # ``to_coordinates``.
+    for seed in range(3):
+        config = config_for_tag(tag, n_elements=8)
+        channels = generate_channels_from_gains(config, 1.0, 1.0, seed=seed)
+        ws = _Workspace(channels, init_beamformer_uniform(config), config)
+        state = start_state(config, seed + 1)
+        c = ws.signal(ws.theta(state))
+        aux = ws.stats(c)[0]
+        _, w, moved = ws._outer_hessian(ws.signal_derivatives(state), c)
+        expected = ws.to_coordinates(body_gradient_at(ws, state, c, aux))
+        np.testing.assert_allclose(-2.0 * (moved.imag @ w) / LN2, expected,
+                                   rtol=0, atol=1e-13 * np.abs(expected).max())
+
+
+def test_phase_hessian_keeps_its_bits():
+    # The assembly of 1 x 1 blocks, shared with connected blocks, gives the
+    # bits of its earlier inline form, transcribed here, on a fixed
+    # instance: every sc solve is unchanged by the sharing.
+    config = config_for_tag("sc", n_elements=16)
+    channels = generate_channels_from_gains(config, 1.0, 1.0, seed=5)
+    ws = _Workspace(channels, init_beamformer_uniform(config), config)
+    state = start_state(config, 6)
+    c = ws.signal(state)
+    d = state.reshape(-1, 1) * ws.t
+    total, interference, _ = ws.sinr(c)
+    w = (1.0 / total[:, None]
+         - ws.off_diagonal / interference[:, None]).ravel()
+    moved = c.conj().ravel() * d
+    halves = moved.imag.reshape(len(d), ws.users, ws.streams)
+    g_total = halves.sum(axis=2) * (2.0 / total)
+    g_inter = (halves * ws.off_diagonal).sum(axis=2) * (2.0 / interference)
+    pairs = d.view(float)
+    left = np.concatenate([pairs * np.repeat(2.0 * w, 2), -g_total, g_inter],
+                          axis=1)
+    right = np.concatenate([pairs, g_total, g_inter], axis=1)
+    expected = left @ right.T
+    expected.reshape(-1)[::len(expected) + 1] -= 2.0 * (moved.real @ w)
+    expected /= LN2
+    assert ws.phase_hessian(state, c).tobytes() == expected.tobytes()
+    assert ws.hessian(state, c).tobytes() == expected.tobytes()
+
+
+def spy(monkeypatch, owner, name):
+    """Count the calls of ``owner.name``, which still runs."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("r, newton", [(8, True), (32, False)])
+def test_body_dimension_picks_the_direction(r, newton, monkeypatch):
+    # fc at R = 8 (n = 36) takes Newton steps; fc at R = 32 (n = 528, above
+    # _NEWTON_DIMENSION) never forms the Hessian and takes L-BFGS steps.
+    hessians = spy(monkeypatch, _Workspace, "body_hessian")
+    two_loops = spy(monkeypatch, optimizer, "_two_loop")
+    (_, trace), *_ = small_run(seed=0, tag="fc", n_elements=r, max_iters=8)
+    assert trace.final.iters_used > 3
+    if newton:
+        assert len(hessians) == trace.final.iters_used
+    else:
+        assert not hessians
+        assert len(two_loops) >= trace.final.iters_used - 1
+
+
+def test_shift_cap_of_connected_blocks():
+    # mu I - H is positive definite only from mu = 1e-1 max |H_jj| on: 1 x 1
+    # blocks take that shift, connected blocks none (``None``).
+    hess = -np.diag([1.0, 2.0, 4.0])
+    hess[0, 0] = 0.2
+    grad = np.array([1.0, 1.0, 1.0])
+    step, m = optimizer._newton_direction(hess, grad, 0,
+                                          len(optimizer._NEWTON_SHIFTS))
+    assert optimizer._NEWTON_SHIFTS[m] == 1e-1
+    np.testing.assert_allclose(step, np.linalg.solve(
+        0.4 * np.eye(3) - hess, grad), rtol=1e-15)
+    for start in range(optimizer._CONNECTED_SHIFTS):
+        assert optimizer._newton_direction(
+            hess, grad, start, optimizer._CONNECTED_SHIFTS) == (None, start)
+
+
+@pytest.mark.parametrize("tag", ["gc2", "fc"])
+def test_non_concave_hessian_falls_back_to_lbfgs(tag, monkeypatch):
+    # A Hessian that no allowed shift makes negative definite (here -H has
+    # an eigenvalue of -1 at max |H_jj| = 1) sends every iteration to the
+    # L-BFGS step: the run is bit for bit the one without Newton steps.
+    def convex(ws, state, c):
+        return np.eye(len(ws.rows) * len(state))
+
+    runs = []
+    for patch in ("hessian", "dimension"):
+        with monkeypatch.context() as m:
+            if patch == "hessian":
+                m.setattr(_Workspace, "body_hessian", convex)
+            else:
+                m.setattr(optimizer, "_NEWTON_DIMENSION", 0)
+            runs.append(small_run(seed=2, tag=tag, n_elements=8)[0])
+    (theta, trace), (same_theta, same_trace) = runs
+    assert np.array_equal(theta.theta, same_theta.theta)
+    assert trace.records == same_trace.records
+    assert trace.final == same_trace.final
 
 
 @pytest.mark.parametrize("pairs", [1, 2, 5])
