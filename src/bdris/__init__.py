@@ -4,8 +4,10 @@ The package designs blockwise symmetric unitary scattering matrices that
 maximize the downlink sum-rate of a multi-user MISO system. The optimizer
 ascends the sum-rate on the blockwise unitary manifold, with the gradient
 of a fractional-programming surrogate: Newton steps in the phases of
-one-element blocks and in the body coordinates of small connected blocks,
-L-BFGS steps otherwise, and a line search on the true sum-rate. Each block
+one-element blocks and in the body coordinates of connected blocks (from
+the dense Hessian for small ones, from its diagonal plus low-rank form in
+an eigenbasis for large ones), L-BFGS steps where no small shift makes the
+Newton step usable, and a line search on the true sum-rate. Each block
 is kept exactly symmetric by iterating its Takagi factor U_g
 (Theta_g = U_g U_g^T) along geodesics of the symmetric unitary matrices, on
 which every line-search candidate is a diagonal block in known bases.

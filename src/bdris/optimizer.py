@@ -17,11 +17,14 @@ starts from a random symmetric unitary point and repeatedly
      until the negated Hessian is positive definite (``_newton_direction``;
      Nocedal and Wright, Numerical Optimization, 2nd ed., sec. 3.4), in the
      phases of 1 x 1 blocks (``_Workspace.phase_hessian``) and in
-     orthonormal coordinates of the S_g of connected blocks
-     (``_Workspace.body_hessian``). Connected blocks take it only when
-     their body dimension G R_G (R_G + 1) / 2 is at most
-     ``_NEWTON_DIMENSION`` and a shift of at most 1e-2 max |H_jj| is
-     enough (``_CONNECTED_SHIFTS``); otherwise they take an L-BFGS step
+     orthonormal coordinates of the S_g of connected blocks. Up to
+     ``_NEWTON_DIMENSION`` body coordinates G R_G (R_G + 1) / 2 the Hessian
+     is dense (``_Workspace.body_hessian``); above, it is diagonal plus
+     rank 2 K^2 in the eigenbasis of each block's M_g
+     (``_Workspace.rotated_hessian``, ``_LowRankHessian``), and the same
+     scan tests and solves it without an (n, n) matrix. Connected blocks
+     take the step only when a shift of at most 1e-2 max |H_jj| is enough
+     (``_CONNECTED_SHIFTS``); otherwise they take an L-BFGS step
      (two-loop recursion, memory ``_MEMORY``, ``_two_loop``; sec. 7.2
      there), with the identity as the transport of S,
   2. picks a step by backtracking Armijo search from alpha = 1 on the true
@@ -109,8 +112,11 @@ class CgaSettings:
     Build it with ``from_config``, which takes the cap from the config; the
     noise power stays there too, since it belongs to the system. The
     direction, the step rule and the stopping rule are fixed: see
-    ``_NEWTON_SHIFTS``, ``_NEWTON_DIMENSION``, ``_CONNECTED_SHIFTS``,
-    ``_MEMORY``, ``_ALPHAS``, ``_SLOPES`` and ``_GRADIENT_RATIO``.
+    ``_NEWTON_SHIFTS``, ``_CONNECTED_SHIFTS``, ``_MEMORY``, ``_ALPHAS``,
+    ``_SLOPES`` and ``_GRADIENT_RATIO``. ``_NEWTON_DIMENSION`` picks how
+    the Newton step is factored (dense, or diagonal plus low rank), by
+    speed; the two differ only in the coordinates whose max |H_jj| scales
+    the shifts.
     """
 
     max_iters: int                 # iteration cap
@@ -205,8 +211,9 @@ class _Workspace:
     other bases, where a line search's candidates are diagonal, and
     ``theta`` maps an optimizer state to its scattering blocks.
     ``hessian`` gives the Hessian of the sum-rate in the coordinates of
-    ``to_coordinates``, in which the Newton step is solved; ``newton``
-    says whether the blocks take that step at all.
+    ``to_coordinates``, in which the Newton step is solved, and
+    ``rotated_hessian`` its diagonal plus low-rank form in the eigenbasis
+    of M_g; ``dense`` says which of the two ``newton_step`` uses.
     """
 
     def __init__(self, channels: ChannelSet, beam: Beamformer,
@@ -220,12 +227,14 @@ class _Workspace:
         self.factored = config.group_size > 1
         self.off_diagonal = 1.0 - np.eye(self.users, self.streams)
         rg = config.group_size
-        # Connected blocks take Newton steps when their body dimension
-        # n = G R_G (R_G + 1) / 2 is small enough to factor densely.
-        self.newton = (not self.factored
-                       or config.n_groups * rg * (rg + 1) // 2
-                       <= _NEWTON_DIMENSION)
-        if self.factored and self.newton:
+        # 1 x 1 blocks, and connected blocks whose body dimension
+        # n = G R_G (R_G + 1) / 2 is at most _NEWTON_DIMENSION, form the
+        # dense Hessian; larger connected blocks its factors in the
+        # eigenbasis of M_g (``rotated_hessian``).
+        self.dense = (not self.factored
+                      or config.n_groups * rg * (rg + 1) // 2
+                      <= _NEWTON_DIMENSION)
+        if self.factored:
             self._body_basis(config.n_groups, rg)
 
     def in_bases(self, p: np.ndarray) -> "_Workspace":
@@ -356,8 +365,14 @@ class _Workspace:
         matrices: E_aa, and (E_ab + E_ba) / sqrt(2) for a < b, the basis
         element j = (a, b) being ``rows[j], cols[j]`` of ``triu_indices``,
         and ``lift`` its 2 s_j (1 on the diagonal, sqrt(2) off it).
+        ``derivative_indices`` and ``derivative_lift`` lay them out for
+        ``signal_derivatives``: per entry (g, j, k, i) of D, the flat
+        positions of A_g[k, a], B_g[b, i], A_g[k, b] and B_g[a, i] in the
+        raveled (G, R_G, K) stacks of A^T and B, and lift_j as a complex.
 
-        For ``body_hessian`` they also hold its second-derivative term
+        Dense workspaces also hold ``body_hessian``'s second-derivative term
+        (the structured path never reads it, and at R_G = 32 it would cost
+        about 11 ms per solve),
         C_jl = -4 s_j s_l (d_bc M_ad + d_bd M_ac + d_ac M_bd + d_ad M_bc),
         l = (c, d), as a sparse map into the raveled (n, n) Hessian from
         the (n,) vector m_j = 2 s_j M_ab of each block's entries: for every
@@ -368,6 +383,21 @@ class _Workspace:
         rows, cols = np.triu_indices(rg)
         half = np.where(rows == cols, 0.5, math.sqrt(0.5))
         self.rows, self.cols, self.lift = rows, cols, 2.0 * half
+        shape = (groups, len(rows), self.users, self.streams)
+        block = (np.arange(groups) * rg)[:, None, None, None]
+        user = np.arange(self.users)[:, None]
+        stream = np.arange(self.streams)
+        self.derivative_indices = tuple(
+            np.broadcast_to(
+                (block + index[:, None, None]) * width + entry, shape).ravel()
+            for index, width, entry in ((rows, self.users, user),
+                                        (cols, self.streams, stream),
+                                        (cols, self.users, user),
+                                        (rows, self.streams, stream)))
+        self.derivative_lift = np.broadcast_to(
+            self.lift[:, None, None], shape).astype(complex).ravel()
+        if not self.dense:
+            return
         size = len(rows)
         n = groups * size
         position = np.empty((rg, rg), dtype=int)
@@ -410,6 +440,33 @@ class _Workspace:
         body[:, self.cols, self.rows] = entries
         return body
 
+    def newton_step(self, state: np.ndarray, c: np.ndarray,
+                    grad: np.ndarray, start: int, limit: int
+                    ) -> tuple[np.ndarray | None, int]:
+        """The shifted Newton step of ``_newton_direction`` as a body stack
+        (None when no shift below ``limit`` is enough) and its shift index,
+        at the state ``state`` with signal matrix ``c`` and body gradient
+        ``grad``.
+
+        Dense workspaces solve it from ``hessian``. Larger connected blocks
+        solve it in the eigenbasis Q_g of M_g (``rotated_hessian``): the
+        gradient is rotated to Q_g^T G_g Q_g there, and the step back to
+        Q_g S_g Q_g^T."""
+        if self.dense:
+            step, m = _newton_direction(_DenseHessian(self.hessian(state, c)),
+                                        self.to_coordinates(grad), start,
+                                        limit)
+            return None if step is None else self.from_coordinates(step), m
+        q, *parts = self.rotated_hessian(state, c)
+        qt = q.transpose(0, 2, 1)
+        step, m = _newton_direction(_LowRankHessian(*parts),
+                                    self.to_coordinates(qt @ grad @ q),
+                                    start, limit)
+        if step is None:
+            return None, m
+        body = q @ self.from_coordinates(step) @ qt
+        return 0.5 * (body + body.transpose(0, 2, 1)), m
+
     def hessian(self, state: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Hessian of the sum-rate in ``to_coordinates``' basis at the state
         ``state`` with signal matrix ``c``: ``phase_hessian`` on 1 x 1
@@ -417,6 +474,16 @@ class _Workspace:
         if not self.factored:
             return self.phase_hessian(state, c)
         return self.body_hessian(state, c)
+
+    def _weights(self, c: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (K,) T_k = sum_i |c_ki|^2 + n0 and I_k, the same sum without
+        i = k, of ``sinr`` at the signal matrix ``c``, and the (K, K)
+        w_ki = 1/T_k - [i != k]/I_k: the rate's derivative in |c_ki|^2,
+        times ln2."""
+        total, interference, _ = self.sinr(c)
+        return total, interference, (
+            1.0 / total[:, None] - self.off_diagonal / interference[:, None])
 
     def _outer_hessian(self, d: np.ndarray, c: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -426,16 +493,15 @@ class _Workspace:
 
             2 Re((D w) D^H) - gT gT^T + gI gI^T,
 
-        where w_(k,i) = 1/T_k - [i != k]/I_k with T_k = sum_i |c_ki|^2 + n0
-        and I_k the same sum without i = k, and gT, gI are the (n, K)
-        gradients of T_k and I_k divided by T_k and I_k. Returns it with w
-        and conj(c) * D, from which each caller adds the term of the second
-        derivatives of c. The sum is one real matrix product, on the
-        (re, im) pairs of D: no ``einsum`` and no complex product.
+        where w and the T_k, I_k are those of ``_weights``, and gT, gI are
+        the (n, K) gradients of T_k and I_k divided by T_k and I_k. Returns
+        it with w raveled and conj(c) * D, from which each caller adds the
+        term of the second derivatives of c. The sum is one real matrix
+        product, on the (re, im) pairs of D: no ``einsum`` and no complex
+        product.
         """
-        total, interference, _ = self.sinr(c)
-        w = (1.0 / total[:, None]
-             - self.off_diagonal / interference[:, None]).ravel()
+        total, interference, w = self._weights(c)
+        w = w.ravel()
         moved = c.conj().ravel() * d
         # d|c_ki|^2 / dx_j = -2 Im(conj(c_ki) D[j, (k, i)]). g_total and
         # g_inter carry the opposite sign, which their outer products drop.
@@ -463,12 +529,16 @@ class _Workspace:
         """
         if not self.factored:
             return state.reshape(-1, 1) * self.t
-        ta = (self.a @ state).transpose(0, 2, 1)
-        b = state.transpose(0, 2, 1) @ self.b
-        rows, cols = self.rows, self.cols
-        d = self.lift[:, None, None] * (
-            ta[:, rows, :, None] * b[:, cols, None, :]
-            + ta[:, cols, :, None] * b[:, rows, None, :])
+        ta = (self.a @ state).transpose(0, 2, 1).ravel()
+        b = (state.transpose(0, 2, 1) @ self.b).ravel()
+        # Gathered into whole (n, K, K) operands: numpy multiplies those
+        # about five times as fast as the broadcast (n, K, 1) * (n, 1, K),
+        # to the same bits. In place: at fc R = 32 each (n, K^2) temporary
+        # takes 132 KiB, and fresh ones of that size cost page faults.
+        left, right, swapped_left, swapped_right = self.derivative_indices
+        d = ta[left] * b[right]
+        d += ta[swapped_left] * b[swapped_right]
+        d *= self.derivative_lift
         return d.reshape(-1, self.users * self.streams)
 
     def phase_hessian(self, state: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -514,6 +584,49 @@ class _Workspace:
             self.curvature_weights * m[self.curvature_sources])
         return hess / LN2
 
+    def rotated_hessian(self, state: np.ndarray, c: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                   np.ndarray]:
+        """The eigenvectors Q_g of M_g (see ``body_hessian``) and the parts
+        (curvature, factor, signs) of ``_LowRankHessian`` that give the
+        Hessian of the sum-rate at the state U Q, which has the blocks and
+        the signal matrix ``c`` of ``state``: no (n, n) matrix is formed.
+
+        At U Q, M_g is diag(lambda_g), so the second-derivative term of
+        ``body_hessian`` is diagonal, -2 (lambda_a + lambda_b) at j = (a, b).
+        ``_outer_hessian``'s term has rank at most 2 K^2: gT_k and gI_k are
+        combinations of the (re, im) pairs of D's columns (k, i) for user k,
+        so the term is sum_k X_k W_k X_k^T with X_k those 2 K pairs of
+        ``signal_derivatives`` at U Q and the 2K x 2K form
+        W_k = diag(2 w_ki, twice) - t_k t_k^T + u_k u_k^T,
+        where t_k, u_k are the pairs of 2 i c_ki / T_k and of
+        2 i c_ki [i != k] / I_k. One batched ``eigh`` of the K forms,
+        W_k = V_k diag(e_k) V_k^T, gives the factor [X_k V_k sqrt|e_k|]^T
+        and its signs sign(e_k).
+        """
+        total, interference, w = self._weights(c)
+        ta = (self.a @ state).transpose(0, 2, 1)
+        b = state.transpose(0, 2, 1) @ self.b
+        n_g = ta @ (w * c.conj()) @ b.transpose(0, 2, 1)
+        lam, q = np.linalg.eigh((n_g + n_g.transpose(0, 2, 1)).real)
+        turned = 2j * c
+        t = (turned / total[:, None]).view(float)
+        u = (turned * self.off_diagonal / interference[:, None]).view(float)
+        forms = u[:, :, None] * u[:, None, :] - t[:, :, None] * t[:, None, :]
+        forms.reshape(self.users, -1)[:, ::2 * self.streams + 1] += (
+            np.repeat(2.0 * w, 2, axis=1))
+        weights, bases = np.linalg.eigh(forms)
+        weights /= LN2
+        # (n, K, 2K): row k of element j holds the pairs of D[j, (k, i)].
+        pairs = self.signal_derivatives(state @ q).view(float).reshape(
+            -1, self.users, 2 * self.streams)
+        # Rows (k, q) of the factor: column q of X_k V_k sqrt|e_k|.
+        bases *= np.sqrt(np.abs(weights))[:, None, :]
+        factor = bases.transpose(0, 2, 1) @ pairs.transpose(1, 2, 0)
+        curvature = -2.0 * (lam[:, self.rows] + lam[:, self.cols]).ravel()
+        return (q, curvature / LN2, factor.reshape(-1, len(pairs)),
+                np.sign(weights).ravel())
+
 
 # Step sizes scored per call of ``objective_batch``. The width only groups
 # the scoring: the accepted step is the first that passes at any width. The
@@ -558,16 +671,24 @@ _MEMORY = 5
 # the global phase leaves -H singular at a maximum.
 _NEWTON_SHIFTS = (1e-10, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2,
                   1e3)
-# Connected blocks take the Newton step when their body dimension
-# G R_G (R_G + 1) / 2 is at most _NEWTON_DIMENSION (the size of the dense
-# system of 64 1 x 1 blocks), and only at one of the first
-# _CONNECTED_SHIFTS shifts (mu <= 1e-2 max |H_jj|); otherwise they take the
-# L-BFGS step. A larger shift mostly sends a solve to another local maximum
-# than the L-BFGS step reaches, often a lower one. On the 100 instances of
+# Connected blocks whose body dimension G R_G (R_G + 1) / 2 is at most
+# _NEWTON_DIMENSION factor the dense Hessian, larger ones its diagonal plus
+# rank 2 K^2 form (``_Workspace.rotated_hessian``). Above 64 the
+# structured form solves as fast as the dense one or faster. Wall time of
+# ten uncapped solves (K = 4, unit gains, seeds 0-9, median of three
+# timings each, one BLAS thread on a 2-vCPU x86-64 VM), dense against
+# structured:
+# gc4 R = 32 (n = 80) 0.495 against 0.473 s, dense faster in 3 of 10;
+# gc2 R = 64 (n = 96) 0.847 against 0.803 s, 3 of 10, the same rates in
+# both; fc R = 16 (n = 136) 0.590 against 0.352 s, 0 of 10. Either takes
+# the Newton step only at one of the first _CONNECTED_SHIFTS shifts
+# (mu <= 1e-2 max |H_jj|); otherwise the blocks take the L-BFGS step. A
+# larger shift mostly sends a solve to another local maximum than the
+# L-BFGS step reaches, often a lower one. On the 100 instances of
 # configs/bench_cdf.yaml, against L-BFGS alone (wins/losses by more than
-# 1 mbit for gc2, gc4, fc): Newton at every shift +28/-33, +32/-29,
-# +4/-11 (gc2 of trial 0 fell from 10.86 to 8.78 bits); at mu <= 1e-1
-# +7/-6, +10/-13, +1/-4; at mu <= 1e-2 +8/-4, +10/-8, +1/-3.
+# 1 mbit for gc2, gc4, fc): Newton at every shift +28/-33, +32/-29, +4/-11
+# (gc2 of trial 0 fell from 10.86 to 8.78 bits); at mu <= 1e-1 +7/-6,
+# +10/-13, +1/-4; at mu <= 1e-2 +8/-4, +10/-8, +1/-3.
 _NEWTON_DIMENSION = 64
 _CONNECTED_SHIFTS = 6
 
@@ -580,40 +701,124 @@ def _norm(square: float) -> float:
     return math.sqrt(max(square, 0.0))
 
 
-def _newton_direction(hess: np.ndarray, grad: np.ndarray, start: int,
-                      limit: int) -> tuple[np.ndarray | None, int]:
+class _DenseHessian:
+    """mu I - H for a dense (n, n) Hessian H: ``definite`` is ``cholesky``,
+    ``solve`` is ``np.linalg.solve``, on one negated copy whose diagonal
+    each shift overwrites."""
+
+    def __init__(self, hess: np.ndarray):
+        self.scale = float(np.abs(hess.diagonal()).max())
+        self.finite = bool(np.isfinite(hess).all())
+        self.negated = -hess
+        self.diagonal = self.negated.reshape(-1)[::len(hess) + 1]
+        self.base = self.diagonal.copy()
+
+    def definite(self, mu: float) -> bool:
+        self.diagonal[:] = self.base + mu
+        try:
+            np.linalg.cholesky(self.negated)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def solve(self, mu: float, grad: np.ndarray) -> np.ndarray:
+        self.diagonal[:] = self.base + mu
+        return np.linalg.solve(self.negated, grad)
+
+
+class _LowRankHessian:
+    """A Hessian H = diag(curvature) + P J P^T, with the (n, r) P given as
+    its transpose ``factor`` (r small) and J = diag(``signs``), signs in
+    {-1, 0, 1}, whose shifted negation mu I - H is tested and solved
+    through one r x r matrix. Rows of sign 0 add nothing and are dropped.
+
+    With the diagonal Delta = mu - curvature, mu I - H = Delta - P J P^T.
+    When Delta has no zero entry, the inertias of the block matrix
+    [[Delta, P], [P^T, J]] give, through its two Schur complements
+    (Haynsworth, Linear Algebra Appl. 1, 1968),
+
+        neg(Delta) + neg(K) = neg(J) + neg(mu I - H),
+        K = J - P^T Delta^-1 P,
+
+    and no zero eigenvalue of K means none of mu I - H: so mu I - H is
+    positive definite exactly when neg(Delta) plus the eigenvalues of K
+    that are at most 0 number neg(J). With the same K, Woodbury (Nocedal
+    and Wright, Numerical Optimization, sec. A.2) gives the step
+
+        (mu I - H)^-1 g = Delta^-1 g + Delta^-1 P K^-1 P^T Delta^-1 g.
+
+    Each costs O(n r^2), against O(n^3) for the dense matrix. A zero
+    entry of Delta, or a non-finite one of K, counts as not definite.
+    Every entry of the parts enters some H_jj, so the parts are finite
+    when max |H_jj| is."""
+
+    def __init__(self, curvature: np.ndarray, factor: np.ndarray,
+                 signs: np.ndarray):
+        keep = signs != 0
+        if not keep.all():
+            factor, signs = factor[keep], signs[keep]
+        self.curvature, self.factor = curvature, factor
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.scale = float(np.abs(
+                curvature + signs @ (factor * factor)).max())
+        self.finite = math.isfinite(self.scale)
+        self.signs = np.diag(signs)
+        self.negative = int(np.count_nonzero(signs < 0))
+        self.shifted: dict[float, tuple] = {}  # Delta, P^T Delta^-1, K
+
+    def definite(self, mu: float) -> bool:
+        delta = mu - self.curvature
+        negative = int(np.count_nonzero(delta < 0))
+        # K's negative eigenvalues only add to neg(Delta).
+        if not delta.all() or negative > self.negative:
+            return False
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = self.factor / delta
+            inner = self.signs - scaled @ self.factor.T
+        if not np.isfinite(inner).all():
+            return False
+        self.shifted[mu] = delta, scaled, inner
+        return (negative + int(np.count_nonzero(np.linalg.eigvalsh(inner)
+                                                <= 0.0))
+                == self.negative)
+
+    def solve(self, mu: float, grad: np.ndarray) -> np.ndarray:
+        delta, scaled, inner = self.shifted[mu]
+        return grad / delta + np.linalg.solve(inner, scaled @ grad) @ scaled
+
+
+def _newton_direction(hess: _DenseHessian | _LowRankHessian,
+                      grad: np.ndarray, start: int, limit: int
+                      ) -> tuple[np.ndarray | None, int]:
     """The shifted Newton step (mu I - H)^-1 g for the (n,) coordinates
     ``grad`` of the gradient, and the index in ``_NEWTON_SHIFTS`` of its
     shift.
 
-    mu = _NEWTON_SHIFTS[m] * max |H_jj| for the first m below ``limit`` at
-    which mu I - H is positive definite (``cholesky`` succeeds): every
-    shift for 1 x 1 blocks, the first ``_CONNECTED_SHIFTS`` for connected
-    ones. Definiteness only grows with mu, so the scan starts at
+    ``hess`` is mu I - H factored densely (``_DenseHessian``, tested by
+    ``cholesky``) or as diagonal plus low rank (``_LowRankHessian``): the
+    scan below is the same for both. mu = _NEWTON_SHIFTS[m] * max |H_jj|
+    for the first m below ``limit`` at which mu I - H is positive definite:
+    every shift for 1 x 1 blocks, the first ``_CONNECTED_SHIFTS`` for
+    connected ones. Definiteness only grows with mu, so the scan starts at
     ``start``, the index of the last step's shift, and walks down or up
     from there: two factorizations when the shift holds. Over 549
     iterations of three R = 64 desk solves that is 1,657 factorizations
     instead of the 2,900 of a scan from index 0, and 8% more solves per
     second. A capped scan tries its last shift before it walks up, since
     most of its Hessians pass no allowed shift: over the 703 iterations of
-    the gc2/gc4/fc solves of the first five trials of
-    configs/bench_cdf.yaml that is 1,580 factorizations instead of 2,956.
-    Returns (None, ``start``) when no shift below ``limit`` is enough or H
-    is not finite."""
-    scale = float(np.abs(hess.diagonal()).max())
-    if not (0.0 < scale < math.inf) or not np.isfinite(hess).all():
+    the gc2/gc4/fc solves of the first five trials of configs/bench_cdf.yaml
+    that is 1,580 factorizations instead of 2,956. Each shift is tested at
+    most once per call. Returns (None, ``start``) when no shift below
+    ``limit`` is enough or H is not finite."""
+    scale = hess.scale
+    if not (0.0 < scale < math.inf) or not hess.finite:
         return None, start
-    negated = -hess
-    diagonal = negated.reshape(-1)[::len(negated) + 1]
-    base = diagonal.copy()
+    verdicts: dict[int, bool] = {}
 
     def definite(m: int) -> bool:
-        diagonal[:] = base + _NEWTON_SHIFTS[m] * scale
-        try:
-            np.linalg.cholesky(negated)
-        except np.linalg.LinAlgError:
-            return False
-        return True
+        if m not in verdicts:
+            verdicts[m] = hess.definite(_NEWTON_SHIFTS[m] * scale)
+        return verdicts[m]
 
     m = start
     if definite(m):
@@ -630,8 +835,7 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray, start: int,
             m += 1
         if m == limit:
             return None, start
-    diagonal[:] = base + _NEWTON_SHIFTS[m] * scale
-    return np.linalg.solve(negated, grad), m
+    return hess.solve(_NEWTON_SHIFTS[m] * scale, grad), m
 
 
 def _two_loop(grad: np.ndarray, memory: list) -> np.ndarray:
@@ -796,12 +1000,8 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
     while stop_reason is None and iters_used < settings.max_iters:
         iters_used += 1
         direction = grad if retry else None
-        if direction is None and ws.newton:
-            newton, shift = _newton_direction(ws.hessian(state, c),
-                                              ws.to_coordinates(grad), shift,
-                                              limit)
-            if newton is not None:
-                direction = ws.from_coordinates(newton)
+        if direction is None:
+            direction, shift = ws.newton_step(state, c, grad, shift, limit)
         if direction is None:
             direction = _two_loop(grad, memory) if memory else grad
         slope = _re_vdot(grad, direction)
@@ -960,8 +1160,16 @@ def validate_feasibility(theta: ScatteringMatrix, tol_unitary: float = TOL_UNITA
     """Check blockwise unitarity and symmetry against tolerances.
 
     For single-connected matrices (group size 1) additionally checks unit
-    modulus of the diagonal and that off-diagonal entries are zero.
+    modulus of the diagonal and that off-diagonal entries are zero. A
+    tolerance that is not positive and finite raises ``ValueError``: an
+    infinite one passes every matrix, and a NaN or negative one fails
+    every matrix.
     """
+    for name, tol in (("tol_unitary", tol_unitary),
+                      ("tol_symmetry", tol_symmetry)):
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {tol!r}")
     stack = theta.block_stack()
     unit = unitarity_residuals(stack)
     diff = stack - stack.transpose(0, 2, 1)

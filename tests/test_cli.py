@@ -205,6 +205,23 @@ def test_validate_command_pass_and_fail(tmp_path, capsys):
     assert "result: fail" in out
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-1e-8", "0"])
+@pytest.mark.parametrize("option", ["--tol-unitary", "--tol-symmetry"])
+def test_validate_rejects_tolerance_not_positive_and_finite(tmp_path, capsys,
+                                                            option, value):
+    # An infinite tolerance passed a 1 x 1 block of modulus 2, and a NaN or
+    # negative one failed every matrix: each is now a one-line error.
+    bad = ScatteringMatrix(theta=np.diag([2.0, 1.0]).astype(complex),
+                           group_size=1)
+    path = tmp_path / "bad.txt"
+    write_matrix_file(path, bad)
+    assert main(["validate", "--matrix", str(path), f"{option}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bdris validate: error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert option[2:].replace("-", "_") in err
+
+
 def test_validate_reports_off_block_entries(tmp_path, capsys):
     lines = ["2 2", "1+0j 0.5+0j", "0+0j 1+0j"]
     path = tmp_path / "offblock.txt"

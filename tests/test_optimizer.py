@@ -197,8 +197,8 @@ class TestArmijoSingleConnected:
         aux, rate, _ = ws.stats(c)
         grad = body_gradient_at(ws, state, c, aux)
         step, _ = optimizer._newton_direction(
-            ws.hessian(state, c), ws.to_coordinates(grad), 0,
-            len(optimizer._NEWTON_SHIFTS))
+            optimizer._DenseHessian(ws.hessian(state, c)),
+            ws.to_coordinates(grad), 0, len(optimizer._NEWTON_SHIFTS))
         return ws, state, rate, grad, ws.from_coordinates(step)
 
     def test_same_step_as_explicit_search(self, monkeypatch):
@@ -1054,19 +1054,157 @@ def spy(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("r, newton", [(8, True), (32, False)])
-def test_body_dimension_picks_the_direction(r, newton, monkeypatch):
-    # fc at R = 8 (n = 36) takes Newton steps; fc at R = 32 (n = 528, above
-    # _NEWTON_DIMENSION) never forms the Hessian and takes L-BFGS steps.
+@pytest.mark.parametrize("r, dense", [(8, True), (32, False)])
+def test_body_dimension_picks_the_direction(r, dense, monkeypatch):
+    # fc at R = 8 (n = 36) factors the dense Hessian; fc at R = 32 (n = 528,
+    # above _NEWTON_DIMENSION) takes the same Newton steps from the
+    # diagonal plus low-rank Hessian in the eigenbasis of M, and never
+    # forms an (n, n) Hessian. Both form one Hessian per iteration.
     hessians = spy(monkeypatch, _Workspace, "body_hessian")
-    two_loops = spy(monkeypatch, optimizer, "_two_loop")
+    rotated = spy(monkeypatch, _Workspace, "rotated_hessian")
+    factored = spy(monkeypatch, optimizer._DenseHessian, "__init__")
+    newton = []
+    original = optimizer._newton_direction
+
+    def counting(*args):
+        step, m = original(*args)
+        newton.append(step is not None)
+        return step, m
+
+    monkeypatch.setattr(optimizer, "_newton_direction", counting)
     (_, trace), *_ = small_run(seed=0, tag="fc", n_elements=r, max_iters=8)
     assert trace.final.iters_used > 3
-    if newton:
-        assert len(hessians) == trace.final.iters_used
+    assert len(newton) == trace.final.iters_used
+    if dense:
+        assert len(hessians) == len(factored) == trace.final.iters_used
+        assert not rotated
     else:
-        assert not hessians
-        assert len(two_loops) >= trace.final.iters_used - 1
+        assert len(rotated) == trace.final.iters_used
+        assert not hessians and not factored
+
+
+def low_rank_instances():
+    """(tag, R, gains) of the structured-Hessian checks."""
+    return [(tag, r, gains) for tag in ("gc2", "gc4", "fc") for r in (4, 8)
+            for gains in ("unit", "desk")]
+
+
+def rotated_instance(tag, r, gains):
+    """(workspace, state U Q, the rotated Hessian, its dense rebuild, the
+    gradient coordinates at U Q) at the start state of ``hessian_instance``.
+    """
+    config, channels, beam, ws, state = hessian_instance(tag, r, gains)
+    c = ws.signal(ws.theta(state))
+    q, *parts = ws.rotated_hessian(state, c)
+    curvature, factor, signs = parts
+    rebuilt = np.diag(curvature) + (factor.T * signs) @ factor
+    rotated = state @ q
+    aux = ws.stats(c)[0]
+    grad = ws.to_coordinates(body_gradient_at(ws, rotated, c, aux))
+    return ws, rotated, c, parts, rebuilt, grad
+
+
+@pytest.mark.parametrize("tag, r, gains", low_rank_instances())
+def test_rotated_hessian_is_body_hessian_at_rotated_state(tag, r, gains):
+    # At U Q, with Q the eigenvectors of M, the Hessian is diagonal plus
+    # rank 2 K^2; rebuilt densely it is ``body_hessian`` there. Q leaves
+    # the blocks U U^T, and so the signal matrix, unchanged.
+    ws, rotated, c, parts, rebuilt, _ = rotated_instance(tag, r, gains)
+    dense = ws.body_hessian(rotated, c)
+    assert parts[1].shape == (2 * ws.users * ws.streams, len(dense))
+    low = optimizer._LowRankHessian(*parts)
+    scale = np.abs(dense).max()
+    assert np.abs(rebuilt - dense).max() <= 1e-12 * scale
+    assert np.abs(ws.signal(ws.theta(rotated)) - c).max() <= 1e-12 * np.abs(
+        c).max()
+    assert low.scale == pytest.approx(np.abs(dense.diagonal()).max(),
+                                      rel=1e-12)
+
+
+@pytest.mark.parametrize("tag, r, gains", low_rank_instances())
+def test_low_rank_scan_matches_dense_scan(tag, r, gains):
+    # The inertia verdict is ``cholesky``'s at every listed shift, and the
+    # Woodbury step and shift index are the dense scan's, from every start
+    # and under both limits.
+    ws, rotated, c, parts, rebuilt, grad = rotated_instance(tag, r, gains)
+    low = optimizer._LowRankHessian(*parts)
+    dense = optimizer._DenseHessian(rebuilt)
+    for factor in optimizer._NEWTON_SHIFTS:
+        mu = factor * low.scale
+        assert low.definite(mu) == dense.definite(mu), (factor, mu)
+    for limit in (optimizer._CONNECTED_SHIFTS,
+                  len(optimizer._NEWTON_SHIFTS)):
+        for start in range(limit):
+            expected, m = optimizer._newton_direction(
+                optimizer._DenseHessian(rebuilt), grad, start, limit)
+            step, same = optimizer._newton_direction(
+                optimizer._LowRankHessian(*parts), grad, start, limit)
+            assert same == m, (start, limit)
+            if expected is None:
+                assert step is None
+            else:
+                np.testing.assert_allclose(
+                    step, expected, rtol=0,
+                    atol=1e-12 * np.abs(expected).max())
+
+
+def test_low_rank_degenerate_parts():
+    # A zero entry of Delta = mu - curvature is not definite, like the
+    # singular dense matrix; rows of sign 0 are dropped; non-finite parts
+    # give no step. None of it warns (warnings are errors here).
+    curvature = np.array([1e-2, -1.0, -2.0])
+    factor = np.array([[0.0, 0.0, 0.0], [0.5, 0.25, -1.0]]) * 0.03
+    signs = np.array([0.0, 1.0])
+    low = optimizer._LowRankHessian(curvature, factor, signs)
+    rebuilt = np.diag(curvature) + (factor.T * signs) @ factor
+    assert low.factor.shape == (1, 3)
+    assert low.scale == np.abs(rebuilt.diagonal()).max()
+    dense = optimizer._DenseHessian(rebuilt)
+    for factor_mu in optimizer._NEWTON_SHIFTS:
+        mu = factor_mu * low.scale
+        assert low.definite(mu) == dense.definite(mu), factor_mu
+    assert not low.definite(curvature[0])
+    grad = np.ones(3)
+    step, m = optimizer._newton_direction(low, grad, 0, 11)
+    expected, same = optimizer._newton_direction(
+        optimizer._DenseHessian(rebuilt), grad, 0, 11)
+    assert m == same
+    np.testing.assert_allclose(step, expected, rtol=1e-12)
+    for bad in (np.nan, np.inf):
+        parts = [curvature.copy(), factor.copy(), signs.copy()]
+        for part in parts:
+            part.flat[-1] = bad
+            assert optimizer._newton_direction(
+                optimizer._LowRankHessian(*parts), grad, 2, 6) == (None, 2)
+            part.flat[-1] = 1.0
+
+
+@pytest.mark.parametrize("case", ["zero-gain", "silent-user", "unit"])
+def test_structured_newton_on_degenerate_inputs(case, monkeypatch):
+    # fc at R = 32 on zero-gain links, with a user whose own signal is
+    # exactly zero (a zero beam column: its w_ki, i != k, and so rows of
+    # the factor, are zero), and on unit gains: the structured Newton path
+    # raises nothing, warns nothing and stops for the reason the dense path
+    # (forced by a larger _NEWTON_DIMENSION) stops for.
+    config = config_for_tag("fc", n_elements=32, max_iters=15)
+    gain = 0.0 if case == "zero-gain" else 1.0
+    channels = generate_channels_from_gains(config, gain, 1.0, seed=3)
+    beam = init_beamformer_uniform(config)
+    if case == "silent-user":
+        v = beam.v.copy()
+        v[:, 1] = 0.0
+        beam = replace(beam, v=v)
+    reasons = []
+    for dimension in (optimizer._NEWTON_DIMENSION, 10 ** 6):
+        monkeypatch.setattr(optimizer, "_NEWTON_DIMENSION", dimension)
+        theta, trace = cga_optimize(channels, beam, config, seed=4)
+        assert np.isfinite(trace.final.projected_rate)
+        assert validate_feasibility(theta).passed
+        reasons.append(trace.final.stop_reason)
+    assert reasons[0] == reasons[1]
+    if case == "zero-gain":
+        assert reasons[0] == "stalled"
+        assert trace.final.projected_rate == 0.0
 
 
 def test_shift_cap_of_connected_blocks():
@@ -1075,32 +1213,45 @@ def test_shift_cap_of_connected_blocks():
     hess = -np.diag([1.0, 2.0, 4.0])
     hess[0, 0] = 0.2
     grad = np.array([1.0, 1.0, 1.0])
-    step, m = optimizer._newton_direction(hess, grad, 0,
+    step, m = optimizer._newton_direction(optimizer._DenseHessian(hess),
+                                          grad, 0,
                                           len(optimizer._NEWTON_SHIFTS))
     assert optimizer._NEWTON_SHIFTS[m] == 1e-1
     np.testing.assert_allclose(step, np.linalg.solve(
         0.4 * np.eye(3) - hess, grad), rtol=1e-15)
     for start in range(optimizer._CONNECTED_SHIFTS):
         assert optimizer._newton_direction(
-            hess, grad, start, optimizer._CONNECTED_SHIFTS) == (None, start)
+            optimizer._DenseHessian(hess), grad, start,
+            optimizer._CONNECTED_SHIFTS) == (None, start)
 
 
-@pytest.mark.parametrize("tag", ["gc2", "fc"])
-def test_non_concave_hessian_falls_back_to_lbfgs(tag, monkeypatch):
+@pytest.mark.parametrize("tag, r", [("gc2", 8), ("fc", 8), ("fc", 32)],
+                         ids=["gc2", "fc", "fc32"])
+def test_non_concave_hessian_falls_back_to_lbfgs(tag, r, monkeypatch):
     # A Hessian that no allowed shift makes negative definite (here -H has
     # an eigenvalue of -1 at max |H_jj| = 1) sends every iteration to the
     # L-BFGS step: the run is bit for bit the one without Newton steps.
+    # Dense (R = 8) and structured (R = 32) workspaces alike.
     def convex(ws, state, c):
         return np.eye(len(ws.rows) * len(state))
 
+    def convex_low_rank(ws, state, c):
+        n = len(ws.rows) * len(state)
+        return (np.broadcast_to(np.eye(state.shape[-1]), state.shape),
+                np.ones(n), np.zeros((1, n)), np.ones(1))
+
+    def no_newton(ws, state, c, grad, start, limit):
+        return None, start
+
     runs = []
-    for patch in ("hessian", "dimension"):
+    for patch in ("hessian", "none"):
         with monkeypatch.context() as m:
             if patch == "hessian":
                 m.setattr(_Workspace, "body_hessian", convex)
+                m.setattr(_Workspace, "rotated_hessian", convex_low_rank)
             else:
-                m.setattr(optimizer, "_NEWTON_DIMENSION", 0)
-            runs.append(small_run(seed=2, tag=tag, n_elements=8)[0])
+                m.setattr(_Workspace, "newton_step", no_newton)
+            runs.append(small_run(seed=2, tag=tag, n_elements=r)[0])
     (theta, trace), (same_theta, same_trace) = runs
     assert np.array_equal(theta.theta, same_theta.theta)
     assert trace.records == same_trace.records
