@@ -3,14 +3,15 @@
 The package designs blockwise symmetric unitary scattering matrices that
 maximize the downlink sum-rate of a multi-user MISO system. The optimizer
 ascends the sum-rate on the blockwise unitary manifold, with the gradient
-of a fractional-programming surrogate: Newton steps in the phases of
-one-element blocks and in the body coordinates of connected blocks (from
-the dense Hessian for small ones, from its diagonal plus low-rank form in
-an eigenbasis for large ones), L-BFGS steps where no small shift makes the
-Newton step usable, and a line search on the true sum-rate. Each block
-is kept exactly symmetric by iterating its Takagi factor U_g
-(Theta_g = U_g U_g^T) along geodesics of the symmetric unitary matrices, on
-which every line-search candidate is a diagonal block in known bases.
+of a fractional-programming surrogate: Newton steps in body coordinates
+(from the dense Hessian for small problems, from its diagonal plus
+low-rank form in an eigenbasis for large ones), L-BFGS steps where no
+allowed shift makes the Newton step usable, and a line search on the true
+sum-rate. Each block, of one element or more, is kept exactly symmetric by
+iterating its Takagi factor U_g (Theta_g = U_g U_g^T) along geodesics of
+the symmetric unitary matrices, on which every line-search candidate is a
+diagonal block in known bases: single-connected surfaces run the same
+iteration as group- and fully-connected ones.
 
 Each formula has one implementation, on stacks of blocks: ``gradient``
 (channel factors, the closed-form gradient and its Takagi-factor chain

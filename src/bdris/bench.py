@@ -29,7 +29,7 @@ import yaml
 from .channel import ChannelSet, generate_channels
 from .config import (Geometry, SystemConfig, config_from_dict, config_to_dict,
                      float_field, integer_field, mapping_field,
-                     reject_unknown_keys)
+                     positive_finite, positive_integer, reject_unknown_keys)
 from .optimizer import OptimizerTrace, cga_optimize, write_trace_csv
 from .system import (init_beamformer_uniform, parse_architecture_tag,
                      read_architecture_tag)
@@ -79,14 +79,15 @@ class ExperimentSpec:
                              f"{list(self.architectures)!r}")
         if not self.sweep_values:
             raise ValueError("at least one sweep value is required")
+        # The rules of SystemConfig's fields: every sweep value becomes one.
         for value in self.sweep_values:
             if self.sweep_variable == "n_elements":
-                if not isinstance(value, int) or value < 1:
+                if not positive_integer(value):
                     raise ValueError(
                         f"n_elements sweep values must be positive integers, got {value!r}")
-            elif not value > 0:
+            elif not positive_finite(value):
                 raise ValueError(
-                    f"p_max sweep values must be positive, got {value!r}")
+                    f"p_max sweep values must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

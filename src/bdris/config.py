@@ -21,20 +21,29 @@ import yaml
 _field_types = functools.cache(get_type_hints)
 
 
+def positive_integer(value) -> bool:
+    """Whether ``value`` is an int of at least 1. A bool is not: it is an
+    int to Python, but ``True`` is no iteration cap."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= 1)
+
+
+def positive_finite(value) -> bool:
+    """Whether ``value`` is a number in (0, inf), and not a bool.
+    Comparisons with NaN are false, so NaN is not."""
+    return not isinstance(value, bool) and 0 < value < math.inf
+
+
 def check_fields(obj, positive=()) -> None:
     """Raise a ValueError that names the first int field of the dataclass
-    ``obj`` that is not a positive integer, or the first field named in
-    ``positive`` that is not positive and finite. A bool is neither: it
-    is an int to Python, but ``True`` is no iteration cap."""
+    ``obj`` that is not a ``positive_integer``, or the first field named in
+    ``positive`` that is not ``positive_finite``."""
     for name, kind in _field_types(type(obj)).items():
         value = getattr(obj, name)
-        if kind is int and (not isinstance(value, int)
-                            or isinstance(value, bool) or value < 1):
+        if kind is int and not positive_integer(value):
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    # Comparisons with NaN are false, so this rejects NaN too.
     for name in positive:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not 0 < value < math.inf:
+        if not positive_finite(getattr(obj, name)):
             raise ValueError(f"{name} must be positive and finite")
 
 

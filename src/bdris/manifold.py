@@ -1,13 +1,12 @@
 """Blockwise unitary-manifold primitives.
 
-The optimizer's state is a (G, R_G, R_G) stack of unitary blocks: for
-R_G > 1 the Takagi factor U_g of each scattering block Theta_g = U_g U_g^T
-(every symmetric unitary matrix has this form), for 1 x 1 blocks the unit
-scalar Theta_g itself. The primitives here act on such stacks: orthogonal
+The optimizer's state is a (G, R_G, R_G) stack of unitary blocks, the
+Takagi factors U_g of the scattering blocks Theta_g = U_g U_g^T (every
+symmetric unitary matrix has this form; a 1 x 1 block is the square of a
+unit scalar). The primitives here act on such stacks: orthogonal
 projection onto the tangent space, the frame of the geodesics along a
-real symmetric S_g given in body coordinates, a batched retraction
-(geodesics of the symmetric unitary matrices for R_G > 1, phase
-normalization for 1 x 1 blocks), and a random feasible starting point.
+real symmetric S_g given in body coordinates, a batched retraction along
+those geodesics, and a random feasible starting point.
 The real trace inner product is ``optimizer._re_vdot``.
 """
 
@@ -67,56 +66,25 @@ def geodesic_frame(stack: np.ndarray, body: np.ndarray) -> Geodesic:
     return Geodesic(stack @ q, w, q.transpose(0, 2, 1))
 
 
-def _pairs(entries: np.ndarray) -> np.ndarray:
-    """The (re, im) pairs of a (G, 1, 1) stack as a (G, 2) real array: a
-    view of a contiguous complex128 stack, else of a complex128 copy, so
-    real and complex64 stacks are read by value."""
-    flat = np.ascontiguousarray(entries, dtype=complex)
-    return flat.view(float).reshape(-1, 2)
-
-
-def retract_batch(stack: np.ndarray, direction_stack: np.ndarray | Geodesic,
+def retract_batch(stack: np.ndarray, direction_stack: Geodesic,
                   alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Retraction of many candidate steps at once.
 
-    For R_G > 1 ``direction_stack`` is the ``geodesic_frame`` of the step's
-    real symmetric S_g, and candidate m follows its geodesic,
+    ``direction_stack`` is the ``geodesic_frame`` of the step's real
+    symmetric S_g, and candidate m follows its geodesic,
     U_g exp(i alphas[m] S_g) = P_g diag(exp(i alphas[m] w_g)) Q_g^T:
-    unitary for every step. For 1 x 1 blocks it is the tangent xi, and
-    candidate m is the phase z / |z| of the moved entry
-    z = theta + alphas[m] * xi, which is rank-deficient when |z| is at most
-    1e-12 of max(1, largest |z| of the candidate).
-    Returns (candidates, ok) with candidates of shape (M, G, R_G, R_G) and a
-    boolean validity flag per candidate; only 1 x 1 blocks can be flagged,
-    and flagged candidates stay in the batch so that the others stay usable.
+    unitary for every step. Returns (candidates, ok) with candidates of
+    shape (M, G, R_G, R_G) and a validity flag per candidate, true for
+    every one: the exponential map is never rank deficient. The frame
+    alone gives the candidates; the base point ``stack`` and the flags
+    stay in the interface that the benchmark's tracer reads
+    (``perfbench/tracer.py`` sizes each call from ``stack`` and counts
+    flagged candidates).
 
-    For R_G > 1 the candidates are (P_g diag(exp(i alphas[m] w_g))) @ Q_g^T:
-    one phase array, one elementwise product and one matrix product, each
-    broadcast over the M steps and already in the returned order.
-
-    The 1 x 1 branch works in real arithmetic on the (re, im) pairs: one
-    real product alpha * xi and one sum form z, and the phase is z times
-    1 / |z|, with |z| = 0 taken as 1. Both give the bits of the complex
-    operations (a real alpha cast to complex, complex division by the real
-    |z|). The per-candidate rank test runs only when one test over the
-    whole batch fails, min |z| > 1e-12 max(1, max |z|). For a tangent
-    direction at unit entries, Re(conj(theta) xi) = 0, so
-    |z|^2 = 1 + alpha^2 |xi|^2 >= 1 and that test always passes.
+    The candidates are (P_g diag(exp(i alphas[m] w_g))) @ Q_g^T: one phase
+    array, one elementwise product and one matrix product, each broadcast
+    over the M steps and already in the returned order.
     """
-    if stack.shape[-1] == 1:
-        # On (M, G) arrays of the entries; returned as (M, G, 1, 1) views.
-        moved = np.empty((len(alphas), stack.shape[0]), dtype=complex)
-        pairs = moved.view(float).reshape(len(alphas), -1, 2)
-        np.multiply(alphas[:, None, None], _pairs(direction_stack), out=pairs)
-        pairs += _pairs(stack)
-        mags = np.abs(moved)
-        if mags.min() > 1e-12 * max(mags.max(), 1.0):
-            ok = np.ones(len(alphas), dtype=bool)
-        else:
-            ok = mags.min(axis=1) > 1e-12 * np.maximum(mags.max(axis=1), 1.0)
-            mags = np.where(mags > 0, mags, 1.0)
-        pairs *= (1.0 / mags)[:, :, None]
-        return moved[:, :, None, None], ok
     phases = np.exp(1j * alphas[:, None, None] * direction_stack.w)
     moved = (direction_stack.p * phases[:, :, None, :]) @ direction_stack.vh
     return moved, np.ones(len(alphas), dtype=bool)

@@ -13,7 +13,7 @@ from bdris import (SystemConfig, generate_channels_from_gains,
                    init_beamformer_uniform, parse_architecture_tag,
                    optimizer, random_feasible)
 from bdris.gradient import Auxiliaries
-from bdris.manifold import random_feasible_stack, retract_batch
+from bdris.manifold import random_feasible_stack
 from bdris.optimizer import _NOISE_ULPS, _Workspace
 
 
@@ -45,14 +45,9 @@ def make_instance(seed, n_users=2, n_tx=2, n_elements=4, n_groups=2,
 
 
 def start_state(config, seed) -> np.ndarray:
-    """The state ``cga_optimize`` starts from for ``seed``.
-
-    For blocks larger than 1 x 1 that is the stack of Takagi factors U of
-    ``random_feasible(config, seed)`` (whose blocks are U U^T bit for bit);
-    1 x 1 blocks are their own state.
-    """
-    if config.group_size == 1:
-        return random_feasible(config, seed).block_stack()
+    """The state ``cga_optimize`` starts from for ``seed``: the stack of
+    Takagi factors U of ``random_feasible(config, seed)``, whose blocks are
+    U U^T bit for bit."""
     return random_feasible_stack(np.random.default_rng(seed), config.n_groups,
                                  config.group_size)
 
@@ -73,12 +68,9 @@ def workspace_at(theta, channels, beam, config):
 
 def start_diagonals(ws, config, seed):
     """(workspace, diagonals) on which ``objective_batch`` scores the start
-    point ``random_feasible(config, seed)`` as ``cga_optimize`` does: 1 x 1
-    blocks are their own diagonals, and larger blocks U U^T are the identity
-    in the bases of their Takagi factors U."""
+    point ``random_feasible(config, seed)`` as ``cga_optimize`` does: its
+    blocks U U^T are the identity in the bases of their Takagi factors U."""
     state = start_state(config, seed)
-    if config.group_size == 1:
-        return ws, state[None]
     return ws.in_bases(state), np.ones((1,) + state.shape[:2])
 
 
@@ -90,17 +82,11 @@ def body_gradient_at(ws, state, c, aux) -> np.ndarray:
 def explicit_scores(ws, state, direction, alphas) -> np.ndarray:
     """True sum-rate at explicitly formed candidates along the body-coordinate
     ``direction`` and their blocks ``ws.theta``, each scored by ``ws.rate``
-    at its ``ws.signal``. On connected blocks the candidates are
-    U Q diag(exp(i alpha w)) Q^T from ``np.linalg.eigh`` of the real
-    symmetric S = Q diag(w) Q^T, on 1 x 1 blocks the ones ``retract_batch``
-    forms along the tangent i theta d."""
-    if not ws.factored:
-        candidates, _ = retract_batch(state, 1j * state * direction, alphas)
-    else:
-        w, q = np.linalg.eigh(direction)
-        phases = np.exp(1j * alphas[:, None, None] * w)
-        candidates = ((state @ q) * phases[:, :, None, :]) @ np.swapaxes(
-            q, -1, -2)
+    at its ``ws.signal``. The candidates are U Q diag(exp(i alpha w)) Q^T
+    from ``np.linalg.eigh`` of the real symmetric S = Q diag(w) Q^T."""
+    w, q = np.linalg.eigh(direction)
+    phases = np.exp(1j * alphas[:, None, None] * w)
+    candidates = ((state @ q) * phases[:, :, None, :]) @ np.swapaxes(q, -1, -2)
     return np.array([ws.rate(ws.signal(blocks))
                      for blocks in ws.theta(candidates)])
 

@@ -112,6 +112,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"^{key} must be"):
             replace(tiny_spec(), **{key: value})
 
+    @pytest.mark.parametrize("variable, value", [
+        ("p_max", float("inf")), ("p_max", float("nan")), ("p_max", True),
+        ("p_max", -1.0), ("n_elements", True), ("n_elements", 0)])
+    def test_direct_spec_rejects_values_no_config_takes(self, variable,
+                                                        value):
+        # Each sweep value becomes a SystemConfig field, and is checked by
+        # its rule: an infinite p_max used to pass here and stop the run
+        # after every finite cell was solved, and True ran as 1 element.
+        with pytest.raises(ValueError, match=f"^{variable} sweep values"):
+            replace(tiny_spec(), sweep_variable=variable,
+                    sweep_values=(value,))
+
     def test_direct_spec_reads_integral_floats(self):
         spec = replace(tiny_spec(), n_trials=2.0, seed_base=3.0)
         assert (spec.n_trials, spec.seed_base) == (2, 3)

@@ -84,6 +84,12 @@ BAD_SPECS = {
         "architectures",
     # A negative seed ended in numpy's error, which names no key.
     SPEC_YAML.replace("seed_base: 3", "seed_base: -1"): "seed_base",
+    # A non-finite power used to load: the run solved every finite cell,
+    # then stopped on the config check and wrote nothing.
+    SPEC_YAML.replace("values: [1.0, 2.0]", "values: [1.0, .inf]"):
+        "p_max sweep values",
+    SPEC_YAML.replace("values: [1.0, 2.0]", "values: [1.0, .nan]"):
+        "p_max sweep values",
 }
 
 

@@ -140,12 +140,13 @@ class TestAsymmetryResidual:
                                                              rel=1e-14)
 
     def test_single_connected_always_zero(self):
-        # 1 x 1 blocks are their own state.
+        # A 1 x 1 block is the square of its unit Takagi factor.
         rng = np.random.default_rng(5)
-        stack = np.exp(1j * rng.uniform(0, 2 * np.pi, 4)).reshape(4, 1, 1)
+        u = np.exp(1j * rng.uniform(0, 2 * np.pi, 4)).reshape(4, 1, 1)
         config, channels, theta, beam = make_instance(seed=5, n_groups=4)
         ws, *_ = workspace_at(theta, channels, beam, config)
-        assert ws.theta(stack) is stack
+        stack = ws.theta(u)
+        assert np.abs(stack - u ** 2).max() <= 1e-15
         report = validate_feasibility(ScatteringMatrix.from_block_stack(stack))
         assert report.max_symmetry == 0.0
 
@@ -199,10 +200,9 @@ class TestObjective:
                                       (4, 8, 2), (4, 32, 1)])
     def test_batch_matches_single(self, dims):
         # objective_batch (the line search's true-rate score) on diagonals
-        # in the bases P of a geodesic (the identity for 1 x 1 blocks)
-        # against the rate of ``stats`` (per iterate) at the explicitly
-        # formed blocks P diag(d) P^T, for the diagonals of a line search and
-        # for arbitrary ones.
+        # in the bases P of a geodesic against the rate of ``stats`` (per
+        # iterate) at the explicitly formed blocks P diag(d) P^T, for the
+        # diagonals of a line search and for arbitrary ones.
         k, r, n_groups = dims
         rng = np.random.default_rng(r * 10 + n_groups)
         config, channels, theta, beam = make_instance(
@@ -212,17 +212,13 @@ class TestObjective:
         state = start_state(config, seed=r + n_groups + 1)
         direction = bent_stack(np.zeros_like(state), rng, scale=1.0)
         alphas = 0.75 ** np.arange(6, dtype=float)
-        if config.group_size == 1:
-            line, p = ws, np.ones_like(state)
-            diagonals = retract_batch(state, direction, alphas)[0][..., 0]
-        else:
-            # The frame of S = Re(direction) made symmetric, from its own
-            # eigendecomposition S = Q diag(w) Q^T: P = U Q.
-            body = direction.real + direction.real.transpose(0, 2, 1)
-            w, q = np.linalg.eigh(body)
-            frame = Geodesic(state @ q, w, q.transpose(0, 2, 1))
-            line, p = ws.in_bases(frame.p), frame.p
-            diagonals = frame.diagonals(alphas)
+        # The frame of S = Re(direction) made symmetric, from its own
+        # eigendecomposition S = Q diag(w) Q^T: P = U Q.
+        body = direction.real + direction.real.transpose(0, 2, 1)
+        w, q = np.linalg.eigh(body)
+        frame = Geodesic(state @ q, w, q.transpose(0, 2, 1))
+        line, p = ws.in_bases(frame.p), frame.p
+        diagonals = frame.diagonals(alphas)
         arbitrary = bent_stack(np.zeros_like(diagonals[:3]), rng, scale=1.0)
         batch = np.concatenate([diagonals, arbitrary])
         values = line.objective_batch(batch)

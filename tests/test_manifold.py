@@ -3,8 +3,8 @@
 ``project_stack``, ``geodesic_frame``, ``retract_batch`` and the inner
 product ``_re_vdot`` are the functions ``cga_optimize`` calls;
 ``random_feasible`` and the Takagi factors of ``random_feasible_stack`` are
-its start. On blocks larger than 1 x 1 ``retract_batch`` moves along the
-``geodesic_frame`` of a real symmetric S, on 1 x 1 blocks along a tangent.
+its start. ``retract_batch`` moves along the ``geodesic_frame`` of a real
+symmetric S, on blocks of every size.
 """
 
 import numpy as np
@@ -38,10 +38,7 @@ def symmetric_blocks(rng, n_groups, size):
 
 def step_along(stack, direction):
     """What ``retract_batch`` takes for the step: the ``geodesic_frame`` of
-    the real part of ``direction`` made symmetric on blocks larger than
-    1 x 1, ``direction`` itself on 1 x 1 blocks."""
-    if stack.shape[-1] == 1:
-        return direction
+    the real part of ``direction`` made symmetric."""
     body = direction.real
     return geodesic_frame(stack, body + body.transpose(0, 2, 1))
 
@@ -120,101 +117,25 @@ class TestRetract:
         assert ok[0]
         assert unitarity_residuals(moved[0]).max() <= 1e-10
 
-    def test_scalar_blocks_normalize_modulus(self):
-        config, _, theta, _ = make_instance(seed=6, n_elements=2, n_groups=2)
-        rng = np.random.default_rng(6)
-        stack = theta.block_stack()
-        direction = random_blocks(rng, 2, 1)
-        alpha = 0.7
-        moved, _ = retract_batch(stack, direction, np.array([alpha]))
-        target = stack + alpha * direction
-        assert np.allclose(moved[0], target / np.abs(target), rtol=1e-12,
-                           atol=0)
-
-    def test_scalar_blocks_match_sign_fixed_qr(self):
-        # 1 x 1 blocks retract by phase normalization; it must be the same
-        # Q-factor (with a real positive R) that the Householder QR gives.
-        rng = np.random.default_rng(7)
-        config, _, theta, _ = make_instance(seed=7, n_elements=64,
-                                            n_groups=64)
-        stack = theta.block_stack()
-        direction = random_blocks(rng, 64, 1)
-        alphas = np.concatenate([[0.0, 10.0], 0.75 ** np.arange(16.0)])
-        moved, ok = retract_batch(stack, direction, alphas)
-        q, r = np.linalg.qr(stack[None] + alphas[:, None, None, None]
-                            * direction[None])
-        phase = np.diagonal(r, axis1=2, axis2=3)
-        expected = q * (phase / np.abs(phase))[:, :, None, :]
-        assert ok.all()
-        assert np.abs(moved - expected).max() <= 1e-15
-
-    @pytest.mark.parametrize("case", ["tangent", "general", "near_zero",
-                                      "zero_entry"])
-    def test_scalar_blocks_bit_for_bit(self, case):
-        # The 1 x 1 branch works on real (re, im) pairs and tests the rank of
-        # the whole batch first; it must still give the bits of the complex
-        # formula z / |z| and the per-candidate ok rule. A tangent or general
-        # direction takes the one-test path; an entry within 1e-12 of zero,
-        # or exactly zero, takes the per-candidate fallback.
-        rng = np.random.default_rng(8)
-        stack = random_feasible_stack(rng, 64, 1)
-        direction = random_blocks(rng, 64, 1)
-        alphas = np.concatenate([[0.0, 10.0, 1.0], 0.75 ** np.arange(29.0)])
-        if case == "tangent":
-            direction = project_stack(direction, stack)
-        elif case == "near_zero":
-            direction[5] = -(1.0 + 1e-13) * stack[5]
-        elif case == "zero_entry":
-            direction[5] = -stack[5]
-        moved, ok = retract_batch(stack, direction, alphas)
-        z = stack.reshape(1, -1) + alphas[:, None] * direction.reshape(1, -1)
-        mags = np.abs(z)
-        assert moved.shape == (len(alphas), 64, 1, 1)
-        assert np.array_equal(moved[:, :, 0, 0],
-                              z / np.where(mags > 0, mags, 1.0))
-        assert np.array_equal(
-            ok, mags.min(axis=1) > 1e-12 * np.maximum(mags.max(axis=1), 1.0))
-        assert ok.all() == (case in ("tangent", "general"))
-
-    @pytest.mark.parametrize("groups", [2, 5])
-    def test_scalar_blocks_read_any_dtype_by_value(self, groups):
-        # Real and complex64 stacks and directions are promoted like the
-        # complex formula promotes them, also for two groups, where a
-        # (1, 2) reading of raw memory would still broadcast.
-        rng = np.random.default_rng(9)
-        stack = random_feasible_stack(rng, groups, 1)
-        direction = rng.standard_normal((groups, 1, 1))
-        alphas = np.array([0.0, 0.5, 2.0])
-        for theta, xi in ((stack.astype(np.complex64), direction),
-                          (stack.real.copy(), direction.astype(np.float32))):
-            moved, ok = retract_batch(theta, xi, alphas)
-            z = (theta.reshape(1, -1).astype(complex)
-                 + alphas[:, None] * xi.reshape(1, -1).astype(float))
-            assert moved.shape == (len(alphas), groups, 1, 1)
-            assert np.array_equal(moved[:, :, 0, 0], z / np.abs(z))
-            assert ok.all()
-
     def test_rank_deficient_target_raises(self):
-        # Rank-deficient candidates are flagged, not raised, so the other
-        # candidates of the batch stay usable; for 1 x 1 blocks that is a
-        # zero entry. The exponential map of larger blocks never is.
+        # The step that took the old tangent retraction of a 1 x 1 block
+        # through zero: the exponential map is never rank deficient, so
+        # every candidate is flagged valid and stays unitary, whatever the
+        # block size.
         for size in (1, 2):
             theta_stack = np.stack([np.eye(size, dtype=complex)])
             direction = np.stack([-np.eye(size, dtype=complex)])
             moved, ok = retract_batch(theta_stack,
                                       step_along(theta_stack, direction),
                                       np.array([1.0, 0.5]))
-            if size == 1:
-                assert ok.tolist() == [False, True]
-            else:
-                assert ok.all()
-            assert unitarity_residuals(moved[1]).max() <= 1e-12
+            assert ok.all()
+            assert max(unitarity_residuals(m).max() for m in moved) <= 1e-12
 
 
-@pytest.mark.parametrize("size", [2, 4, 8])
+@pytest.mark.parametrize("size", [1, 2, 4, 8])
 class TestExponentialMap:
-    """``retract_batch`` on blocks larger than 1 x 1: U exp(i alpha S) along
-    the ``geodesic_frame`` of a real symmetric S."""
+    """``retract_batch`` on blocks of every size: U exp(i alpha S) along the
+    ``geodesic_frame`` of a real symmetric S."""
 
     def _point(self, size, seed=0):
         rng = np.random.default_rng(seed)
