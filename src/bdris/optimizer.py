@@ -451,47 +451,32 @@ class _Workspace:
         body = q @ self.from_coordinates(step) @ qt
         return 0.5 * (body + body.transpose(0, 2, 1)), m
 
-    def _weights(self, c: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (K,) T_k = sum_i |c_ki|^2 + n0 and I_k, the same sum without
-        i = k, of ``sinr`` at the signal matrix ``c``, and the (K, K)
-        w_ki = 1/T_k - [i != k]/I_k: the rate's derivative in |c_ki|^2,
-        times ln2."""
-        total, interference, _ = self.sinr(c)
-        return total, interference, (
-            1.0 / total[:, None] - self.off_diagonal / interference[:, None])
+    def _forms(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (K, K) w_ki = 1/T_k - [i != k]/I_k, the rate's derivative in
+        |c_ki|^2 times ln2, with T_k = sum_i |c_ki|^2 + n0 and I_k the same
+        sum without i = k (``sinr``) at the signal matrix ``c``, and the K
+        forms (K, 2K, 2K) of the Hessian's first-derivative term.
 
-    def _outer_hessian(self, d: np.ndarray, c: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The part of the Hessian times ln2 that the first derivatives
-        i D[j, (k, i)] of the signal entries c_ki give, for D of shape
-        (n, K^2),
-
-            2 Re((D w) D^H) - gT gT^T + gI gI^T,
-
-        where w and the T_k, I_k are those of ``_weights``, and gT, gI are
-        the (n, K) gradients of T_k and I_k divided by T_k and I_k. Returns
-        it with w raveled and conj(c) * D, from which each caller adds the
-        term of the second derivatives of c. The sum is one real matrix
-        product, on the (re, im) pairs of D: no ``einsum`` and no complex
-        product.
+        That term, times ln2, is sum_ki w_ki d2|c_ki|^2 plus the products of
+        the derivatives of ln T_k and ln I_k. For the first derivatives
+        i D[j, (k, i)] of the c_ki (``signal_derivatives``) it is
+        sum_k X_k W_k X_k^T, with X_k the (n, 2K) (re, im) pairs of D's
+        columns (k, i) for user k and
+        W_k = diag(2 w_ki, twice) - t_k t_k^T + u_k u_k^T,
+        where t_k, u_k are the pairs of 2 i c_ki / T_k and of
+        2 i c_ki [i != k] / I_k: d|c_ki|^2 = -2 Im(conj(c_ki) D[j, (k, i)]),
+        so X_k t_k and X_k u_k are the gradients of ln T_k and ln I_k up to
+        a sign that their outer products drop.
         """
-        total, interference, w = self._weights(c)
-        w = w.ravel()
-        moved = c.conj().ravel() * d
-        # d|c_ki|^2 / dx_j = -2 Im(conj(c_ki) D[j, (k, i)]). g_total and
-        # g_inter carry the opposite sign, which their outer products drop.
-        halves = moved.imag.reshape(len(d), self.users, self.streams)
-        g_total = halves.sum(axis=2) * (2.0 / total)
-        g_inter = ((halves * self.off_diagonal).sum(axis=2)
-                   * (2.0 / interference))
-        # 2 Re((D w) D^H) - gT gT^T + gI gI^T = left @ right^T, the (re, im)
-        # pairs of D weighted by 2 w on the left.
-        pairs = d.view(float)
-        left = np.concatenate([pairs * np.repeat(2.0 * w, 2), -g_total,
-                               g_inter], axis=1)
-        right = np.concatenate([pairs, g_total, g_inter], axis=1)
-        return left @ right.T, w, moved
+        total, interference, _ = self.sinr(c)
+        w = 1.0 / total[:, None] - self.off_diagonal / interference[:, None]
+        turned = 2j * c
+        t = (turned / total[:, None]).view(float)
+        u = (turned * self.off_diagonal / interference[:, None]).view(float)
+        forms = u[:, :, None] * u[:, None, :] - t[:, :, None] * t[:, None, :]
+        forms.reshape(self.users, -1)[:, ::2 * self.streams + 1] += (
+            np.repeat(2.0 * w, 2, axis=1))
+        return w, forms
 
     def signal_derivatives(self, state: np.ndarray) -> np.ndarray:
         """(n, K^2) D with dc/dx_j = i D[j] at the state ``state``, for the
@@ -519,9 +504,11 @@ class _Workspace:
         of ``_body_basis`` (n = G R_G (R_G + 1) / 2), at the state ``state``
         with signal matrix ``c``.
 
-        The first derivatives D of ``signal_derivatives`` give
-        ``_outer_hessian``. The second, d2c/dx_j dx_l =
-        -2 A (E_j E_l + E_l E_j) B, give per block the term
+        The first derivatives D of ``signal_derivatives`` give the term
+        sum_k X_k W_k X_k^T of ``_forms``, formed as one product of the
+        (n, 2 K^2) pairs of D with the same pairs times their W_k. The
+        second, d2c/dx_j dx_l = -2 A (E_j E_l + E_l E_j) B, give per block
+        the term
 
             C_jl = -4 s_j s_l (d_bc M_ad + d_bd M_ac + d_ac M_bd + d_ad M_bc)
 
@@ -530,9 +517,13 @@ class _Workspace:
         Re(conj(c) D_j) w = 2 s_j M_ab, mapped into the Hessian by
         ``_body_basis``' sparse map.
         """
-        hess, w, moved = self._outer_hessian(self.signal_derivatives(state),
-                                             c)
-        m = moved.real @ w
+        d = self.signal_derivatives(state)
+        w, forms = self._forms(c)
+        # (n, K, 2K): row k of element j holds the pairs of D[j, (k, i)].
+        pairs = d.view(float).reshape(len(d), self.users, -1)
+        weighted = (pairs.transpose(1, 0, 2) @ forms).transpose(1, 0, 2)
+        hess = weighted.reshape(len(d), -1) @ pairs.reshape(len(d), -1).T
+        m = (c.conj().ravel() * d).real @ w.ravel()
         hess.reshape(-1)[self.curvature_targets] += np.bincount(
             self.curvature_slots,
             self.curvature_weights * m[self.curvature_sources])
@@ -548,27 +539,16 @@ class _Workspace:
 
         At U Q, M_g is diag(lambda_g), so the second-derivative term of
         ``body_hessian`` is diagonal, -2 (lambda_a + lambda_b) at j = (a, b).
-        ``_outer_hessian``'s term has rank at most 2 K^2: gT_k and gI_k are
-        combinations of the (re, im) pairs of D's columns (k, i) for user k,
-        so the term is sum_k X_k W_k X_k^T with X_k those 2 K pairs of
-        ``signal_derivatives`` at U Q and the 2K x 2K form
-        W_k = diag(2 w_ki, twice) - t_k t_k^T + u_k u_k^T,
-        where t_k, u_k are the pairs of 2 i c_ki / T_k and of
-        2 i c_ki [i != k] / I_k. One batched ``eigh`` of the K forms,
-        W_k = V_k diag(e_k) V_k^T, gives the factor [X_k V_k sqrt|e_k|]^T
-        and its signs sign(e_k).
+        The first-derivative term sum_k X_k W_k X_k^T of ``_forms`` has rank
+        at most 2 K^2, with X_k taken at U Q: one batched ``eigh`` of the K
+        forms, W_k = V_k diag(e_k) V_k^T, gives the factor
+        [X_k V_k sqrt|e_k|]^T and its signs sign(e_k).
         """
-        total, interference, w = self._weights(c)
+        w, forms = self._forms(c)
         ta = (self.a @ state).transpose(0, 2, 1)
         b = state.transpose(0, 2, 1) @ self.b
         n_g = ta @ (w * c.conj()) @ b.transpose(0, 2, 1)
         lam, q = np.linalg.eigh((n_g + n_g.transpose(0, 2, 1)).real)
-        turned = 2j * c
-        t = (turned / total[:, None]).view(float)
-        u = (turned * self.off_diagonal / interference[:, None]).view(float)
-        forms = u[:, :, None] * u[:, None, :] - t[:, :, None] * t[:, None, :]
-        forms.reshape(self.users, -1)[:, ::2 * self.streams + 1] += (
-            np.repeat(2.0 * w, 2, axis=1))
         weights, bases = np.linalg.eigh(forms)
         weights /= LN2
         # (n, K, 2K): row k of element j holds the pairs of D[j, (k, i)].

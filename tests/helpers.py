@@ -150,6 +150,41 @@ def reference_sum_rate(channels, theta, v, noise_power) -> float:
                                                noise_power)).sum())
 
 
+def rate_weights(c: np.ndarray, noise_power: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K,) T_k = sum_i |c_ki|^2 + n0 and I_k, the same sum without i = k,
+    and the (K, K) w_ki = 1/T_k - [i != k]/I_k, the sum-rate's derivative
+    in |c_ki|^2 times ln2, written out from the definition."""
+    powers = np.abs(c) ** 2
+    others = 1.0 - np.eye(*c.shape)
+    total = powers.sum(axis=1) + noise_power
+    interference = (powers * others).sum(axis=1) + noise_power
+    return total, interference, (1.0 / total[:, None]
+                                 - others / interference[:, None])
+
+
+def reference_outer_hessian(d: np.ndarray, c: np.ndarray,
+                            noise_power: float) -> np.ndarray:
+    """The Hessian's first-derivative term times ln2 for first derivatives
+    dc_ki/dx_j = i D[j, (k, i)], D of shape (n, K^2), as one concatenated
+    product:
+
+        2 Re((D w) D^H) - gT gT^T + gI gI^T,
+
+    with w of ``rate_weights`` raveled and gT, gI the (n, K) gradients of
+    T_k and I_k divided by T_k and I_k, from
+    d|c_ki|^2/dx_j = -2 Im(conj(c_ki) D[j, (k, i)]) (the sign drops out of
+    the outer products)."""
+    total, interference, w = rate_weights(c, noise_power)
+    k = c.shape[0]
+    halves = (c.conj().ravel() * d).imag.reshape(len(d), k, -1)
+    g_total = halves.sum(axis=2) * (2.0 / total)
+    g_inter = (halves * (1.0 - np.eye(*c.shape))).sum(axis=2) * (
+        2.0 / interference)
+    return (2.0 * ((d * w.ravel()) @ d.conj().T).real
+            - g_total @ g_total.T + g_inter @ g_inter.T)
+
+
 def central_difference_gradient(objective, stack: np.ndarray,
                                 step: float) -> np.ndarray:
     """Central-difference gradient of a scalar function of a block stack.

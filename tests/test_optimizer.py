@@ -20,8 +20,9 @@ from bdris.gradient import LN2
 from bdris.optimizer import _armijo_stack, _re_vdot, _Workspace
 
 from helpers import (body_gradient_at, config_for_tag, explicit_armijo_step,
-                     explicit_scores, make_config, make_instance,
-                     reference_sum_rate, start_state, workspace_at)
+                     explicit_scores, make_config, make_instance, rate_weights,
+                     reference_outer_hessian, reference_sum_rate, start_state,
+                     workspace_at)
 
 
 def small_run(seed, tag="gc2", n_elements=4, max_iters=400, **overrides):
@@ -967,7 +968,8 @@ def test_hessian_first_order_part_is_body_gradient(tag):
         state = start_state(config, seed + 1)
         c = ws.signal(ws.theta(state))
         aux = ws.stats(c)[0]
-        _, w, moved = ws._outer_hessian(ws.signal_derivatives(state), c)
+        w = rate_weights(c, config.noise_power)[2].ravel()
+        moved = c.conj().ravel() * ws.signal_derivatives(state)
         expected = ws.to_coordinates(body_gradient_at(ws, state, c, aux))
         np.testing.assert_allclose(-2.0 * (moved.imag @ w) / LN2, expected,
                                    rtol=0, atol=1e-13 * np.abs(expected).max())
@@ -1051,6 +1053,46 @@ def test_rotated_hessian_is_body_hessian_at_rotated_state(tag, r, gains):
         c).max()
     assert low.scale == pytest.approx(np.abs(dense.diagonal()).max(),
                                       rel=1e-12)
+
+
+def second_derivative_term(ws, state, c):
+    """The Hessian's term of the second derivatives of the c_ki, times ln2:
+    sum_ki w_ki 2 Re(conj(c_ki) d2c_ki/dx_j dx_l), with
+    d2c/dx_j dx_l = -2 A_g (E_j E_l + E_l E_j) B_g for j, l in block g,
+    written out entry by entry."""
+    basis = symmetric_basis(state.shape[1])
+    size = len(basis)
+    w = rate_weights(c, ws.noise)[2]
+    big_a, big_b = ws.a @ state, state.transpose(0, 2, 1) @ ws.b
+    term = np.zeros((len(state) * size,) * 2)
+    for g in range(len(state)):
+        for j, e_j in enumerate(basis):
+            for l, e_l in enumerate(basis):
+                second = -2.0 * big_a[g] @ (e_j @ e_l + e_l @ e_j) @ big_b[g]
+                term[g * size + j, g * size + l] = 2.0 * (
+                    w * (c.conj() * second).real).sum()
+    return term
+
+
+@pytest.mark.parametrize("tag, r, gains", low_rank_instances())
+def test_first_derivative_term_matches_reference(tag, r, gains):
+    # Both Hessians' first-derivative term, sum_k X_k W_k X_k^T, against the
+    # concatenated 2 Re((D w) D^H) - gT gT^T + gI gI^T of ``helpers``: in
+    # ``body_hessian`` after the second-derivative term written out here,
+    # and as the low-rank part of ``rotated_hessian`` at U Q.
+    _, _, _, ws, state = hessian_instance(tag, r, gains)
+    c = ws.signal(ws.theta(state))
+    expected = reference_outer_hessian(ws.signal_derivatives(state), c,
+                                       ws.noise) / LN2
+    outer = (ws.body_hessian(state, c)
+             - second_derivative_term(ws, state, c) / LN2)
+    assert np.abs(outer - expected).max() <= 1e-12 * np.abs(expected).max()
+    q, _, factor, signs = ws.rotated_hessian(state, c)
+    expected = reference_outer_hessian(ws.signal_derivatives(state @ q), c,
+                                       ws.noise) / LN2
+    low_rank = (factor.T * signs) @ factor
+    assert np.abs(low_rank - expected).max() <= 1e-12 * np.abs(
+        expected).max()
 
 
 @pytest.mark.parametrize("tag, r, gains", low_rank_instances())
