@@ -35,35 +35,11 @@ LN2 = float(np.log(2.0))
 
 
 class Auxiliaries(NamedTuple):
-    """Frozen auxiliaries (tau, y) and the per-user coefficients that every
-    surrogate score and gradient at them uses, formed once per iterate.
-
-    The surrogate of user k is offset_k + weight_k * quad_k with
-    quad_k = Re(y_conj2_k c_kk) - y_power_k * total_k (see the
-    ``optimizer`` module docstring). ``y_conj2`` holds 2 conj(y): doubling
-    is exact in floating point, so Re(y_conj2 c) has the bits of
-    2 Re(conj(y) c) with one product fewer.
-    """
+    """Frozen auxiliaries of the surrogate (see the ``optimizer`` module
+    docstring): the (K,) multipliers tau and the (K,) complex y."""
 
     tau: np.ndarray
     y: np.ndarray
-    offset: np.ndarray       # log2(1 + tau) - tau / ln2
-    weight: np.ndarray       # (1 + tau) / ln2
-    y_conj2: np.ndarray      # 2 conj(y)
-    y_power: np.ndarray      # |y|^2
-
-    @classmethod
-    def of(cls, tau: np.ndarray, y: np.ndarray,
-           log_term: np.ndarray | None = None,
-           one_plus: np.ndarray | None = None) -> "Auxiliaries":
-        """Coefficients at (tau, y); ``log_term`` is log2(1 + tau) and
-        ``one_plus`` is 1 + tau, if the caller has them already."""
-        if one_plus is None:
-            one_plus = 1.0 + tau
-        if log_term is None:
-            log_term = np.log2(one_plus)
-        return cls(tau, y, log_term - tau / LN2, one_plus / LN2,
-                   2.0 * y.conj(), np.abs(y) ** 2)
 
 
 def channel_stacks(channels: ChannelSet, beam_v: np.ndarray,
@@ -91,8 +67,8 @@ def gradient_stack(a_h: np.ndarray, b_h: np.ndarray, c: np.ndarray,
     fixed for a whole solve.
     """
     t1 = aux.y[:, None] * b_h
-    t2 = aux.y_power[:, None] * (c @ b_h)
-    weighted = aux.weight[:, None] * (t1 - t2)
+    t2 = (np.abs(aux.y) ** 2)[:, None] * (c @ b_h)
+    weighted = ((1.0 + aux.tau) / LN2)[:, None] * (t1 - t2)
     return 2.0 * (a_h @ weighted)
 
 

@@ -64,9 +64,9 @@ gradient, and the line search tests the sum-rate itself.
 
 Every formula is implemented once, on (G, R_G, R_G) block stacks: the signal
 matrix, the SINRs (``sinr``, shared by the rate, the line search's scores
-and the Hessians), auxiliaries and surrogate in ``_Workspace``, the
-gradient in ``gradient``, and the manifold steps in ``manifold``. The
-signal matrix is linear in Theta, and the line search only ever scores
+and the Hessians), auxiliaries, surrogate and the Hessian's per-user forms
+(``_forms``) in ``_Workspace``, the gradient in ``gradient``, and the
+manifold steps in ``manifold``. The signal matrix is linear in Theta, and the line search only ever scores
 blocks that are diagonal in a known basis: the geodesic's
 P_g diag(exp(2 i alpha w_g)) P_g^T in the bases P_g = U_g Q_g of the
 eigendecomposition S_g = Q_g diag(w_g) Q_g^T. So ``_Workspace`` holds a
@@ -213,7 +213,8 @@ class _Workspace:
     ``body_hessian`` gives the Hessian of the sum-rate in the coordinates of
     ``to_coordinates``, in which the Newton step is solved, and
     ``rotated_hessian`` its diagonal plus low-rank form in the eigenbasis
-    of M_g; ``dense`` says which of the two ``newton_step`` uses.
+    of M_g, both from the per-user forms of ``_forms``; ``dense`` says
+    which of the two ``newton_step`` uses.
     """
 
     def __init__(self, channels: ChannelSet, beam: Beamformer,
@@ -286,18 +287,11 @@ class _Workspace:
 
     def stats(self, c: np.ndarray) -> tuple[Auxiliaries, float, np.ndarray]:
         """Optimal auxiliaries, true sum-rate and the (K,) totals
-        sum_i |c_ki|^2 + n0 at the signal matrix ``c``.
-
-        The auxiliaries come with their coefficients (``Auxiliaries``), which
-        reuse the rate's log2(1 + tau); passing the totals to ``objective``
-        at the same ``c`` saves recomputing them.
-        """
+        sum_i |c_ki|^2 + n0 at the signal matrix ``c``; passing the totals
+        to ``objective`` at the same ``c`` saves recomputing them."""
         total, _, tau = self.sinr(c)
         y = c.diagonal() / total
-        one_plus = 1.0 + tau
-        log_term = np.log2(one_plus)
-        return (Auxiliaries.of(tau, y, log_term, one_plus),
-                float(log_term.sum()), total)
+        return Auxiliaries(tau, y), float(np.log2(1.0 + tau).sum()), total
 
     def rate(self, c: np.ndarray) -> float:
         return self.stats(c)[1]
@@ -306,12 +300,14 @@ class _Workspace:
                   total: np.ndarray | None = None) -> np.ndarray:
         """Per-user surrogate values (see the module docstring) of signal
         matrices ``c`` of shape (..., K, K) at frozen auxiliaries; ``total``
-        are their sum_i |c_ki|^2 + n0 if the caller has them."""
+        are their sum_i |c_ki|^2 + n0 if the caller has them. 2 conj(y) is
+        exact, so Re(2 conj(y) c) has the bits of 2 Re(conj(y) c)."""
         if total is None:
             total = self.sinr(c)[0]
-        quad = ((aux.y_conj2 * c.diagonal(axis1=-2, axis2=-1)).real
-                - aux.y_power * total)
-        return aux.offset + aux.weight * quad
+        one_plus = 1.0 + aux.tau
+        quad = ((2.0 * aux.y.conj() * c.diagonal(axis1=-2, axis2=-1)).real
+                - np.abs(aux.y) ** 2 * total)
+        return (np.log2(one_plus) - aux.tau / LN2) + one_plus / LN2 * quad
 
     def objective(self, c: np.ndarray, aux: Auxiliaries,
                   total: np.ndarray | None = None) -> float:

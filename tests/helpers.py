@@ -57,7 +57,7 @@ def workspace_at(theta, channels, beam, config):
     point.
 
     The workspace is the one ``cga_optimize`` builds; the auxiliaries are
-    its closed-form optimal (tau, y) at theta, with their coefficients.
+    its closed-form optimal (tau, y) at theta.
     """
     ws = _Workspace(channels, beam, config)
     stack = theta.block_stack()
@@ -120,12 +120,12 @@ def random_aux(rng: np.random.Generator, n_users: int) -> Auxiliaries:
     """Arbitrary feasible auxiliaries (tau >= 0, y complex)."""
     tau = rng.uniform(0.0, 5.0, n_users)
     y = rng.standard_normal(n_users) + 1j * rng.standard_normal(n_users)
-    return Auxiliaries.of(tau, y * rng.uniform(0.0, 1.0))
+    return Auxiliaries(tau, y * rng.uniform(0.0, 1.0))
 
 
 def zero_aux(n_users: int) -> Auxiliaries:
     """tau = 0 and y = 0, at which the surrogate and its gradient vanish."""
-    return Auxiliaries.of(np.zeros(n_users), np.zeros(n_users, dtype=complex))
+    return Auxiliaries(np.zeros(n_users), np.zeros(n_users, dtype=complex))
 
 
 def reference_sinr(channels, theta: np.ndarray, v: np.ndarray,

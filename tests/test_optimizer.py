@@ -328,9 +328,9 @@ def test_chunk_width_changes_no_result(tag, monkeypatch):
 
 @pytest.mark.parametrize("tag", ["sc", "gc2", "fc"])
 def test_coefficients_reproduce_surrogate_sum(tag):
-    # The per-iterate coefficients of ``stats``, with and without its
-    # totals, give exactly the sum of the surrogate formula written out from
-    # (tau, y), and the batched true-rate scores are exactly the rates that
+    # ``objective`` at the auxiliaries of ``stats``, with and without its
+    # totals, gives exactly the sum of the surrogate formula written out
+    # from (tau, y), and the batched true-rate scores are exactly the rates that
     # ``stats`` gives at their signal matrices: an accepted step's recorded
     # rate is the score that passed the line search.
     def reference(c, tau, y, noise):
