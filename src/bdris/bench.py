@@ -51,8 +51,8 @@ class ExperimentSpec:
     output_dir: str | None = None
 
     def __post_init__(self):
-        # The loader's check, for specs built directly: 2.5 and True raise
-        # with the key's name, and 2.0 reads as 2, as it does in a file.
+        # The one check, for specs from files and built directly: 2.5 and
+        # True raise with the key's name, and 2.0 reads as 2.
         for key in ("n_trials", "seed_base"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -158,8 +158,8 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
         architectures=tuple(architectures),
         sweep_variable=variable,
         sweep_values=tuple(values),
-        n_trials=integer_field("n_trials", _required(raw, "n_trials")),
-        seed_base=integer_field("seed_base", raw.get("seed_base", 0)),
+        n_trials=_required(raw, "n_trials"),
+        seed_base=raw.get("seed_base", 0),
         output_dir=output_dir)
 
 

@@ -127,8 +127,10 @@ class Beamformer:
             raise ValueError("v must be 2-D (N, K)")
         if not np.isfinite(self.v).all():
             raise ValueError("beamformer entries must be finite")
+        # Relative: the initializers scale V to the budget, and ||V||_F^2
+        # rounds to a few ulps of it, whatever the budget's size.
         used = float(np.linalg.norm(self.v) ** 2)
-        if used > self.power_budget + 1e-9:
+        if used > self.power_budget * (1.0 + 16.0 * np.finfo(float).eps):
             raise ValueError(
                 f"beamformer power {used:.6g} exceeds budget {self.power_budget:.6g}")
 

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,3 +100,21 @@ def test_different_solves_rejected(tmp_path, capsys):
     change = write(tmp_path, "change", CHANGE.rsplit("fc,10.0,1", 1)[0])
     assert tool.main([str(parent), str(change)]) == 2
     assert "1 only in the first" in capsys.readouterr().err
+
+
+def test_closed_pipe_ends_quietly(tmp_path):
+    # As ``compare_results.py A B | head -1``: the reader takes one line and
+    # closes the pipe. A thousand sweep values make a report larger than a
+    # pipe's buffer, so the tool is still writing when the pipe closes.
+    rows = "".join(f"sc,{value}.0,0,0,5.0,20,true\n" for value in range(1000))
+    parent = write(tmp_path, "parent", HEADER + rows, cap=2000)
+    change = write(tmp_path, "change", HEADER + rows, cap=2000)
+    proc = subprocess.Popen([sys.executable, str(TOOL), str(parent),
+                             str(change)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"arch")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == b""

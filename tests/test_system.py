@@ -1,12 +1,18 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bdris import (Architecture, Beamformer, ScatteringMatrix,
-                   generate_channels_from_gains, init_beamformer_mmse,
-                   init_beamformer_uniform, parse_architecture_tag)
+                   generate_channels, generate_channels_from_gains,
+                   init_beamformer_mmse, init_beamformer_uniform, load_config,
+                   parse_architecture_tag)
 from bdris.gradient import channel_stacks
 
 from helpers import make_config, make_instance, reference_sinr, workspace_at
+
+DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.yaml"
 
 
 def identity_theta(config):
@@ -231,6 +237,30 @@ class TestBeamformers:
     def test_power_budget_enforced(self):
         with pytest.raises(ValueError, match="power"):
             Beamformer(v=np.eye(2, dtype=complex), power_budget=1.0)
+
+    @pytest.mark.parametrize("budget", [1e-12, 1.0, 3e7, 1e10])
+    def test_power_budget_is_relative(self, budget):
+        # 1e-6 above the budget, relative, raises at every scale; an
+        # absolute slack let it pass at small budgets.
+        v = np.eye(2, dtype=complex) * np.sqrt(0.5 * budget * (1.0 + 1e-6))
+        with pytest.raises(ValueError, match="exceeds budget"):
+            Beamformer(v=v, power_budget=budget)
+
+    @pytest.mark.parametrize("p_max", [3e7, 7.3e8, 1e9, 1e10])
+    def test_initializers_meet_budget_at_desk_powers(self, p_max):
+        # Both initializers scale V to p_max, and ||V||_F^2 rounds a few
+        # ulps above it at these powers (uniform at 3e7, MMSE at the others
+        # for some channel seeds): that is within the budget.
+        config, geometry = load_config(DESK)
+        config = replace(config, p_max=p_max)
+        assert init_beamformer_uniform(config).power_budget == p_max
+        for seed in range(20):
+            channels = generate_channels(replace(config, n_groups=1),
+                                         geometry, seed)
+            beam = init_beamformer_mmse(channels.h_rx @ channels.h_tx,
+                                        config)
+            assert np.linalg.norm(beam.v) ** 2 == pytest.approx(p_max,
+                                                                rel=1e-14)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
     def test_nonfinite_entries_rejected(self, bad):

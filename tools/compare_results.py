@@ -15,7 +15,9 @@ these per-instance counts, not by the means alone.
 
 Each side's cap is the ``experiment.config.max_iters`` of the
 ``manifest.json`` that ``bdris bench`` writes beside its ``results.csv``.
-A missing manifest, or files whose solves differ, end with exit code 2.
+A missing manifest, or files whose solves differ, end with exit code 2; a
+reader that closes the output early (``| head -1``) ends it quietly, with
+exit code 0.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import statistics
 import sys
 from pathlib import Path
@@ -112,4 +115,13 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``): the rest of the report
+        # is unwanted, not an error. stdout goes to devnull so that the
+        # interpreter's own flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    sys.exit(status)
