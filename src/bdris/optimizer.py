@@ -66,11 +66,11 @@ Every formula is implemented once, on (G, R_G, R_G) block stacks: the signal
 matrix, the SINRs (``sinr``, shared by the rate, the line search's scores
 and the Hessians), auxiliaries, surrogate and the Hessian's per-user forms
 (``_forms``) in ``_Workspace``, the gradient in ``gradient``, and the
-manifold steps in ``manifold``. The signal matrix is linear in Theta, and the line search only ever scores
-blocks that are diagonal in a known basis: the geodesic's
-P_g diag(exp(2 i alpha w_g)) P_g^T in the bases P_g = U_g Q_g of the
-eigendecomposition S_g = Q_g diag(w_g) Q_g^T. So ``_Workspace`` holds a
-channel tensor with one row per element for those bases, and a whole chunk
+manifold steps in ``manifold``. The signal matrix is linear in Theta, and
+the line search only ever scores blocks that are diagonal in a known basis:
+the geodesic's P_g diag(exp(2 i alpha w_g)) P_g^T in the bases P_g = U_g Q_g
+of the eigendecomposition S_g = Q_g diag(w_g) Q_g^T. So ``_Workspace`` holds
+a channel tensor with one row per element for those bases, and a whole chunk
 of candidate diagonals is one matrix product with it. A search builds that
 tensor once in its bases P_g, and forms only the factor it accepts; the
 search also returns the accepted point's signal matrix, so no iterate
@@ -453,16 +453,19 @@ class _Workspace:
         sum without i = k (``sinr``) at the signal matrix ``c``, and the K
         forms (K, 2K, 2K) of the Hessian's first-derivative term.
 
-        That term, times ln2, is sum_ki w_ki d2|c_ki|^2 plus the products of
-        the derivatives of ln T_k and ln I_k. For the first derivatives
-        i D[j, (k, i)] of the c_ki (``signal_derivatives``) it is
+        The sum-rate times ln2 is sum_k (ln T_k - ln I_k). The first
+        derivatives i D[j, (k, i)] of the c_ki (``signal_derivatives``)
+        give its Hessian the term
+        sum_ki 2 w_ki Re(D[j, (k, i)] conj(D[l, (k, i)])) - gT gT^T + gI gI^T,
+        with gT, gI the (n, K) gradients of ln T_k and ln I_k; the second
+        derivatives give the rest (``body_hessian``). The term is
         sum_k X_k W_k X_k^T, with X_k the (n, 2K) (re, im) pairs of D's
         columns (k, i) for user k and
         W_k = diag(2 w_ki, twice) - t_k t_k^T + u_k u_k^T,
         where t_k, u_k are the pairs of 2 i c_ki / T_k and of
-        2 i c_ki [i != k] / I_k: d|c_ki|^2 = -2 Im(conj(c_ki) D[j, (k, i)]),
-        so X_k t_k and X_k u_k are the gradients of ln T_k and ln I_k up to
-        a sign that their outer products drop.
+        2 i c_ki [i != k] / I_k: as d|c_ki|^2/dx_j =
+        -2 Im(conj(c_ki) D[j, (k, i)]), X_k t_k and X_k u_k are gT_k and
+        gI_k up to a sign that their outer products drop.
         """
         total, interference, _ = self.sinr(c)
         w = 1.0 / total[:, None] - self.off_diagonal / interference[:, None]

@@ -330,9 +330,9 @@ def test_chunk_width_changes_no_result(tag, monkeypatch):
 def test_coefficients_reproduce_surrogate_sum(tag):
     # ``objective`` at the auxiliaries of ``stats``, with and without its
     # totals, gives exactly the sum of the surrogate formula written out
-    # from (tau, y), and the batched true-rate scores are exactly the rates that
-    # ``stats`` gives at their signal matrices: an accepted step's recorded
-    # rate is the score that passed the line search.
+    # from (tau, y), and the batched true-rate scores are exactly the rates
+    # that ``stats`` gives at their signal matrices: an accepted step's
+    # recorded rate is the score that passed the line search.
     def reference(c, tau, y, noise):
         total = (np.abs(c) ** 2).sum(axis=-1) + noise
         quad = (2.0 * np.real(np.conj(y) * np.diagonal(c, axis1=-2, axis2=-1))
