@@ -36,11 +36,15 @@ until the gradient norm in body coordinates falls to ``_GRADIENT_RATIO`` of
 its value at the start point. A direction that does not ascend clears the
 L-BFGS memory and goes along the gradient instead, and so does the search
 after one that failed; only a failed search along the gradient stops the
-run as ``stalled``. Every accepted step raises the sum-rate by more than the
-rounding noise of its evaluation, so the sum-rate never decreases from one
-iterate to the next. The final matrix still goes through the per-block
-projection onto the symmetric unitary set (symmetrize, SVD, take U V^H),
-which only rounds an exact iterate.
+run as ``stalled``. A step is accepted when its score, the sum-rate of the
+candidate, exceeds the current rate by more than the rounding noise of the
+two (``_NOISE_ULPS``). The rate recorded at the accepted point is evaluated
+again, from its own signal matrix, and differs from its score by a few
+ulps, far below that floor: so the recorded sum-rate rises strictly with
+every accepted step and never decreases from one iterate to the next. The
+final matrix still goes through the per-block projection onto the
+symmetric unitary set (symmetrize, SVD, take U V^H), which only rounds an
+exact iterate.
 
 The surrogate objective replaces the log-of-ratio rate in two steps. A
 multiplier tau_k moves the SINR ratio out of the log:
@@ -66,29 +70,41 @@ Every formula is implemented once, on (G, R_G, R_G) block stacks: the signal
 matrix, the SINRs (``sinr``, shared by the rate, the line search's scores
 and the Hessians), auxiliaries, surrogate and the Hessian's per-user forms
 (``_forms``) in ``_Workspace``, the gradient in ``gradient``, and the
-manifold steps in ``manifold``. The signal matrix is linear in Theta, and
-the line search only ever scores blocks that are diagonal in a known basis:
-the geodesic's P_g diag(exp(2 i alpha w_g)) P_g^T in the bases P_g = U_g Q_g
-of the eigendecomposition S_g = Q_g diag(w_g) Q_g^T. So ``_Workspace`` holds
-a channel tensor with one row per element for those bases, and a whole chunk
+manifold steps in ``manifold``. At an accepted point ``stats`` forms the
+SINR terms once, and the Newton step's ``_forms`` takes them from there.
+The signal matrix is linear in Theta, and the line search only ever scores
+blocks that are diagonal in a known basis: the geodesic's
+P_g diag(exp(2 i alpha w_g)) P_g^T in the bases P_g = U_g Q_g of the
+eigendecomposition S_g = Q_g diag(w_g) Q_g^T. So ``_Workspace`` holds a
+channel tensor with one row per element for those bases, and a whole chunk
 of candidate diagonals is one matrix product with it. A search builds that
 tensor once in its bases P_g, and forms only the factor it accepts; the
-search also returns the accepted point's signal matrix, so no iterate
-recomputes it.
+search also returns the accepted point's signal matrix, from one more
+product of its diagonal alone with the tensor, so no iterate forms it from
+its blocks. That one-row product rounds differently from the scored chunk,
+which is why a recorded rate can differ from its score in the last ulps.
 
-The unitarity residual of every iterate's blocks, which only its
-``IterationRecord`` reads, is computed in batches. Each record's state is
-copied into a buffer that holds as many states as fit in
-``_RESIDUAL_BUDGET`` complex entries, and at least one. When the buffer is
+The unitarity residual and the surrogate value of every iterate, which only
+its ``IterationRecord`` reads, are computed in batches. Each record's state
+is copied into a buffer that holds as many states as fit in
+``_RESIDUAL_BUDGET`` complex entries, and at least one, and its signal
+matrix, auxiliaries and totals are queued beside it. When the buffer is
 full, and at exit, one ``_Workspace.theta`` and one ``unitarity_residuals``
-call cover all the states in it; the records are then built in order.
-The values are those of one call per iterate, bit for bit. The blocks
-Theta themselves are formed once, at exit, for the final projection.
+call cover all the states in it, and one ``_Workspace.objective`` call all
+the queued points; the records are then built in order. The values are
+those of one call per iterate, bit for bit. The blocks Theta themselves are
+formed once, at exit, for the final projection.
+
+The index maps of the body coordinates depend only on the shape
+(G, R_G, K, K) of a problem; they are built at the first solve of a shape
+and shared, read-only, by every later workspace of that shape
+(``_body_maps``).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -134,7 +150,8 @@ class IterationRecord:
     """One iterate of a run: the start point (``iter`` 0) or the point an
     iteration reached, which is the previous one after a stalled search
     (``step`` 0). ``unitarity_residual`` is the largest ||T_g T_g^H - I||_F
-    over its blocks, computed in batches (see the module docstring)."""
+    over its blocks; it and ``surrogate`` are computed in batches (see the
+    module docstring)."""
 
     iter: int
     true_rate: float         # eta, bits/s/Hz
@@ -197,6 +214,77 @@ def _channel_tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return t.reshape(-1, a.shape[1] * b.shape[2])
 
 
+@functools.cache
+def _body_maps(groups: int, rg: int, users: int, streams: int,
+               dense: bool) -> tuple:
+    """Index arrays of the orthonormal basis of real symmetric R_G x R_G
+    matrices, for G blocks and K x K signal matrices, built once per
+    process and shape and shared read-only by every workspace of it.
+
+    The basis is E_aa, and (E_ab + E_ba) / sqrt(2) for a < b, the basis
+    element j = (a, b) being ``rows[j], cols[j]`` of ``triu_indices``, and
+    ``lift`` its 2 s_j (1 on the diagonal, sqrt(2) off it).
+    ``derivative_indices`` and ``derivative_lift`` lay them out for
+    ``signal_derivatives``: per entry (g, j, k, i) of D, the flat positions
+    of A_g[k, a], B_g[b, i], A_g[k, b] and B_g[a, i] in the raveled
+    (G, R_G, K) stacks of A^T and B, and lift_j as a complex. Returns
+    (rows, cols, lift, derivative_indices, derivative_lift), followed for
+    ``dense`` workspaces by the four arrays of the curvature map.
+
+    Dense workspaces also need ``body_hessian``'s second-derivative term
+    (the structured path never reads it, and at R_G = 32 it would take
+    17 ms and 1.5 MB, against 0.4 ms and 0.42 MB for the rest),
+    C_jl = -4 s_j s_l (d_bc M_ad + d_bd M_ac + d_ac M_bd + d_ad M_bc),
+    l = (c, d), as a sparse map into the raveled (n, n) Hessian from
+    the (n,) vector m_j = 2 s_j M_ab of each block's entries: for every
+    nonzero Kronecker delta its weight -4 s_j s_l / (2 s_i), its source
+    i in m and its slot, and the distinct Hessian entries of the slots
+    (up to four terms share one): ``curvature_sources``,
+    ``curvature_weights``, ``curvature_targets`` and ``curvature_slots``.
+    At R_G = 8 the four terms have 648 nonzeros among their 5,184
+    entries."""
+    rows, cols = np.triu_indices(rg)
+    half = np.where(rows == cols, 0.5, math.sqrt(0.5))
+    lift = 2.0 * half
+    shape = (groups, len(rows), users, streams)
+    block = (np.arange(groups) * rg)[:, None, None, None]
+    user = np.arange(users)[:, None]
+    stream = np.arange(streams)
+    derivative_indices = tuple(
+        np.broadcast_to(
+            (block + index[:, None, None]) * width + entry, shape).ravel()
+        for index, width, entry in ((rows, users, user),
+                                    (cols, streams, stream),
+                                    (cols, users, user),
+                                    (rows, streams, stream)))
+    derivative_lift = np.broadcast_to(
+        lift[:, None, None], shape).astype(complex).ravel()
+    maps = (rows, cols, lift, derivative_indices, derivative_lift)
+    if dense:
+        size = len(rows)
+        n = groups * size
+        position = np.empty((rg, rg), dtype=int)
+        position[rows, cols] = position[cols, rows] = np.arange(size)
+        a, b = rows[:, None], cols[:, None]
+        c, d = rows[None, :], cols[None, :]
+        targets, sources, weights = [], [], []
+        for delta, p, q in ((b == c, a, d), (b == d, a, c), (a == c, b, d),
+                            (a == d, b, c)):
+            j, l = delta.nonzero()
+            source = np.broadcast_to(position[p, q], delta.shape)[j, l]
+            targets.append(j * n + l)
+            sources.append(source)
+            weights.append(-2.0 * half[j] * half[l] / half[source])
+        own = np.arange(groups)[:, None]
+        targets = (np.concatenate(targets) + own * (size * n + size)).ravel()
+        maps += ((np.concatenate(sources) + own * size).ravel(),
+                 np.tile(np.concatenate(weights), groups),
+                 *np.unique(targets, return_inverse=True))
+    for array in (*maps[:3], *derivative_indices, *maps[4:]):
+        array.flags.writeable = False
+    return maps
+
+
 class _Workspace:
     """Precomputed channel factors and batched objective/gradient kernels.
 
@@ -214,7 +302,9 @@ class _Workspace:
     ``to_coordinates``, in which the Newton step is solved, and
     ``rotated_hessian`` its diagonal plus low-rank form in the eigenbasis
     of M_g, both from the per-user forms of ``_forms``; ``dense`` says
-    which of the two ``newton_step`` uses.
+    which of the two ``newton_step`` uses. The index maps of those
+    coordinates are ``_body_maps``' arrays, shared by every workspace of
+    the same shape.
     """
 
     def __init__(self, channels: ChannelSet, beam: Beamformer,
@@ -232,7 +322,15 @@ class _Workspace:
         # in the eigenbasis of M_g (``rotated_hessian``).
         self.dense = (config.n_groups * rg * (rg + 1) // 2
                       <= _NEWTON_DIMENSION)
-        self._body_basis(config.n_groups, rg)
+        (self.rows, self.cols, self.lift, self.derivative_indices,
+         self.derivative_lift, *curvature) = _body_maps(
+            config.n_groups, rg, self.users, self.streams, self.dense)
+        if self.dense:
+            (self.curvature_sources, self.curvature_weights,
+             self.curvature_targets, self.curvature_slots) = curvature
+        # The signal matrix ``stats`` was last called at, with its totals
+        # and SINR denominators, for ``_forms``.
+        self.sums = None, None, None
 
     def in_bases(self, p: np.ndarray) -> "_Workspace":
         """The workspace of blocks written in the bases ``p`` (G, R_G, R_G):
@@ -288,8 +386,11 @@ class _Workspace:
     def stats(self, c: np.ndarray) -> tuple[Auxiliaries, float, np.ndarray]:
         """Optimal auxiliaries, true sum-rate and the (K,) totals
         sum_i |c_ki|^2 + n0 at the signal matrix ``c``; passing the totals
-        to ``objective`` at the same ``c`` saves recomputing them."""
-        total, _, tau = self.sinr(c)
+        to ``objective`` at the same ``c`` saves recomputing them. It keeps
+        the totals and SINR denominators in ``sums``, where ``_forms`` at
+        the same array ``c`` takes them."""
+        total, interference, tau = self.sinr(c)
+        self.sums = c, total, interference
         y = c.diagonal() / total
         return Auxiliaries(tau, y), float(np.log2(1.0 + tau).sum()), total
 
@@ -310,9 +411,12 @@ class _Workspace:
         return (np.log2(one_plus) - aux.tau / LN2) + one_plus / LN2 * quad
 
     def objective(self, c: np.ndarray, aux: Auxiliaries,
-                  total: np.ndarray | None = None) -> float:
-        """Surrogate sum at frozen auxiliaries from the signal matrix."""
-        return float(self.surrogate(c, aux, total).sum())
+                  total: np.ndarray | None = None) -> np.ndarray:
+        """Surrogate sums at frozen auxiliaries from signal matrices ``c``
+        (..., K, K), with auxiliaries and totals of shape (..., K): the sum
+        over the last axis, a numpy float for one point. A stack of points
+        sums each to the bits of its own call."""
+        return self.surrogate(c, aux, total).sum(axis=-1)
 
     def objective_batch(self, diagonals: np.ndarray) -> np.ndarray:
         """True sum-rate of many candidate points at once, the line search's
@@ -321,7 +425,10 @@ class _Workspace:
         ``diagonals`` (M, G, R_G) are those of diagonal blocks in this
         workspace's bases; returns the (M,) rates at their ``signals``. The
         SINRs come from ``sinr`` as in ``stats``, so a candidate scores the
-        bits that ``stats`` gives at its signal matrix.
+        bits that ``stats`` gives at its row of this product. That row is
+        not the signal matrix the search returns for an accepted candidate
+        (see ``_armijo_stack``): the recorded rate there can differ from the
+        score by a few ulps.
         """
         tau = self.sinr(self.signals(diagonals))[2]
         return np.log2(1.0 + tau).sum(axis=-1)
@@ -345,71 +452,11 @@ class _Workspace:
         lift = (state.conj().transpose(0, 2, 1) @ riem).imag
         return 0.5 * (lift + lift.transpose(0, 2, 1))
 
-    def _body_basis(self, groups: int, rg: int) -> None:
-        """Index arrays of the orthonormal basis of real symmetric R_G x R_G
-        matrices: E_aa, and (E_ab + E_ba) / sqrt(2) for a < b, the basis
-        element j = (a, b) being ``rows[j], cols[j]`` of ``triu_indices``,
-        and ``lift`` its 2 s_j (1 on the diagonal, sqrt(2) off it).
-        ``derivative_indices`` and ``derivative_lift`` lay them out for
-        ``signal_derivatives``: per entry (g, j, k, i) of D, the flat
-        positions of A_g[k, a], B_g[b, i], A_g[k, b] and B_g[a, i] in the
-        raveled (G, R_G, K) stacks of A^T and B, and lift_j as a complex.
-
-        Dense workspaces also hold ``body_hessian``'s second-derivative term
-        (the structured path never reads it, and at R_G = 32 it would cost
-        about 11 ms per solve),
-        C_jl = -4 s_j s_l (d_bc M_ad + d_bd M_ac + d_ac M_bd + d_ad M_bc),
-        l = (c, d), as a sparse map into the raveled (n, n) Hessian from
-        the (n,) vector m_j = 2 s_j M_ab of each block's entries: for every
-        nonzero Kronecker delta its weight -4 s_j s_l / (2 s_i), its source
-        i in m and its slot, and the distinct Hessian entries of the slots
-        (up to four terms share one). At R_G = 8 the four terms have 648
-        nonzeros among their 5,184 entries."""
-        rows, cols = np.triu_indices(rg)
-        half = np.where(rows == cols, 0.5, math.sqrt(0.5))
-        self.rows, self.cols, self.lift = rows, cols, 2.0 * half
-        shape = (groups, len(rows), self.users, self.streams)
-        block = (np.arange(groups) * rg)[:, None, None, None]
-        user = np.arange(self.users)[:, None]
-        stream = np.arange(self.streams)
-        self.derivative_indices = tuple(
-            np.broadcast_to(
-                (block + index[:, None, None]) * width + entry, shape).ravel()
-            for index, width, entry in ((rows, self.users, user),
-                                        (cols, self.streams, stream),
-                                        (cols, self.users, user),
-                                        (rows, self.streams, stream)))
-        self.derivative_lift = np.broadcast_to(
-            self.lift[:, None, None], shape).astype(complex).ravel()
-        if not self.dense:
-            return
-        size = len(rows)
-        n = groups * size
-        position = np.empty((rg, rg), dtype=int)
-        position[rows, cols] = position[cols, rows] = np.arange(size)
-        a, b = rows[:, None], cols[:, None]
-        c, d = rows[None, :], cols[None, :]
-        targets, sources, weights = [], [], []
-        for delta, p, q in ((b == c, a, d), (b == d, a, c), (a == c, b, d),
-                            (a == d, b, c)):
-            j, l = delta.nonzero()
-            source = np.broadcast_to(position[p, q], delta.shape)[j, l]
-            targets.append(j * n + l)
-            sources.append(source)
-            weights.append(-2.0 * half[j] * half[l] / half[source])
-        own = np.arange(groups)[:, None]
-        targets = (np.concatenate(targets) + own * (size * n + size)).ravel()
-        self.curvature_sources = (np.concatenate(sources)
-                                  + own * size).ravel()
-        self.curvature_weights = np.tile(np.concatenate(weights), groups)
-        self.curvature_targets, self.curvature_slots = np.unique(
-            targets, return_inverse=True)
-
     def to_coordinates(self, body: np.ndarray) -> np.ndarray:
         """The coordinates of a body-coordinate stack in the basis of the
         Newton step, raveled: the S_aa and sqrt(2) S_ab (a < b) of each real
         symmetric S_g, its components in the orthonormal basis of
-        ``_body_basis``."""
+        ``_body_maps``."""
         return (body[:, self.rows, self.cols] * self.lift).ravel()
 
     def from_coordinates(self, x: np.ndarray) -> np.ndarray:
@@ -465,9 +512,12 @@ class _Workspace:
         where t_k, u_k are the pairs of 2 i c_ki / T_k and of
         2 i c_ki [i != k] / I_k: as d|c_ki|^2/dx_j =
         -2 Im(conj(c_ki) D[j, (k, i)]), X_k t_k and X_k u_k are gT_k and
-        gI_k up to a sign that their outer products drop.
+        gI_k up to a sign that their outer products drop. T_k and I_k are
+        those ``stats`` kept when it was last called at this ``c``.
         """
-        total, interference, _ = self.sinr(c)
+        point, total, interference = self.sums
+        if point is not c:
+            total, interference, _ = self.sinr(c)
         w = 1.0 / total[:, None] - self.off_diagonal / interference[:, None]
         turned = 2j * c
         t = (turned / total[:, None]).view(float)
@@ -500,7 +550,7 @@ class _Workspace:
     def body_hessian(self, state: np.ndarray, c: np.ndarray) -> np.ndarray:
         """(n, n) Hessian of the sum-rate in the coordinates x of blocks
         U_g exp(i S_g), S_g = sum_j x_j E_j in the orthonormal basis
-        of ``_body_basis`` (n = G R_G (R_G + 1) / 2), at the state ``state``
+        of ``_body_maps`` (n = G R_G (R_G + 1) / 2), at the state ``state``
         with signal matrix ``c``.
 
         The first derivatives D of ``signal_derivatives`` give the term
@@ -514,7 +564,7 @@ class _Workspace:
         for l = (c, d), with M_g = Re(N_g + N_g^T) and N_g = A_g^T (w o conj c)
         B_g^T; blocks do not couple in it. For j = (a, b),
         Re(conj(c) D_j) w = 2 s_j M_ab, mapped into the Hessian by
-        ``_body_basis``' sparse map.
+        ``_body_maps``' sparse map.
         """
         d = self.signal_derivatives(state)
         w, forms = self._forms(c)
@@ -735,15 +785,21 @@ def _newton_direction(hess: _DenseHessian | _LowRankHessian,
     every shift for 1 x 1 blocks, the first ``_CONNECTED_SHIFTS`` for
     larger ones. Definiteness only grows with mu, so the scan starts at
     ``start``, the index of the last step's shift, and walks down or up
-    from there: two factorizations when the shift holds. Over 549
-    iterations of three R = 64 desk solves that is 1,657 factorizations
-    instead of the 2,900 of a scan from index 0, and 8% more solves per
-    second. A capped scan tries its last shift before it walks up, since
-    most of its Hessians pass no allowed shift: over the 703 iterations of
-    the gc2/gc4/fc solves of the first five trials of configs/bench_cdf.yaml
-    that is 1,580 factorizations instead of 2,956. Each shift is tested at
-    most once per call. Returns (None, ``start``) when no shift below
-    ``limit`` is enough or H is not finite."""
+    from there: two factorizations when the shift holds. Over the 497
+    iterations of the three R = 64 desk solves of the sc-r64 benchmark
+    workload (seed 0) that is 1,446 factorizations instead of the 2,705 of
+    a scan from index 0. A capped scan tries its last shift before it
+    walks up, since most of its Hessians pass no allowed shift, and a scan
+    that finds none returns ``limit`` - 1, so that the next one starts at
+    the last allowed shift: a streak of failing scans then costs one
+    factorization each. Over the 699 iterations of the gc2/gc4/fc solves
+    of the first five trials of configs/bench_cdf.yaml that is 1,103
+    factorizations, against 1,491 when a failed scan kept its start and
+    3,804 for scans from index 0. Under verdicts that only grow with mu the
+    start never changes the shift found, only the factorizations spent on
+    it. Each shift is tested at most once per call. Returns
+    (None, ``limit`` - 1) when no shift below ``limit`` is enough, and
+    (None, ``start``) when H is not finite."""
     scale = hess.scale
     if not (0.0 < scale < math.inf) or not hess.finite:
         return None, start
@@ -763,12 +819,12 @@ def _newton_direction(hess: _DenseHessian | _LowRankHessian,
         # in one factorization.
         if m + 1 == limit or (limit < len(_NEWTON_SHIFTS)
                               and not definite(limit - 1)):
-            return None, start
+            return None, limit - 1
         m += 1
         while m < limit and not definite(m):
             m += 1
         if m == limit:
-            return None, start
+            return None, limit - 1
     return hess.solve(_NEWTON_SHIFTS[m] * scale, grad), m
 
 
@@ -816,6 +872,13 @@ def _armijo_stack(ws: _Workspace, state: np.ndarray, direction: np.ndarray,
     the first qualifying m. Returns (alpha, accepted state, its signal
     matrix, step sizes scored), or (0.0, None, None, trials) when no trial
     is accepted or the slope is not positive.
+
+    The returned signal matrix is formed again from the accepted diagonal
+    alone, a one-row product that rounds differently from its row of the
+    scored chunk: the rate ``stats`` gives there, which the run records,
+    is not the score that passed, but within a few ulps of it (at most 6
+    over the benchmark workloads' solves), far below the floor. So it still
+    exceeds ``f_current``.
     """
     if not slope > 0 or not direction.any():
         return 0.0, None, None, 0
@@ -871,31 +934,36 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
                                   config.n_groups, config.group_size)
     c = ws.in_bases(state).signals(np.ones((1,) + state.shape[:2]))[0]
     aux, eta, total = ws.stats(c)
-    f_current = ws.objective(c, aux, total)
     grad = ws.body_gradient(state, ws.riemannian_gradient(state, c, aux))
     grad_sq = _re_vdot(grad, grad)
     start_norm = _norm(grad_sq)
 
     records: list[IterationRecord] = []
-    # Iterates whose records wait for their unitarity residuals: the states
-    # in ``states``, the other fields in ``pending``.
+    # Iterates whose records wait for their unitarity residuals and
+    # surrogate values: the states in ``states``, the other fields and the
+    # point (c, tau, y, totals) in ``pending``.
     states = np.empty((max(1, _RESIDUAL_BUDGET // state.size),) + state.shape,
                       dtype=state.dtype)
     pending: list[tuple] = []
 
     def flush() -> None:
         """Records of the waiting iterates, in order: one ``theta`` and one
-        ``unitarity_residuals`` call cover all their states."""
+        ``unitarity_residuals`` call cover all their states, and one
+        ``objective`` call all their points."""
         count = len(pending)
         thetas = ws.theta(states[:count])
         blocks = thetas.reshape((-1,) + thetas.shape[2:])
         worst = unitarity_residuals(blocks).reshape(count, -1).max(axis=1)
+        fields, points = zip(*pending)
+        signals, tau, y, totals = (np.stack(part) for part in zip(*points))
+        values = ws.objective(signals, Auxiliaries(tau, y), totals)
         records.extend(
-            IterationRecord(iter=i, true_rate=rate, surrogate=value, step=step,
-                            grad_norm=norm, unitarity_residual=float(residual),
+            IterationRecord(iter=i, true_rate=rate, surrogate=float(value),
+                            step=step, grad_norm=norm,
+                            unitarity_residual=float(residual),
                             armijo_trials=trials)
-            for (i, rate, value, step, norm, trials), residual
-            in zip(pending, worst))
+            for (i, rate, step, norm, trials), value, residual
+            in zip(fields, values, worst))
         pending.clear()
 
     def record(i: int, step: float, trials: int) -> None:
@@ -903,7 +971,8 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
         if len(pending) == len(states):
             flush()
         states[len(pending)] = state
-        pending.append((i, eta, f_current, step, _norm(grad_sq), trials))
+        pending.append(((i, eta, step, _norm(grad_sq), trials),
+                        (c, aux.tau, aux.y, total)))
 
     record(0, 0.0, 0)
 
@@ -944,7 +1013,6 @@ def cga_optimize(channels: ChannelSet, beam: Beamformer, config: SystemConfig,
         retry = False
         state, c = candidate, c_new
         aux, eta, total = ws.stats(c)
-        f_current = ws.objective(c, aux, total)
         grad_new = ws.body_gradient(state,
                                     ws.riemannian_gradient(state, c, aux))
         step = alpha * direction.ravel()
@@ -1041,16 +1109,16 @@ def project_symmetric_unitary(theta: ScatteringMatrix) -> ScatteringMatrix:
     nonsingular symmetric input U V^H is the unique polar factor and is
     itself symmetric; when singular values are degenerate a generic SVD may
     break the pairing, in which case a Takagi-style factorization that
-    guarantees a symmetric unitary output is used instead.
+    guarantees a symmetric unitary output is used instead, on those blocks
+    alone: one batched symmetry residual picks them.
     """
     stack = theta.block_stack()
     sym = 0.5 * (stack + stack.transpose(0, 2, 1))
     u, _, vh = np.linalg.svd(sym)
     out = u @ vh
-    for g in range(out.shape[0]):
-        residual = float(np.linalg.norm(out[g] - out[g].T))
-        if residual > 1e-6:
-            out[g] = _takagi_symmetric_unitary(sym[g])
+    residual = np.linalg.norm(out - out.transpose(0, 2, 1), axis=(1, 2))
+    for g in np.flatnonzero(residual > 1e-6):
+        out[g] = _takagi_symmetric_unitary(sym[g])
     return ScatteringMatrix.from_block_stack(out)
 
 

@@ -8,6 +8,7 @@ sum-rate on the stacked blocks (see ``optimizer._Workspace``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,11 +57,15 @@ def parse_architecture_tag(tag: str, n_elements: int) -> tuple[Architecture, int
     return architecture, size
 
 
+@functools.cache
 def block_mask(n_elements: int, group_size: int) -> np.ndarray:
-    """Boolean mask of the block-diagonal support."""
+    """Boolean mask of the block-diagonal support, built once per
+    (R, R_G) and shared read-only."""
     n_groups = n_elements // group_size
-    return np.kron(np.eye(n_groups, dtype=bool),
+    mask = np.kron(np.eye(n_groups, dtype=bool),
                    np.ones((group_size, group_size), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import pytest
 
 from bdris import ScatteringMatrix, random_feasible
 from bdris.cli import main, read_matrix_file, write_matrix_file
+from bdris.system import block_mask
 
 from helpers import make_config
 
@@ -235,6 +236,23 @@ def test_validate_reports_off_block_entries(tmp_path, capsys):
     assert main(["validate", "--matrix", str(path)]) == 1
     out = capsys.readouterr().out
     assert "off_block_max: 5.000e-01" in out
+
+
+def test_validate_rejects_off_block_entries_with_shared_mask(tmp_path,
+                                                            capsys):
+    # ``bdris validate`` reads the shared read-only mask of ``block_mask``:
+    # a write to it raises, and every later run still finds the off-block
+    # entry.
+    lines = ["2 2", "1+0j 0.5+0j", "0+0j 1+0j"]
+    path = tmp_path / "offblock.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        block_mask(2, 1)[0, 1] = True
+    for _ in range(2):
+        assert main(["validate", "--matrix", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "off_block_max: 5.000e-01" in out
+        assert "result: fail" in out
 
 
 def test_bench_command(tmp_path, capsys):

@@ -14,7 +14,7 @@ from bdris import (CgaSettings, ScatteringMatrix, cga_optimize,
                    init_beamformer_uniform, load_config,
                    project_symmetric_unitary, random_feasible,
                    validate_feasibility, write_trace_csv)
-from bdris.manifold import Geodesic, unitarity_residuals
+from bdris.manifold import Geodesic, geodesic_frame, unitarity_residuals
 from bdris import optimizer
 from bdris.gradient import LN2
 from bdris.optimizer import _armijo_stack, _re_vdot, _Workspace
@@ -331,8 +331,10 @@ def test_coefficients_reproduce_surrogate_sum(tag):
     # ``objective`` at the auxiliaries of ``stats``, with and without its
     # totals, gives exactly the sum of the surrogate formula written out
     # from (tau, y), and the batched true-rate scores are exactly the rates
-    # that ``stats`` gives at their signal matrices: an accepted step's
-    # recorded rate is the score that passed the line search.
+    # that ``stats`` gives at their rows of the same product. (The signal
+    # matrix a search returns for its accepted step is another product, so
+    # the rate recorded there is only near its score: see
+    # ``test_accepted_rate_rises_and_stays_near_its_score``.)
     def reference(c, tau, y, noise):
         total = (np.abs(c) ** 2).sum(axis=-1) + noise
         quad = (2.0 * np.real(np.conj(y) * np.diagonal(c, axis1=-2, axis2=-1))
@@ -498,6 +500,35 @@ class TestProjection:
         report = validate_feasibility(projected, 1e-9, 1e-9)
         assert report.passed
 
+    def test_only_failing_blocks_take_the_fallback(self, monkeypatch):
+        # One rank-one block among symmetric unitary ones: its polar factor
+        # U V^H is not symmetric, so it alone goes through the Takagi
+        # fallback, and every block has the bits of a per-block check.
+        config = make_config(n_elements=12, n_groups=4)
+        stack = random_feasible(config, seed=4).block_stack().copy()
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+        stack[2] = u @ u.T
+        takagi, calls = optimizer._takagi_symmetric_unitary, []
+
+        def recording(sym):
+            calls.append(sym)
+            return takagi(sym)
+
+        monkeypatch.setattr(optimizer, "_takagi_symmetric_unitary", recording)
+        projected = project_symmetric_unitary(
+            ScatteringMatrix.from_block_stack(stack)).block_stack()
+        sym = 0.5 * (stack + stack.transpose(0, 2, 1))
+        assert len(calls) == 1 and np.array_equal(calls[0], sym[2])
+        u_svd, _, vh = np.linalg.svd(sym)
+        expected = u_svd @ vh
+        for g in range(len(expected)):
+            if np.linalg.norm(expected[g] - expected[g].T) > 1e-6:
+                expected[g] = takagi(sym[g])
+        assert np.array_equal(projected, expected)
+        assert validate_feasibility(
+            ScatteringMatrix.from_block_stack(projected), 1e-10, 1e-10).passed
+
     def test_takagi_fallback_direct(self):
         from bdris.optimizer import _takagi_symmetric_unitary
         rng = np.random.default_rng(3)
@@ -576,6 +607,47 @@ class TestCgaRun:
                 assert (np.diff(surr) >= -1e-9).all()
                 runs += 1
         assert runs >= 20
+
+    @pytest.mark.parametrize("tag", ["sc", "gc2", "gc4", "fc"])
+    def test_accepted_rate_rises_and_stays_near_its_score(self, tag,
+                                                          monkeypatch):
+        # The recorded rate of an accepted point comes from its own signal
+        # matrix, not from the chunk row that passed the search: it may
+        # differ from that score in the last ulps, but by less than the
+        # noise floor, so it is strictly above its predecessor's.
+        search, scores = optimizer._armijo_stack, []
+
+        def rescoring(ws, state, direction, f_current, slope):
+            result = search(ws, state, direction, f_current, slope)
+            alpha, _, _, trials = result
+            if alpha:
+                path = geodesic_frame(state, direction)
+                low = (trials - 1) // optimizer._ARMIJO_CHUNK * \
+                    optimizer._ARMIJO_CHUNK
+                alphas = optimizer._ALPHAS[low:trials]
+                chunk = ws.in_bases(path.p).objective_batch(
+                    path.diagonals(alphas))
+                scores.append(float(chunk[list(alphas).index(alpha)]))
+            return result
+
+        monkeypatch.setattr(optimizer, "_armijo_stack", rescoring)
+        accepted = 0
+        for seed in range(3):
+            (_, trace), config, *_ = small_run(seed=seed, tag=tag,
+                                               n_elements=8)
+            moved = [(before.true_rate, after.true_rate)
+                     for before, after in zip(trace.records,
+                                              trace.records[1:])
+                     if after.step > 0.0]
+            assert len(moved) == len(scores)
+            for (before, after), score in zip(moved, scores):
+                floor = optimizer._NOISE_FLOOR * (abs(before)
+                                                  + config.n_users)
+                assert after > before
+                assert abs(after - score) < floor
+            accepted += len(scores)
+            scores.clear()
+        assert accepted > 20
 
     def test_iterates_stay_blockwise_unitary(self):
         for tag in ("gc2", "fc"):
@@ -789,6 +861,43 @@ class TestObservability:
         assert len(trace.records) > 10
         assert any(r.step == 0.0 for r in trace.records[1:])
         assert [r.unitarity_residual for r in trace.records] == expected
+
+    @pytest.mark.parametrize("tag", ["sc", "gc2", "fc"])
+    def test_batched_surrogates_match_per_iterate_oracle(self, tag,
+                                                         monkeypatch):
+        # The surrogate values are computed at flushes, over all waiting
+        # points at once: each is still ``objective`` at its own point,
+        # bit for bit, a Python float, with stalled records (every seventh
+        # search) at the point their search started from.
+        monkeypatch.setattr(optimizer, "_RESIDUAL_BUDGET", 40)
+        search, stats, signals = optimizer._armijo_stack, _Workspace.stats, []
+
+        def stalling(*args):
+            signals.append(None)
+            return (search(*args) if len(signals) % 7
+                    else (0.0, None, None, 0))
+
+        def recording(ws, c):
+            signals.append(c)
+            return stats(ws, c)
+
+        monkeypatch.setattr(optimizer, "_armijo_stack", stalling)
+        monkeypatch.setattr(_Workspace, "stats", recording)
+        (_, trace), config, channels, beam = small_run(seed=3, tag=tag,
+                                                       max_iters=40)
+        points = [c for c in signals if c is not None]
+        ws = _Workspace(channels, beam, config)
+        expected, c = [], None
+        for r in trace.records:
+            if r.iter == 0 or r.step > 0.0:
+                c = points.pop(0)
+            aux, _, total = stats(ws, c)
+            expected.append(float(ws.objective(c, aux, total)))
+        assert len(points) == 1  # the final projection's rate
+        assert len(trace.records) > 10
+        assert any(r.step == 0.0 for r in trace.records[1:])
+        assert [r.surrogate for r in trace.records] == expected
+        assert all(type(r.surrogate) is float for r in trace.records)
 
     @pytest.mark.parametrize("reason", ["tolerance", "max_iters", "stalled",
                                         "nonfinite"])
@@ -1017,6 +1126,78 @@ def test_body_dimension_picks_the_direction(r, dense, monkeypatch):
         assert not hessians and not factored
 
 
+def test_body_maps_shared_per_shape(monkeypatch):
+    # Workspaces of one shape (G, R_G, K, K) share one set of read-only
+    # index arrays; another shape, or the dense curvature map of the same
+    # shape, gets its own.
+    def workspace(tag, r, seed, n_users=4):
+        config = config_for_tag(tag, n_elements=r, n_users=n_users)
+        channels = generate_channels_from_gains(config, 1.0, 1.0, seed=seed)
+        return _Workspace(channels, init_beamformer_uniform(config), config)
+
+    names = ("rows", "cols", "lift", "derivative_lift", "curvature_sources",
+             "curvature_weights", "curvature_targets", "curvature_slots")
+    first, second = workspace("gc2", 8, 0), workspace("gc2", 8, 1)
+    assert first.dense
+    for name in names:
+        array = getattr(first, name)
+        assert array is getattr(second, name), name
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+    for ours, theirs in zip(first.derivative_indices,
+                            second.derivative_indices):
+        assert ours is theirs and not ours.flags.writeable
+    for other in (workspace("gc2", 8, 0, n_users=2), workspace("gc4", 8, 0)):
+        assert other.derivative_lift is not first.derivative_lift
+        assert not set(map(id, other.derivative_indices)) & set(
+            map(id, first.derivative_indices))
+    monkeypatch.setattr(optimizer, "_NEWTON_DIMENSION", 0)
+    structured = workspace("gc2", 8, 0)
+    assert not structured.dense
+    assert not hasattr(structured, "curvature_targets")
+    np.testing.assert_array_equal(structured.derivative_indices[0],
+                                  first.derivative_indices[0])
+
+
+@pytest.mark.parametrize("tag, r", [("sc", 8), ("gc2", 8), ("fc", 8),
+                                    ("fc", 32)])
+def test_newton_step_reuses_the_sinr_of_stats(tag, r, monkeypatch):
+    # ``stats`` forms the SINR terms of an accepted point, and the Newton
+    # step there takes them instead of calling ``sinr`` again: no call of
+    # ``sinr`` runs inside ``newton_step``, and the Hessians are those of
+    # a fresh ``sinr``, bit for bit.
+    inside, sinr_calls, hessians = [], [], []
+    newton_step, sinr = _Workspace.newton_step, _Workspace.sinr
+    body_hessian = _Workspace.body_hessian
+
+    def stepping(ws, state, c, *args):
+        inside.append(True)
+        try:
+            return newton_step(ws, state, c, *args)
+        finally:
+            inside.pop()
+
+    def counting(ws, c):
+        sinr_calls.append(bool(inside))
+        return sinr(ws, c)
+
+    def checked(ws, state, c):
+        hess = body_hessian(ws, state, c)
+        hessians.append(np.array_equal(hess, body_hessian(ws, state,
+                                                          c.copy())))
+        return hess
+
+    monkeypatch.setattr(_Workspace, "newton_step", stepping)
+    monkeypatch.setattr(_Workspace, "sinr", counting)
+    monkeypatch.setattr(_Workspace, "body_hessian", checked)
+    (_, trace), *_ = small_run(seed=1, tag=tag, n_elements=r, max_iters=12)
+    assert trace.final.iters_used > 3
+    # Only the bit check's copies miss the stored terms.
+    assert sinr_calls.count(True) == len(hessians)
+    assert all(hessians) and (len(hessians) > 0) == (r == 8)
+
+
 def low_rank_instances():
     """(tag, R, gains) of the structured-Hessian checks."""
     return [(tag, r, gains) for tag in ("sc", "gc2", "gc4", "fc")
@@ -1189,7 +1370,8 @@ def test_structured_newton_on_degenerate_inputs(case, monkeypatch):
 
 def test_shift_cap_of_connected_blocks():
     # mu I - H is positive definite only from mu = 1e-1 max |H_jj| on: 1 x 1
-    # blocks take that shift, connected blocks none (``None``).
+    # blocks take that shift, connected blocks none (``None``), and the
+    # next scan starts at their last allowed shift.
     hess = -np.diag([1.0, 2.0, 4.0])
     hess[0, 0] = 0.2
     grad = np.array([1.0, 1.0, 1.0])
@@ -1202,7 +1384,76 @@ def test_shift_cap_of_connected_blocks():
     for start in range(optimizer._CONNECTED_SHIFTS):
         assert optimizer._newton_direction(
             optimizer._DenseHessian(hess), grad, start,
-            optimizer._CONNECTED_SHIFTS) == (None, start)
+            optimizer._CONNECTED_SHIFTS) == (
+                None, optimizer._CONNECTED_SHIFTS - 1)
+
+
+def scan_hessians():
+    """Symmetric Hessians whose smallest definite shift index takes every
+    value, and ones that no listed shift makes definite: random 6 x 6 ones
+    whose largest eigenvalue is 10^e max |H_jj| of the negative definite
+    rest, e over -13 .. 0, and [[1, a], [a, -1]], whose eigenvalues
+    +-sqrt(1 + a^2) exceed max |H_jj| = 1 by up to 10^4."""
+    rng = np.random.default_rng(7)
+    hessians = []
+    for exponent in np.linspace(-13.0, 0.0, 27):
+        q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        values = -rng.uniform(0.5, 2.0, 6)
+        hess = (q * values) @ q.T
+        values[0] = 10.0 ** exponent * np.abs(hess.diagonal()).max()
+        hessians.append((q * values) @ q.T)
+    for exponent in np.linspace(-1.0, 4.0, 11):
+        off = 10.0 ** exponent
+        hessians.append(np.array([[1.0, off], [off, -1.0]]))
+    return hessians
+
+
+def test_scan_finds_smallest_definite_shift_from_every_start():
+    # From every start, capped and uncapped: the step and index of the
+    # smallest shift whose mu I - H ``cholesky`` accepts, or (None,
+    # limit - 1) when none below the limit does.
+    grad_rng = np.random.default_rng(8)
+    found = set()
+    for hess in scan_hessians():
+        grad = grad_rng.standard_normal(len(hess))
+        scale = np.abs(hess.diagonal()).max()
+        for limit in (optimizer._CONNECTED_SHIFTS,
+                      len(optimizer._NEWTON_SHIFTS)):
+            shifted = [factor * scale * np.eye(len(hess)) - hess
+                       for factor in optimizer._NEWTON_SHIFTS[:limit]]
+            definite = [bool(np.all(np.linalg.eigvalsh(m) > 0))
+                        for m in shifted]
+            smallest = definite.index(True) if any(definite) else None
+            found.add((limit, smallest))
+            for start in range(limit):
+                step, m = optimizer._newton_direction(
+                    optimizer._DenseHessian(hess), grad, start, limit)
+                if smallest is None:
+                    assert (step, m) == (None, limit - 1), (start, limit)
+                    continue
+                assert m == smallest, (start, limit)
+                np.testing.assert_allclose(
+                    step, np.linalg.solve(shifted[m], grad), rtol=1e-9)
+    assert found == {(6, m) for m in (*range(6), None)} | {
+        (11, m) for m in (*range(11), None)}
+
+
+def test_failing_capped_streak_factors_once_per_call(monkeypatch):
+    # A capped scan that finds no shift restarts at the cap: the first
+    # call of a failing streak tests its start and the last allowed
+    # shift, every later one that last shift alone.
+    factored = spy(monkeypatch, optimizer._DenseHessian, "definite")
+    hess = np.diag([-1.0, -2.0, 0.5])
+    grad, start, costs = np.ones(3), 0, []
+    for _ in range(5):
+        before = len(factored)
+        step, start = optimizer._newton_direction(
+            optimizer._DenseHessian(hess), grad, start,
+            optimizer._CONNECTED_SHIFTS)
+        assert step is None
+        costs.append(len(factored) - before)
+    assert start == optimizer._CONNECTED_SHIFTS - 1
+    assert costs == [2, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("tag, r", [("gc2", 8), ("fc", 8), ("fc", 32)],

@@ -9,6 +9,7 @@ from bdris import (Architecture, Beamformer, ScatteringMatrix,
                    init_beamformer_mmse, init_beamformer_uniform, load_config,
                    parse_architecture_tag)
 from bdris.gradient import channel_stacks
+from bdris.system import block_mask
 
 from helpers import make_config, make_instance, reference_sinr, workspace_at
 
@@ -25,6 +26,22 @@ class TestScatteringMatrix:
         theta = np.ones((4, 4), dtype=complex)
         with pytest.raises(ValueError, match="off-block"):
             ScatteringMatrix(theta=theta, group_size=2)
+
+    def test_block_mask_is_shared_and_read_only(self):
+        # One mask per (R, R_G), built once: a write to it raises, and
+        # off-block entries are still rejected afterwards.
+        mask = block_mask(4, 2)
+        assert block_mask(4, 2) is mask
+        assert block_mask(4, 1) is not mask
+        with pytest.raises(ValueError):
+            mask[0, 3] = True
+        assert not mask[0, 3]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="off-block"):
+                ScatteringMatrix(theta=np.ones((4, 4), dtype=complex),
+                                 group_size=2)
+        assert ScatteringMatrix(theta=np.eye(4, dtype=complex),
+                                group_size=2).n_groups == 2
 
     def test_architecture_follows_group_size(self):
         theta = np.eye(4, dtype=complex)
