@@ -870,22 +870,22 @@ class TestObservability:
         # bit for bit, a Python float, with stalled records (every seventh
         # search) at the point their search started from.
         monkeypatch.setattr(optimizer, "_RESIDUAL_BUDGET", 40)
-        search, stats, signals = optimizer._armijo_stack, _Workspace.stats, []
+        search, stats = optimizer._armijo_stack, _Workspace.stats
+        searches, points = [], []
 
         def stalling(*args):
-            signals.append(None)
-            return (search(*args) if len(signals) % 7
+            searches.append(None)
+            return (search(*args) if len(searches) % 7
                     else (0.0, None, None, 0))
 
         def recording(ws, c):
-            signals.append(c)
+            points.append(c)
             return stats(ws, c)
 
         monkeypatch.setattr(optimizer, "_armijo_stack", stalling)
         monkeypatch.setattr(_Workspace, "stats", recording)
         (_, trace), config, channels, beam = small_run(seed=3, tag=tag,
                                                        max_iters=40)
-        points = [c for c in signals if c is not None]
         ws = _Workspace(channels, beam, config)
         expected, c = [], None
         for r in trace.records:
@@ -1410,8 +1410,8 @@ def scan_hessians():
 
 def test_scan_finds_smallest_definite_shift_from_every_start():
     # From every start, capped and uncapped: the step and index of the
-    # smallest shift whose mu I - H ``cholesky`` accepts, or (None,
-    # limit - 1) when none below the limit does.
+    # smallest listed shift at which every eigenvalue of mu I - H is
+    # positive, or (None, limit - 1) when none below the limit is.
     grad_rng = np.random.default_rng(8)
     found = set()
     for hess in scan_hessians():
